@@ -404,6 +404,39 @@ def subtree(spans: Iterable[Span], root: int) -> List[Span]:
     return out
 
 
+def tree_problems(spans: Iterable[Span], stage_ids: Dict[str, int]
+                  ) -> List[str]:
+    """Ways the span tree could charge time to the wrong place: a span
+    other than a stage with no parent, a parent that was never
+    recorded, a child that starts before or ends after its parent, or
+    a span that ran during a stage but is not below it."""
+    spans = list(spans)
+    by_id = {s.id: s for s in spans}
+    stages = set(stage_ids.values())
+    problems = []
+    for s in spans:
+        if s.parent is None:
+            if s.id not in stages:
+                problems.append(f"span {s.name} #{s.id} has no parent")
+            continue
+        parent = by_id.get(s.parent)
+        if parent is None:
+            problems.append(f"span {s.name} #{s.id} has parent #{s.parent}, "
+                            f"which was never recorded")
+        elif s.start < parent.start or s.end > parent.end:
+            problems.append(f"span {s.name} #{s.id} runs outside its parent "
+                            f"{parent.name} #{parent.id}")
+    for stage, sid in stage_ids.items():
+        root = by_id[sid]
+        below = {s.id for s in subtree(spans, sid)}
+        for s in spans:
+            if (s.id not in below and s.id not in stages
+                    and s.start < root.end and s.end > root.start):
+                problems.append(f"span {s.name} #{s.id} ran during stage "
+                                f"{stage} but is not below it")
+    return problems
+
+
 def layer_totals(spans: Iterable[Span]) -> Dict[str, Tuple[float, int]]:
     """Layer name -> (summed self time, call count)."""
     spans = list(spans)

@@ -129,3 +129,57 @@ def test_install_wraps_caller_bindings_and_remove_restores():
     by_id = {s.id: s for s in tracer.spans}
     resample = [s for s in tracer.spans if s.name == "audio.resample"][0]
     assert by_id[resample.parent].name == "disguise.disguise"
+
+
+def _stage_tree():
+    """A stage with a main-thread child and a pool-thread child."""
+    return [Span(1, "stage.eval", 0.0, 10.0, None, 1),
+            Span(2, "restore.search", 1.0, 4.0, 1, 1),
+            Span(3, "speaker.embed", 2.0, 6.0, 1, 2)]
+
+
+def test_tree_problems_accepts_sound_tree():
+    assert spans.tree_problems(_stage_tree(), {"eval": 1}) == []
+
+
+def test_tree_problems_reports_orphaned_worker_span():
+    tree = _stage_tree()
+    tree[2] = Span(3, "speaker.embed", 2.0, 6.0, None, 2)
+    problems = spans.tree_problems(tree, {"eval": 1})
+    assert any("#3 has no parent" in p for p in problems)
+    assert any("#3 ran during stage eval" in p for p in problems)
+    # the self-time sum alone cannot see it: the orphan's time is
+    # charged to the stage's own self time instead
+    selfs = spans.self_times(tree)
+    below = spans.subtree(tree, 1)
+    assert sum(selfs[s.id] for s in below) == pytest.approx(10.0)
+
+
+def test_tree_problems_reports_child_outside_parent():
+    tree = _stage_tree()
+    tree[1] = Span(2, "restore.search", 8.0, 12.0, 1, 1)
+    problems = spans.tree_problems(tree, {"eval": 1})
+    assert problems == ["span restore.search #2 runs outside its parent "
+                        "stage.eval #1"]
+
+
+def test_tree_problems_reports_unrecorded_parent():
+    tree = _stage_tree()
+    tree[2] = Span(3, "speaker.embed", 2.0, 6.0, 99, 2)
+    problems = spans.tree_problems(tree, {"eval": 1})
+    assert any("#3 has parent #99" in p for p in problems)
+    assert any("#3 ran during stage eval" in p for p in problems)
+
+
+def test_tree_problems_accepts_recorded_pool_tree():
+    tracer = Tracer()
+
+    def work(_):
+        with tracer.span("work"):
+            with tracer.span("leaf"):
+                time.sleep(0.002)
+
+    with tracer.span("stage.eval") as stage:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            list(pool.map(work, range(4)))
+    assert spans.tree_problems(tracer.spans, {"eval": stage.id}) == []

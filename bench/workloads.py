@@ -2,10 +2,10 @@
 
 Each runs in the benchmark's own process (or, for the CLI, in one
 fresh process per subcommand), single-threaded except for the CLI's
-`--jobs 2` eval. A run makes one contiguous pass as a user would, then
-repeats passes on the same inputs until the run's seconds are spent.
-It returns its timings, operation counts, the problems its output
-checks found and, in a traced run, the recorded spans.
+`--jobs 2` eval. A run makes one contiguous pass as a user would; a
+traced run adds a traced pass between two untraced ones. It returns
+its timings, operation counts, the problems its output checks found
+and, in a traced run, the recorded spans.
 """
 
 import importlib
@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from spans import Tracer
+
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 SRC = ROOT / "src"
@@ -30,6 +32,9 @@ RUNS = BENCH / "runs"
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
             "MKL_NUM_THREADS": "1"}
 SUBPROCESS_TIMEOUT = 150
+# set-ups per run (the run's own and fresh-process ones); setup_s is
+# their median
+SETUP_SAMPLES = 3
 
 
 @dataclass(frozen=True)
@@ -41,8 +46,7 @@ class LibraryWorkload:
     utts_per_speaker: int
     duration_s: float
     n_trials: int
-    setup_samples: int    # this process's setup plus fresh-process ones
-    gen_repeats: int      # gen_trials calls per pass; gen_s is their median
+    gen_repeats: int      # gen_trials calls per run; gen_s is their median
 
 
 @dataclass(frozen=True)
@@ -52,31 +56,31 @@ class CliWorkload:
     utts_per_speaker: int
     duration_s: float
     n_trials: int
-    setup_samples: int    # `voxrestore corpus` calls; setup_s is their median
     gen_repeats: int      # `voxrestore trials` calls; gen_s is their median
 
 
 PITCH_TIME = LibraryWorkload(
     "pitch-time", "pitch-time", ("none", "pitch-freq", "f0ratio"),
     n_speakers=8, utts_per_speaker=5, duration_s=1.0, n_trials=80,
-    setup_samples=3, gen_repeats=1)
+    gen_repeats=1)
 VTLN_ALL = LibraryWorkload(
     "vtln-all", "vtln-all", ("none", "vtln-power", "pitch-freq"),
     n_speakers=8, utts_per_speaker=5, duration_s=1.0, n_trials=160,
-    setup_samples=3, gen_repeats=5)
+    gen_repeats=15)
 CLI_ROUNDTRIP = CliWorkload(
     "cli-roundtrip", n_speakers=4, utts_per_speaker=2, duration_s=1.0,
-    n_trials=100, setup_samples=3, gen_repeats=3)
+    n_trials=100, gen_repeats=3)
 WORKLOADS = {w.name: w for w in (PITCH_TIME, VTLN_ALL, CLI_ROUNDTRIP)}
 
 
 @dataclass
 class Outcome:
     setup_s: List[float] = field(default_factory=list)
-    gen_s: List[float] = field(default_factory=list)
-    eval_s: List[float] = field(default_factory=list)
+    gen_s: Optional[float] = None
+    eval_s: Optional[float] = None
     total_s: Optional[float] = None
-    untraced_work_s: Optional[float] = None   # same steps as the traced pass
+    # mean wall time of the untraced passes around the traced one
+    untraced_work_s: Optional[float] = None
     jobs2_s: Optional[float] = None
     attempted: int = 0
     failed: int = 0
@@ -144,62 +148,76 @@ def import_program():
     return vx
 
 
-def run_library(wl: LibraryWorkload, seed: int, seconds: float,
-                trace: bool) -> Outcome:
+def run_library(wl: LibraryWorkload, seed: int, trace: bool) -> Outcome:
     out = Outcome()
-    for _ in range(wl.setup_samples - 1):
+    for _ in range(SETUP_SAMPLES - 1):
         out.setup_s.append(_fresh_setup(wl, seed))
 
-    ops = wl.n_trials * len(wl.methods)
-    out.attempted += ops
-    # the first pass is contiguous, as a user runs it: import, corpus,
+    # the run's pass is contiguous, as a user runs it: import, corpus,
     # trials, matrix; total_s is its wall time
     t0 = time.perf_counter()
     vx = import_program()
-    t_import = time.perf_counter()
+    t_import = time.perf_counter() - t0
+    config = vx.CorpusConfig(n_speakers=wl.n_speakers,
+                             utts_per_speaker=wl.utts_per_speaker,
+                             seed=seed, duration_s=wl.duration_s)
+    first = _library_pass(vx, wl, config, seed, out, Tracer())
+    if first is None:
+        return out
+    out.setup_s.append(t_import + first.times["setup"])
+    out.total_s = t_import + first.wall_s
+    out.eval_s = first.times["eval"]
+    gens = [first.times["gen"]] + _time_gens(vx, first.corpus, wl, seed,
+                                             wl.gen_repeats - 1)
+    out.gen_s = statistics.median(gens)
+
+    _check_library(wl, vx, first, out)
+    if trace:
+        _traced_library_passes(wl, vx, config, seed, first.report, out)
+    return out
+
+
+@dataclass
+class LibraryPass:
+    corpus: object
+    trials: list
+    audio: dict
+    report: dict
+    times: Dict[str, float]       # stage -> wall time
+    stage_ids: Dict[str, int]     # stage -> span id
+
+    @property
+    def wall_s(self) -> float:
+        return sum(self.times.values())
+
+
+def _library_pass(vx, wl, config, seed, out,
+                  tracer: Tracer) -> Optional[LibraryPass]:
+    """One pass (corpus, trials, matrix) in this process, each stage in
+    a span of `tracer`; None if the program raised."""
+    ops = wl.n_trials * len(wl.methods)
+    out.attempted += ops
+    stage_ids = {}
     try:
-        config = vx.CorpusConfig(n_speakers=wl.n_speakers,
-                                 utts_per_speaker=wl.utts_per_speaker,
-                                 seed=seed, duration_s=wl.duration_s)
-        corpus = vx.synth_corpus(config)
-        t_setup = time.perf_counter()
-        trials, extra = vx.gen_trials(corpus, wl.n_trials, wl.policy,
-                                      seed=seed)
-        t_gen = time.perf_counter()
+        with tracer.span("stage.setup") as s:
+            corpus = vx.synth_corpus(config)
+        stage_ids["setup"] = s.id
+        with tracer.span("stage.gen") as s:
+            trials, extra = vx.gen_trials(corpus, wl.n_trials, wl.policy,
+                                          seed=seed)
+        stage_ids["gen"] = s.id
         audio = {**corpus.utterances, **extra}
-        report = vx.run_matrix(audio, trials, list(wl.methods), jobs=1)
-        t_eval = time.perf_counter()
+        with tracer.span("stage.eval") as s:
+            report = vx.run_matrix(audio, trials, list(wl.methods), jobs=1)
+        stage_ids["eval"] = s.id
     except Exception as exc:          # the program failed: report it
         out.failed += ops
         out.problems.append(f"pass raised {type(exc).__name__}: {exc}")
-        return out
-    out.setup_s.append(t_setup - t0)
-    out.total_s = t_eval - t0
-    out.untraced_work_s = t_eval - t_import
-    out.eval_s.append(t_eval - t_gen)
-    gens = [t_gen - t_setup] + _time_gens(vx, corpus, wl, seed,
-                                          wl.gen_repeats - 1)
-    out.gen_s.append(statistics.median(gens))
-    reports = [report.to_dict()]
-
-    while time.perf_counter() - t0 < seconds:
-        out.attempted += ops
-        try:
-            gens = _time_gens(vx, corpus, wl, seed, wl.gen_repeats)
-            t = time.perf_counter()
-            again = vx.run_matrix(audio, trials, list(wl.methods), jobs=1)
-            out.eval_s.append(time.perf_counter() - t)
-        except Exception as exc:
-            out.failed += ops
-            out.problems.append(f"pass raised {type(exc).__name__}: {exc}")
-            break
-        out.gen_s.append(statistics.median(gens))
-        reports.append(again.to_dict())
-
-    _check_library(wl, vx, corpus, trials, audio, reports, out)
-    if trace:
-        _traced_library_pass(wl, vx, config, seed, reports[0], out)
-    return out
+        return None
+    by_id = {sp.id: sp for sp in tracer.spans}
+    times = {k: by_id[i].end - by_id[i].start for k, i in stage_ids.items()}
+    return LibraryPass(corpus, trials, audio, report.to_dict(), times,
+                       stage_ids)
 
 
 def _time_gens(vx, corpus, wl, seed, n) -> List[float]:
@@ -211,19 +229,16 @@ def _time_gens(vx, corpus, wl, seed, n) -> List[float]:
     return times
 
 
-def _check_library(wl, vx, corpus, trials, audio, reports, out) -> None:
+def _check_library(wl, vx, run: LibraryPass, out) -> None:
     import numpy as np
     import checks
 
-    report = reports[0]
-    for i, other in enumerate(reports[1:], start=2):
-        if other != report:
-            out.problems.append(f"pass {i} report differs from pass 1")
+    trials, report = run.trials, run.report
     out.problems += checks.check_labels(
         ((t.enroll_id, t.test_id.split("~")[0], t.label) for t in trials),
-        corpus.speaker_of)
+        run.corpus.speaker_of)
     ids = sorted({t.enroll_id for t in trials} | {t.test_id for t in trials})
-    vecs = {u: vx.embed(vx.mfcc(audio[u])).vector for u in ids}
+    vecs = {u: vx.embed(vx.mfcc(run.audio[u])).vector for u in ids}
     dist = checks.cosine_distances(
         np.array([vecs[t.enroll_id] for t in trials]),
         np.array([vecs[t.test_id] for t in trials]))
@@ -243,35 +258,27 @@ def _check_library(wl, vx, corpus, trials, audio, reports, out) -> None:
     out.info["trial_summary"] = report["trial_summary"]
 
 
-def _traced_library_pass(wl, vx, config, seed, untraced_report, out) -> None:
-    from spans import Tracer
-
-    ops = wl.n_trials * len(wl.methods)
-    out.attempted += ops
+def _traced_library_passes(wl, vx, config, seed, report, out) -> None:
+    """A traced pass between two untraced ones, all three warm and on
+    the same inputs as the run's pass; each must give its report."""
+    before = _library_pass(vx, wl, config, seed, out, Tracer())
     tracer = Tracer()
     handle = tracer.install()
     try:
-        t0 = time.perf_counter()
-        with tracer.span("stage.setup") as s:
-            corpus = vx.synth_corpus(config)
-        out.stage_ids["setup"] = s.id
-        with tracer.span("stage.gen") as s:
-            trials, extra = vx.gen_trials(corpus, wl.n_trials, wl.policy,
-                                          seed=seed)
-        out.stage_ids["gen"] = s.id
-        with tracer.span("stage.eval") as s:
-            report = vx.run_matrix({**corpus.utterances, **extra}, trials,
-                                   list(wl.methods), jobs=1)
-        out.stage_ids["eval"] = s.id
-        out.traced_work_s = time.perf_counter() - t0
-    except Exception as exc:          # the program failed: report it
-        out.failed += ops
-        out.problems.append(f"traced pass raised {type(exc).__name__}: {exc}")
-        return
+        traced = _library_pass(vx, wl, config, seed, out, tracer)
     finally:
         handle.remove()
-    if report.to_dict() != untraced_report:
-        out.problems.append("traced report differs from the untraced one")
+    after = _library_pass(vx, wl, config, seed, out, Tracer())
+    if None in (before, traced, after):
+        return
+    for name, run in (("before", before), ("traced", traced),
+                      ("after", after)):
+        if run.report != report:
+            out.problems.append(f"{name} pass report differs from the "
+                                f"run's first")
+    out.untraced_work_s = statistics.mean([before.wall_s, after.wall_s])
+    out.traced_work_s = traced.wall_s
+    out.stage_ids = traced.stage_ids
     out.tracer = tracer
 
 
@@ -340,54 +347,77 @@ class _Cli:
         return elapsed
 
 
-def run_cli(wl: CliWorkload, seed: int, seconds: float, trace: bool,
+# the subcommands of each stage of a round trip, in order
+CLI_STAGES = (("setup", ("corpus",)), ("gen", ("trials",)),
+              ("eval", ("eval_j1", "eval_j2", "eval_ext")))
+
+
+def run_cli(wl: CliWorkload, seed: int, trace: bool,
             workdir: Path) -> Outcome:
     out = Outcome()
     cmds = cli_commands(wl, seed)
     workdir.mkdir(parents=True)
     cli = _Cli(workdir, out)
-    for _ in range(wl.setup_samples - 1):
+    for _ in range(SETUP_SAMPLES - 1):
         out.setup_s.append(cli(cmds["corpus"]))
-    # the first round trip is contiguous; total_s is its wall time
-    t0 = time.perf_counter()
-    out.setup_s.append(cli(cmds["corpus"]))
-    gens = [cli(cmds["trials"])]
-    e1 = cli(cmds["eval_j1"])
-    out.jobs2_s = cli(cmds["eval_j2"])
-    out.eval_s.append(e1 + out.jobs2_s + cli(cmds["eval_ext"]))
-    out.total_s = out.untraced_work_s = time.perf_counter() - t0
-    gens += [cli(cmds["trials"]) for _ in range(wl.gen_repeats - 1)]
-    out.gen_s.append(statistics.median(gens))
+    # the run's round trip is contiguous; total_s is its wall time
+    times, out.total_s, _ = _cli_pass(cli, cmds, Tracer())
+    out.setup_s.append(times["corpus"])
+    out.jobs2_s = times["eval_j2"]
+    out.eval_s = times["eval_j1"] + times["eval_j2"] + times["eval_ext"]
+    gens = [times["trials"]] + [cli(cmds["trials"])
+                                for _ in range(wl.gen_repeats - 1)]
+    out.gen_s = statistics.median(gens)
     if out.failed:
         return out
     _check_cli(wl, workdir, out)
-    while out.failed == 0 and time.perf_counter() - t0 < seconds:
-        # later passes redo trials and evals on the same corpus
-        gens = [cli(cmds["trials"]) for _ in range(wl.gen_repeats)]
-        out.gen_s.append(statistics.median(gens))
-        out.eval_s.append(sum(cli(cmds[k])
-                              for k in ("eval_j1", "eval_j2", "eval_ext")))
-    if trace and out.failed == 0:
-        _traced_cli_pass(cmds, workdir / "traced", out)
+    if trace:
+        _traced_cli_passes(wl, cmds, workdir, out)
     return out
 
 
-def _traced_cli_pass(cmds, workdir: Path, out: Outcome) -> None:
-    from spans import Tracer
-
-    workdir.mkdir()
-    tracer = Tracer()
-    cli = _Cli(workdir, out, tracer)
-    stages = (("setup", ("corpus",)), ("gen", ("trials",)),
-              ("eval", ("eval_j1", "eval_j2", "eval_ext")))
+def _cli_pass(cli: "_Cli", cmds, tracer: Tracer):
+    """One round trip, each stage in a span of `tracer`. Returns the
+    wall time of each subcommand and of the whole round trip, and the
+    stage span ids."""
+    times, stage_ids = {}, {}
     t0 = time.perf_counter()
-    for stage, names in stages:
+    for stage, names in CLI_STAGES:
         with tracer.span(f"stage.{stage}") as s:
             for name in names:
-                cli(cmds[name])
-        out.stage_ids[stage] = s.id
-    out.traced_work_s = time.perf_counter() - t0
+                times[name] = cli(cmds[name])
+        stage_ids[stage] = s.id
+    return times, time.perf_counter() - t0, stage_ids
+
+
+def _traced_cli_passes(wl, cmds, workdir: Path, out: Outcome) -> None:
+    """A traced round trip, then an untraced one, each in a directory
+    of its own and each checked like the run's. The run's round trip
+    is the untraced one before."""
+    tracer = Tracer()
+    traced_dir, after_dir = workdir / "traced", workdir / "after"
+    traced_dir.mkdir()
+    _, out.traced_work_s, out.stage_ids = _cli_pass(
+        _Cli(traced_dir, out, tracer), cmds, tracer)
+    after_dir.mkdir()
+    _, after_s, _ = _cli_pass(_Cli(after_dir, out), cmds, Tracer())
+    if out.failed:
+        return
+    import checks
+    for directory in (traced_dir, after_dir):
+        _check_cli(wl, directory, out)
+        out.problems += checks.check_identical(
+            _report_files(workdir, "j1"), _report_files(directory, "j1"))
+    out.untraced_work_s = statistics.mean([out.total_s, after_s])
     out.tracer = tracer
+
+
+def _report_files(workdir: Path, tag: str) -> Dict[str, bytes]:
+    """The report files and sidecar of one eval, by tag-free name."""
+    files = {p.name.replace(f"_{tag}", ""): p.read_bytes()
+             for p in workdir.glob(f"report_{tag}*")}
+    files["emb.txt"] = (workdir / f"emb_{tag}.txt").read_bytes()
+    return files
 
 
 def _read_tsv(path: Path) -> Dict[str, Tuple[str, str]]:
@@ -448,17 +478,11 @@ def _check_cli(wl: CliWorkload, workdir: Path, out: Outcome) -> None:
     def read_report(tag: str) -> dict:
         return json.loads((workdir / f"report_{tag}.json").read_text())
 
-    def report_files(tag: str) -> Dict[str, bytes]:
-        files = {p.name.replace(f"_{tag}", ""): p.read_bytes()
-                 for p in workdir.glob(f"report_{tag}*")}
-        files["emb.txt"] = (workdir / f"emb_{tag}.txt").read_bytes()
-        return files
-
     j1, ext = read_report("j1"), read_report("ext")
     none_row = [m for m in j1["matrix"] if m["restoration"] == "none"][0]
     out.problems += checks.check_none_row(none_row, labels, dist)
-    out.problems += checks.check_identical(report_files("j1"),
-                                           report_files("j2"))
+    out.problems += checks.check_identical(_report_files(workdir, "j1"),
+                                           _report_files(workdir, "j2"))
     out.problems += checks.check_same_row(j1, ext, "none")
     out.problems += checks.check_roundtrip_grid(j1)
     out.problems += checks.check_sidecar(
