@@ -149,15 +149,56 @@ def test_vtln_checks(vtln_report):
 
 def test_roundtrip_grid_checks():
     report = {"matrix": [{"restoration": "none", "eer": 40.0},
-                         {"restoration": "pitch-freq", "eer": 30.0}],
-              "bias": [_bias("pitch-freq", [_bucket(3.0, 0.0),
-                                            _bucket(-5.0, -1.0)])]}
+                         {"restoration": "pitch-freq", "eer": 30.0}]}
     assert checks.check_roundtrip_grid(report) == []
     bad = copy.deepcopy(report)
     _set_eer(bad, "pitch-freq", 40.0)
     assert checks.check_roundtrip_grid(bad)
-    bad["bias"] = [_bias("pitch-freq", [_bucket(3.0, 2.0)])]
-    assert len(checks.check_roundtrip_grid(bad)) == 2
+
+
+def _recovery(pairs):
+    """The bias entry the program reports for these (true, estimated)
+    pairs."""
+    from voxrestore import alpha_bias
+    return {"restoration": "pitch-freq", **alpha_bias(pairs).to_dict()}
+
+
+@pytest.fixture
+def recovered():
+    # 50 estimates, 5 of them off by more than a semitone (one by 6)
+    rng = np.random.default_rng(5)
+    true = rng.integers(-11, 12, 50).astype(float)
+    errors = rng.choice([-1.0, 0.0, 0.0, 1.0], 50)
+    errors[:5] = (2.0, -2.0, 3.0, 2.0, -6.0)
+    return list(zip(true, true + errors))
+
+
+def test_recovery_passes_within_criterion_05(recovered):
+    errors = np.array([e - t for t, e in recovered])
+    assert np.sqrt(np.mean(errors ** 2)) > 1.0       # no RMS bound applies
+    assert checks.check_recovery(_recovery(recovered), recovered) == []
+
+
+def test_recovery_fails_on_too_many_misses(recovered):
+    worse = list(recovered)
+    worse[10] = (worse[10][0], worse[10][0] + 3.0)     # a sixth miss of 50
+    assert checks.check_recovery(_recovery(worse), worse)
+
+
+def test_recovery_fails_when_report_disagrees(recovered):
+    bias = _recovery(recovered)
+    assert checks.check_recovery(None, recovered)
+    bad = copy.deepcopy(bias)
+    bad["buckets"][2]["mean_error"] += 1e-6
+    assert checks.check_recovery(bad, recovered)
+    bad = copy.deepcopy(bias)
+    bad["std_error"] += 1e-6
+    assert checks.check_recovery(bad, recovered)
+    # one estimate dropped from the report, or one changed
+    assert checks.check_recovery(_recovery(recovered[1:]), recovered)
+    changed = list(recovered)
+    changed[7] = (changed[7][0], changed[7][1] + 1.0)
+    assert checks.check_recovery(_recovery(changed), recovered)
 
 
 def test_identical_fails_on_one_byte():

@@ -451,10 +451,11 @@ def _check_cli(wl: CliWorkload, workdir: Path, out: Outcome) -> None:
     for path in disguised:
         out.problems += checks.check_wav(path.read_bytes(), n_disguised, sr)
 
-    trials = []
+    trials, alphas = [], []
     for line in (workdir / "trials" / "trials.txt").read_text().splitlines():
-        label, enroll, test, _spec = line.split()
+        label, enroll, test, spec = line.split()
         trials.append((enroll, test, label == "1"))
+        alphas.append(float(spec.split(":")[1]))
     if len(trials) != wl.n_trials:
         out.problems.append(f"trial list holds {len(trials)} trials")
     referenced = {t for _, t, _ in trials if t.startswith("disguised/")}
@@ -468,9 +469,10 @@ def _check_cli(wl: CliWorkload, workdir: Path, out: Outcome) -> None:
     out.problems += checks.check_labels(
         ((utt_of(e), utt_of(t), lab) for e, t, lab in trials), speaker_of)
     base = workdir / "trials"
-    vecs = {tok: vx.embed(vx.mfcc(vx.load_wav(base / tok))).vector
-            for tok in sorted({e for e, _, _ in trials}
-                              | {t for _, t, _ in trials})}
+    audio = {tok: vx.load_wav(base / tok)
+             for tok in sorted({e for e, _, _ in trials}
+                               | {t for _, t, _ in trials})}
+    vecs = {tok: vx.embed(vx.mfcc(x)).vector for tok, x in audio.items()}
     dist = checks.cosine_distances(np.array([vecs[e] for e, _, _ in trials]),
                                    np.array([vecs[t] for _, t, _ in trials]))
     labels = [lab for _, _, lab in trials]
@@ -485,6 +487,11 @@ def _check_cli(wl: CliWorkload, workdir: Path, out: Outcome) -> None:
                                            _report_files(workdir, "j2"))
     out.problems += checks.check_same_row(j1, ext, "none")
     out.problems += checks.check_roundtrip_grid(j1)
+    # the grid's estimate on each same-speaker trial, one trial at a time
+    pairs = [(alpha, vx.grid_search_restore(audio[e], audio[t]).alpha_hat)
+             for (e, t, lab), alpha in zip(trials, alphas) if lab]
+    out.problems += checks.check_recovery(checks.bias_row(j1, "pitch-freq"),
+                                          pairs)
     out.problems += checks.check_sidecar(
         (workdir / "emb_j1.txt").read_text(encoding="utf-8"), vecs)
     out.info["eer"] = checks.eers(j1)
