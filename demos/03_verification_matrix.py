@@ -20,7 +20,7 @@ print(f"corpus: {len(corpus.utterances)} utterances from "
 
 # first, how the verifier does when nobody is hiding
 plain, _ = gen_trials(corpus, 150, "none", seed=12)
-baseline = run_matrix(corpus.utterances, plain, ["none"], jobs=2)
+baseline = run_matrix(corpus.utterances, plain, ["none"])
 print(f"baseline EER on undisguised trials: "
       f"{baseline.row('none').eer.eer_percent:.1f}%")
 
@@ -36,7 +36,7 @@ print(f"disguised trials: {len(trials)} ({n_same} same-speaker, "
 # grid-search the parameter per trial, or trust the F0 ratio
 methods = ["none", "pitch-freq", "f0ratio"]
 t0 = time.perf_counter()
-report = run_matrix(audio, trials, methods, jobs=2)
+report = run_matrix(audio, trials, methods)
 elapsed = time.perf_counter() - t0
 
 print()

@@ -7,8 +7,7 @@ effect of restoration on verification error rates.
 """
 
 from .audio import (AudioBuffer, DEFAULT_FRAME, FrameParams, Spectrogram,
-                    griffin_lim, istft, load_wav, resample, save_wav, stft,
-                    vad)
+                    istft, load_wav, resample, save_wav, stft, vad)
 from .disguise import (DisguiseFamily, DisguiseSpec, IDENTITY_PARAMS,
                        PARAM_RANGES, VTLN_FAMILIES, WarpFunction,
                        apply_spectral_warp, build_warp, disguise, invert_spec,
@@ -29,8 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AudioBuffer", "FrameParams", "Spectrogram", "DEFAULT_FRAME",
-    "load_wav", "save_wav", "stft", "istft", "griffin_lim", "resample",
-    "vad",
+    "load_wav", "save_wav", "stft", "istft", "resample", "vad",
     "DisguiseFamily", "DisguiseSpec", "WarpFunction", "PARAM_RANGES",
     "IDENTITY_PARAMS", "VTLN_FAMILIES", "parse_family", "semitone_to_scale",
     "scale_to_semitone", "build_warp", "apply_spectral_warp", "disguise",

@@ -1,7 +1,7 @@
 """Core audio containers, WAV I/O, STFT analysis/synthesis, resampling and VAD."""
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -234,39 +234,6 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     good = den > 1e-3 * den.max()
     y[good] /= den[good]
     return AudioBuffer(y, sr)
-
-
-def _spectral_distance(target_mag: np.ndarray, mag: np.ndarray) -> float:
-    num = np.linalg.norm(target_mag - mag)
-    den = np.linalg.norm(target_mag)
-    return float(num / den) if den > 0 else 0.0
-
-
-def griffin_lim(spec: Spectrogram, iterations: int = 32) -> AudioBuffer:
-    """Estimate a waveform from magnitudes alone by alternating
-    projection between the time and magnitude domains.
-
-    Starts from zero phase; each iteration re-analyzes the current
-    signal and swaps in the target magnitudes. The magnitude mismatch
-    is non-increasing in the iteration count. Deterministic.
-    """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    target = spec.magnitudes
-    if not np.any(target > 0):
-        sr = spec.sample_rate
-        win = spec.params.window_length(sr)
-        hop = spec.params.hop_length(sr)
-        n_out = (spec.n_frames - 1) * hop + win
-        return AudioBuffer(np.zeros(n_out) if n_out else np.zeros(1), sr)
-    work = Spectrogram(target, np.zeros_like(target), spec.params,
-                       spec.sample_rate)
-    x = istft(work)
-    for _ in range(iterations):
-        est = stft(x, spec.params)
-        work = Spectrogram(target, est.phases, spec.params, spec.sample_rate)
-        x = istft(work)
-    return x
 
 
 def resample(buf: AudioBuffer, ratio: float) -> AudioBuffer:

@@ -15,8 +15,8 @@ import time
 
 import numpy as np
 
-from .audio import AudioBuffer, load_wav, save_wav
-from .disguise import DisguiseFamily, DisguiseSpec, disguise, parse_family
+from .audio import load_wav, save_wav
+from .disguise import DisguiseSpec, disguise, parse_family
 from .evaluate import (Corpus, CorpusConfig, Trial, gen_trials, run_matrix,
                        synth_corpus)
 from .pitch import UnvoicedUtteranceError
@@ -240,8 +240,7 @@ def cmd_eval(args) -> int:
         if scorer.mode == "external" and not os.path.isfile(full):
             continue   # embeddings come from the table; audio optional
         audio[token] = load_wav(full)
-    report = run_matrix(audio, trials, restorations, scorer=scorer,
-                        jobs=args.jobs)
+    report = run_matrix(audio, trials, restorations, scorer=scorer)
     elapsed = time.perf_counter() - t0
 
     payload = report.to_dict()
@@ -294,11 +293,6 @@ def cmd_eval(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="base seed for anything randomized")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker threads; results are identical for any "
-                             "value")
     common.add_argument("--log-level",
                         default=os.environ.get("VOXRESTORE_LOG", "warning"),
                         help="debug, info, warning or error "
@@ -344,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--utts", type=int, default=5)
     p.add_argument("--sample-rate", type=int, default=16000)
     p.add_argument("--duration", type=float, default=2.0)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("trials", parents=[common],
@@ -354,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=400)
     p.add_argument("--disguise", default="none",
                    help="none, a family name, or vtln-all")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_trials)
 
     p = sub.add_parser("eval", parents=[common],
@@ -367,8 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "repeatable (default: none)")
     p.add_argument("--scorer", default="builtin")
     p.add_argument("--dump-embeddings", default=None, metavar="FILE",
-                   help="write builtin embeddings of all trial utterances "
-                        "in the external sidecar format")
+                   help="write the builtin embedding of every trial "
+                        "utterance in the external sidecar format")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_eval)
     return parser
 

@@ -1,8 +1,7 @@
 """Synthetic speaker corpus, trial generation, EER computation and the
 disguise x restoration evaluation matrix."""
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -12,19 +11,9 @@ from .audio import AudioBuffer, DEFAULT_FRAME, FrameParams
 from .disguise import (VTLN_FAMILIES, DisguiseFamily, DisguiseSpec,
                        IDENTITY_PARAMS, disguise, parse_family)
 from .pitch import UnvoicedUtteranceError, estimate_f0, f0_ratio_alpha, mean_f0
-from .restore import (GridSpec, _RestorationContext, _search, default_grid,
-                      nearest_grid_value)
-from .speaker import Embedding, ScorerConfig, distance, embed, mfcc
-
-
-def _pmap(fn, items, jobs: int) -> list:
-    """Order-preserving map, threaded when jobs > 1. Results do not
-    depend on the worker count."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+from .restore import (_candidate_token, _search, default_grid,
+                      embedding_table, nearest_grid_value)
+from .speaker import ScorerConfig, distance
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +386,11 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
     EER breakdowns.
 
     Restoration methods are blind: they never read a trial's
-    disguise_meta, which is used only to organize the report. The
-    heavy per-utterance analysis is cached across methods and
-    candidates; `jobs` parallelizes across utterances and trials
-    without changing any output.
+    disguise_meta, which is used only to organize the report. Every
+    embedding any method needs is computed once, in one table, however
+    often a test utterance repeats. `jobs` is accepted for
+    compatibility and has no effect; the work runs in one thread.
     """
-    scorer = scorer or ScorerConfig()
     trials = list(trials)
     if not trials:
         raise ValueError("no trials to evaluate")
@@ -412,85 +400,73 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
     if not methods:
         raise ValueError("no restoration methods requested")
 
-    enroll_ids = list(dict.fromkeys(t.enroll_id for t in trials))
-    test_ids = list(dict.fromkeys(t.test_id for t in trials))
-    need_ctx = scorer.mode == "builtin" and any(
-        kind in ("grid", "f0ratio") for _, kind, _ in methods)
-    need_f0 = any(kind == "f0ratio" for _, kind, _ in methods)
-
     def _require_audio(utt: str) -> AudioBuffer:
         try:
             return audio[utt]
         except KeyError:
             raise KeyError(f"no audio for utterance {utt!r}") from None
 
-    if scorer.mode == "builtin":
-        enroll_emb = dict(zip(enroll_ids, _pmap(
-            lambda u: embed(mfcc(_require_audio(u), params), u),
-            enroll_ids, jobs)))
-        if need_ctx:
-            contexts = dict(zip(test_ids, _pmap(
-                lambda u: _RestorationContext(_require_audio(u), params),
-                test_ids, jobs)))
-            plain_emb = {
-                u: embed(ctx.features(0.0, DisguiseFamily.PITCH_FREQ), u)
-                for u, ctx in contexts.items()}
-        else:
-            contexts = {}
-            plain_emb = dict(zip(test_ids, _pmap(
-                lambda u: embed(mfcc(_require_audio(u), params), u),
-                test_ids, jobs)))
-    else:
-        enroll_emb = {u: scorer.lookup(u) for u in enroll_ids}
-        contexts = {}
-        plain_emb = {u: scorer.lookup(u) for u in test_ids}
+    grids = {family: default_grid(family)
+             for _, kind, family in methods if kind != "none"}
 
-    f0_mean: Dict[str, Optional[float]] = {}
-    if need_f0:
-        def _safe_mean_f0(utt: str) -> Optional[float]:
+    # 1. F0-ratio estimates, from each side's mean F0
+    f0_alpha: Dict[Tuple[str, str], float] = {}
+    if any(kind == "f0ratio" for _, kind, _ in methods):
+        f0_mean: Dict[str, Optional[float]] = {}
+        for utt in dict.fromkeys(u for t in trials
+                                 for u in (t.enroll_id, t.test_id)):
             try:
-                return mean_f0(estimate_f0(_require_audio(utt)))
+                f0_mean[utt] = mean_f0(estimate_f0(_require_audio(utt)))
             except UnvoicedUtteranceError:
-                return None
-        all_ids = list(dict.fromkeys(enroll_ids + test_ids))
-        f0_mean = dict(zip(all_ids, _pmap(_safe_mean_f0, all_ids, jobs)))
+                f0_mean[utt] = None
+        grid = grids[DisguiseFamily.PITCH_FREQ]
+        for t in trials:
+            fe, ft = f0_mean[t.enroll_id], f0_mean[t.test_id]
+            f0_alpha[t.enroll_id, t.test_id] = (
+                IDENTITY_PARAMS[grid.family]   # no pitch to compare
+                if fe is None or ft is None
+                else nearest_grid_value(grid, f0_ratio_alpha(fe, ft)))
 
+    # 2. one table of every embedding any method needs
+    plain_tests = any(kind == "none" for _, kind, _ in methods)
+    needs: Dict[str, list] = {}       # utt -> [plain, {(family, alpha)}]
+    for t in trials:
+        needs.setdefault(t.enroll_id, [False, {}])[0] = True
+        need = needs.setdefault(t.test_id, [False, {}])
+        need[0] |= plain_tests
+        for _, kind, family in methods:
+            if kind == "grid":
+                need[1].update(dict.fromkeys(
+                    (family, a) for a in grids[family].values))
+            elif kind == "f0ratio":
+                need[1][family, f0_alpha[t.enroll_id, t.test_id]] = None
+    table = embedding_table(
+        ((u, audio.get(u), plain, cands)
+         for u, (plain, cands) in needs.items()), scorer, params)
+
+    # 3. scores per method
     trial_summary: Dict[str, int] = {}
     for t in trials:
         key = "none" if t.disguise_meta is None else t.disguise_meta.family.value
         trial_summary[key] = trial_summary.get(key, 0) + 1
+    labels = np.array([t.label for t in trials], dtype=bool)
 
     rows: List[MatrixRow] = []
     for name, kind, family in methods:
-        grid = default_grid(family) if kind in ("grid", "f0ratio") else None
-
-        def _score(trial: Trial):
-            ref = enroll_emb[trial.enroll_id]
+        results = []
+        for t in trials:
+            ref = table[t.enroll_id]
             if kind == "none":
-                return distance(ref, plain_emb[trial.test_id]), None
-            if kind == "grid":
-                if scorer.mode == "external":
-                    a_hat, d_hat, _ = _search(None, ref, grid, scorer,
-                                              trial.test_id)
-                else:
-                    a_hat, d_hat, _ = _search(contexts[trial.test_id], ref,
-                                              grid, scorer, trial.test_id)
-                return d_hat, a_hat
-            fe = f0_mean.get(trial.enroll_id)
-            ft = f0_mean.get(trial.test_id)
-            if fe is None or ft is None:
-                a_hat = IDENTITY_PARAMS[family]   # no pitch to compare
+                results.append((distance(ref, table[t.test_id]), None))
+            elif kind == "grid":
+                a_hat, d_hat, _ = _search(ref, table, t.test_id,
+                                          grids[family])
+                results.append((d_hat, a_hat))
             else:
-                a_hat = nearest_grid_value(grid, f0_ratio_alpha(fe, ft))
-            if scorer.mode == "external":
-                cand = scorer.lookup(f"{trial.test_id}#{family.value}:{a_hat:g}")
-            else:
-                cand = embed(contexts[trial.test_id].features(a_hat, family))
-            return distance(ref, cand), a_hat
-
-        results = _pmap(_score, trials, jobs)
+                a_hat = f0_alpha[t.enroll_id, t.test_id]
+                cand = table[_candidate_token(t.test_id, family, a_hat)]
+                results.append((distance(ref, cand), a_hat))
         scores = np.array([r[0] for r in results])
-        labels = np.array([t.label for t in trials], dtype=bool)
         eer = compute_eer(scores[labels], scores[~labels])
 
         bias = None

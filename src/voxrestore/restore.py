@@ -1,8 +1,8 @@
 """Blind voice restoration: undo an unknown disguise by exhaustive
 parameter search against an enrolled speaker, or from the F0 ratio."""
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class RestorationResult:
     family: DisguiseFamily
     method: str
     per_candidate: List[Tuple[float, float]]
-    restored_features: Optional[FeatureMatrix] = None
     restored_audio: Optional[AudioBuffer] = None
 
     def to_dict(self) -> dict:
@@ -127,7 +126,7 @@ class _RestorationContext:
         spec = self.warped(alpha, family)
         data = features_from_magnitudes(spec.magnitudes[self.mask],
                                         self.sample_rate, self.fft_size)
-        return FeatureMatrix(data, self.params, vad_applied=True)
+        return FeatureMatrix(data, self.params)
 
 
 def restore_with(disguised: AudioBuffer, alpha: float, family,
@@ -153,16 +152,58 @@ def restore_with(disguised: AudioBuffer, alpha: float, family,
     return feats, istft(ctx.warped(alpha, fam))
 
 
-def _search(ctx: Optional[_RestorationContext], reference: Embedding,
-            grid: GridSpec, scorer: ScorerConfig, test_id: str):
-    ident = IDENTITY_PARAMS[grid.family]
-    per_candidate = []
-    for alpha in grid.values:
+def embedding_table(utterances, scorer: Optional[ScorerConfig] = None,
+                    params: FrameParams = DEFAULT_FRAME
+                    ) -> Dict[str, Embedding]:
+    """Every embedding a restoration needs, keyed by sidecar token.
+
+    `utterances` holds (utt_id, audio, plain, candidates) entries.
+    `plain` asks for the utterance's own embedding (token `utt_id`);
+    `candidates`, a collection of (family, alpha) pairs, asks for one
+    embedding per inversion (token `utt_id#family:alpha`). An external
+    scorer looks each token up in its table, and audio may be None. The
+    builtin scorer analyzes an utterance with candidates once, derives
+    all of them from that analysis and then drops it; utterances
+    without candidates go through `mfcc`. Raises ValueError when the
+    audio mixes sample rates.
+    """
+    scorer = scorer or ScorerConfig()
+    utterances = list(utterances)
+    rates = sorted({buf.sample_rate for _, buf, _, _ in utterances
+                    if buf is not None})
+    if len(rates) > 1:
+        raise ValueError("audio mixes sample rates: "
+                         + " and ".join(f"{r} Hz" for r in rates))
+    table: Dict[str, Embedding] = {}
+    for utt, buf, plain, candidates in utterances:
         if scorer.mode == "external":
-            cand = scorer.lookup(_candidate_token(test_id, grid.family, alpha))
-        else:
-            cand = embed(ctx.features(alpha, grid.family))
-        per_candidate.append((float(alpha), distance(reference, cand)))
+            tokens = [utt] if plain else []
+            tokens += [_candidate_token(utt, fam, a) for fam, a in candidates]
+            table.update((tok, scorer.lookup(tok)) for tok in tokens)
+            continue
+        if buf is None:
+            raise KeyError(f"no audio for utterance {utt!r}")
+        ctx = _RestorationContext(buf, params) if candidates else None
+        if plain:   # the no-op inversion equals mfcc, without a second STFT
+            table[utt] = embed(
+                ctx.features(0.0, DisguiseFamily.PITCH_FREQ) if ctx
+                else mfcc(buf, params), utt)
+        for fam, alpha in candidates:
+            token = _candidate_token(utt, fam, alpha)
+            table[token] = embed(ctx.features(alpha, fam), token)
+    return table
+
+
+def _search(reference: Embedding, table: Dict[str, Embedding],
+            test_id: str, grid: GridSpec):
+    """Argmin of the distance from `reference` over the grid's candidate
+    embeddings of `test_id`; ties prefer the candidate nearest the
+    no-op parameter, then the smaller value."""
+    ident = IDENTITY_PARAMS[grid.family]
+    per_candidate = [
+        (float(alpha), distance(reference, table[
+            _candidate_token(test_id, grid.family, alpha)]))
+        for alpha in grid.values]
     best = min(per_candidate,
                key=lambda ad: (ad[1], abs(ad[0] - ident), ad[0]))
     return best[0], best[1], per_candidate
@@ -182,22 +223,19 @@ def grid_search_restore(enrolled: AudioBuffer, disguised: AudioBuffer,
     Ties prefer the candidate nearest the no-op parameter (then the
     smaller value), so undisguised input maps to "no disguise". The
     analysis of the disguised utterance is computed once and shared by
-    all candidates.
+    all candidates. The ids name the two sides in an external table.
     """
-    scorer = scorer or ScorerConfig()
     grid = grid or default_grid(family)
-    if scorer.mode == "external":
-        reference = scorer.lookup(enroll_id)
-        ctx = _RestorationContext(disguised, params)
-    else:
-        reference = embed(mfcc(enrolled, params))
-        ctx = _RestorationContext(disguised, params)
-    alpha_hat, d_hat, per_candidate = _search(ctx, reference, grid,
-                                              scorer, test_id)
-    feats = ctx.features(alpha_hat, grid.family)
-    audio = istft(ctx.warped(alpha_hat, grid.family)) if with_audio else None
+    table = embedding_table(
+        [(enroll_id, enrolled, True, ()),
+         (test_id, disguised, False,
+          [(grid.family, a) for a in grid.values])], scorer, params)
+    alpha_hat, d_hat, per_candidate = _search(table[enroll_id], table,
+                                              test_id, grid)
+    audio = (restore_with(disguised, alpha_hat, grid.family, params,
+                          with_audio=True)[1] if with_audio else None)
     return RestorationResult(alpha_hat, d_hat, grid.family, "grid",
-                             per_candidate, feats, audio)
+                             per_candidate, audio)
 
 
 def f0_ratio_restore(enrolled: AudioBuffer, disguised: AudioBuffer,
@@ -220,20 +258,16 @@ def f0_ratio_restore(enrolled: AudioBuffer, disguised: AudioBuffer,
         raise ValueError(
             "F0-ratio restoration estimates semitones; family must be "
             "pitch-freq or pitch-time")
-    scorer = scorer or ScorerConfig()
     grid = grid or default_grid(fam)
     f_x = mean_f0(estimate_f0(enrolled))
     f_y = mean_f0(estimate_f0(disguised))
     alpha_hat = nearest_grid_value(grid, f0_ratio_alpha(f_x, f_y))
-    ctx = _RestorationContext(disguised, params)
-    if scorer.mode == "external":
-        reference = scorer.lookup(enroll_id)
-        cand = scorer.lookup(_candidate_token(test_id, fam, alpha_hat))
-        d_hat = distance(reference, cand)
-    else:
-        reference = embed(mfcc(enrolled, params))
-        d_hat = distance(reference, embed(ctx.features(alpha_hat, fam)))
-    feats = ctx.features(alpha_hat, fam)
-    audio = istft(ctx.warped(alpha_hat, fam)) if with_audio else None
+    table = embedding_table([(enroll_id, enrolled, True, ()),
+                             (test_id, disguised, False, [(fam, alpha_hat)])],
+                            scorer, params)
+    d_hat = distance(table[enroll_id],
+                     table[_candidate_token(test_id, fam, alpha_hat)])
+    audio = (restore_with(disguised, alpha_hat, fam, params,
+                          with_audio=True)[1] if with_audio else None)
     return RestorationResult(alpha_hat, d_hat, fam, "f0-ratio",
-                             [(alpha_hat, d_hat)], feats, audio)
+                             [(alpha_hat, d_hat)], audio)

@@ -2,7 +2,7 @@
 scoring, and sidecar files for embeddings computed elsewhere."""
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -25,7 +25,6 @@ class FeatureMatrix:
 
     data: np.ndarray
     params: FrameParams
-    vad_applied: bool = True
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=np.float64)
@@ -163,7 +162,7 @@ def mfcc(buf: AudioBuffer, params: FrameParams = DEFAULT_FRAME) -> FeatureMatrix
     fft_size = params.fft_length(buf.sample_rate)
     data = features_from_magnitudes(spectrum.magnitudes[mask],
                                     buf.sample_rate, fft_size)
-    return FeatureMatrix(data, params, vad_applied=True)
+    return FeatureMatrix(data, params)
 
 
 def embed(features: FeatureMatrix, utterance_id: str = "") -> Embedding:

@@ -41,7 +41,7 @@ def white_noise(duration: float = 1.0, sr: int = SR, seed: int = 0,
 def speechy(duration: float = 1.0, sr: int = SR, seed: int = 3) -> AudioBuffer:
     """A vowel-like signal: harmonic-rich source shaped by two
     resonances plus a whisper of noise. Enough structure for feature
-    and phase-retrieval tests without pulling in the corpus module."""
+    tests without pulling in the corpus module."""
     rng = np.random.default_rng(seed)
     x = bl_sawtooth(140.0, duration, sr, amp=1.0).samples
     for freq, bw in ((700.0, 120.0), (2200.0, 180.0)):

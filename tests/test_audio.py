@@ -5,8 +5,7 @@ from scipy.io import wavfile
 
 from helpers import dominant_freq, rel_rms, speechy, tone, white_noise
 from voxrestore import (AudioBuffer, DEFAULT_FRAME, FrameParams, Spectrogram,
-                        griffin_lim, istft, load_wav, resample, save_wav,
-                        stft, vad)
+                        istft, load_wav, resample, save_wav, stft, vad)
 
 SR = 16000
 
@@ -182,36 +181,6 @@ def test_istft_requires_phases():
 def test_istft_zero_spectrogram():
     spec = stft(AudioBuffer(np.zeros(SR), SR))
     assert np.all(istft(spec).samples == 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Griffin-Lim
-
-
-def test_griffin_lim_error_shrinks_with_iterations():
-    target = stft(speechy()).magnitudes
-    spec = Spectrogram(target, None, DEFAULT_FRAME, SR)
-
-    def err(iterations):
-        mags = stft(griffin_lim(spec, iterations)).magnitudes
-        return np.linalg.norm(target - mags) / np.linalg.norm(target)
-
-    e1, e8, e32 = err(1), err(8), err(32)
-    assert e8 <= e1
-    assert e32 <= e8
-    assert e32 < e1
-
-
-def test_griffin_lim_zero_magnitudes():
-    spec = Spectrogram(np.zeros((10, 257)), None, DEFAULT_FRAME, SR)
-    out = griffin_lim(spec)
-    assert np.all(out.samples == 0.0)
-
-
-def test_griffin_lim_needs_a_positive_iteration_count():
-    spec = Spectrogram(np.ones((10, 257)), None, DEFAULT_FRAME, SR)
-    with pytest.raises(ValueError):
-        griffin_lim(spec, iterations=0)
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,32 @@ def test_eval_rejects_unknown_restoration(trial_dir, tmp_path, capsys):
     assert rc == 1 and "unknown disguise family" in stderr
 
 
+def test_eval_rejects_mixed_sample_rates(tmp_path, capsys):
+    save_wav(tmp_path / "wide.wav", speechy(1.0))
+    save_wav(tmp_path / "narrow.wav", speechy(1.0, sr=8000))
+    trials = tmp_path / "trials.txt"
+    trials.write_text("1 wide.wav narrow.wav\n0 wide.wav narrow.wav\n",
+                      encoding="utf-8")
+    rc, _, stderr = run_cli(capsys, "eval", "--trials", str(trials),
+                            "--out", str(tmp_path / "r.json"))
+    assert rc == 1 and "8000 Hz and 16000 Hz" in stderr
+
+
+def test_seed_and_jobs_only_where_they_act(tmp_path, capsys, voice_wav):
+    for argv in (["disguise", "--in", voice_wav, "--out",
+                  str(tmp_path / "x.wav"), "--spec", "pitch-freq:1",
+                  "--seed", "1"],
+                 ["estimate", "--enroll", voice_wav, "--test", voice_wav,
+                  "--jobs", "2"],
+                 ["corpus", "--out", str(tmp_path / "c"), "--jobs", "2"],
+                 ["eval", "--trials", str(tmp_path / "t.txt"), "--out",
+                  str(tmp_path / "r.json"), "--seed", "1"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert list(tmp_path.iterdir()) == [tmp_path / "voice.wav"]
+    capsys.readouterr()
+
+
 def test_eval_dump_embeddings_needs_builtin(trial_dir, tmp_path, capsys):
     emb_path = str(tmp_path / "emb.txt")
     assert run_cli(capsys, "eval", "--trials",

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import SR, bl_sawtooth, white_noise
-from voxrestore import (Corpus, CorpusConfig, ScorerConfig, Trial,
-                        alpha_bias, compute_eer, default_grid, distance,
-                        embed, gen_trials, mfcc, run_matrix, synth_corpus)
+from voxrestore import (AudioBuffer, Corpus, CorpusConfig, ScorerConfig,
+                        Trial, alpha_bias, compute_eer, default_grid,
+                        distance, embed, gen_trials, mfcc, run_matrix,
+                        synth_corpus)
 from voxrestore.disguise import DisguiseFamily
 from voxrestore.evaluate import _disguise_label
 from voxrestore.restore import _RestorationContext, _candidate_token
@@ -383,6 +384,38 @@ def test_matrix_external_scorer_matches_builtin(corpus_small):
     for name in methods:
         assert (external.row(name).eer.eer_percent
                 == builtin.row(name).eer.eer_percent)
+
+
+def test_matrix_computes_each_candidate_once(corpus_small, monkeypatch):
+    trials, _ = gen_trials(corpus_small, 24, seed=5)
+    tests = {t.test_id for t in trials}
+    assert len(tests) < len(trials)          # test utterances repeat
+    calls = []
+    features = _RestorationContext.features
+
+    def counted(self, alpha, family):
+        calls.append((alpha, family))
+        return features(self, alpha, family)
+
+    monkeypatch.setattr(_RestorationContext, "features", counted)
+    run_matrix(corpus_small.utterances, trials, ["pitch-freq", "f0ratio"])
+    # f0ratio picks pitch-freq grid values, so the grid covers its
+    # candidates; one more call per test utterance may serve its plain
+    # embedding when it is also enrolled
+    distinct = {(u, a) for u in tests
+                for a in default_grid("pitch-freq").values}
+    assert len(calls) <= len(distinct) + len(tests)
+
+
+def test_matrix_rejects_mixed_sample_rates(corpus_small):
+    audio = dict(corpus_small.utterances)
+    audio["narrow"] = AudioBuffer(audio["spk01_u01"].samples[::2], 8000)
+    trials = [Trial("spk01_u00", "narrow", True),
+              Trial("spk00_u00", "narrow", False)]
+    with pytest.raises(ValueError, match="8000 Hz and 16000 Hz"):
+        run_matrix(audio, trials, ["none"])
+    with pytest.raises(ValueError, match="8000 Hz and 16000 Hz"):
+        run_matrix(audio, trials, ["pitch-freq"])
 
 
 def test_matrix_validation(corpus_small, plain_trials):

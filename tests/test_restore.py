@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import bl_sawtooth, white_noise
-from voxrestore import (DisguiseFamily, DisguiseSpec, Embedding, GridSpec,
-                        ScorerConfig, UnvoicedUtteranceError, default_grid,
-                        disguise, distance, embed, f0_ratio_restore,
+from voxrestore import (AudioBuffer, DisguiseFamily, DisguiseSpec, Embedding,
+                        GridSpec, ScorerConfig, UnvoicedUtteranceError,
+                        default_grid, disguise, distance, embed,
+                        f0_ratio_restore,
                         grid_search_restore, mfcc, nearest_grid_value,
                         resample, restore_with, semitone_to_scale)
 from voxrestore.restore import _RestorationContext, _candidate_token
@@ -200,6 +201,13 @@ def test_external_scorer_agrees_with_builtin(pair):
     for (_, d_ext), (_, d_blt) in zip(external.per_candidate,
                                       builtin.per_candidate):
         assert d_ext == pytest.approx(d_blt, abs=1e-12)
+
+
+def test_grid_search_rejects_mixed_sample_rates(pair):
+    x, y = pair
+    narrow = AudioBuffer(y.samples[::2], 8000)
+    with pytest.raises(ValueError, match="8000 Hz and 16000 Hz"):
+        grid_search_restore(x, narrow)
 
 
 def test_grid_search_rejects_silence(pair):
