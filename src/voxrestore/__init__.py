@@ -20,8 +20,8 @@ from .pitch import (F0Track, UnvoicedUtteranceError, estimate_f0,
 from .restore import (GridSpec, RestorationResult, default_grid,
                       f0_ratio_restore, grid_search_restore,
                       nearest_grid_value, restore_with)
-from .speaker import (Embedding, FeatureMatrix, ScorerConfig, distance,
-                      embed, load_external_embeddings, mel_filterbank, mfcc,
+from .speaker import (Embedding, FeatureMatrix, distance, embed,
+                      load_external_embeddings, mel_filterbank, mfcc,
                       write_embeddings)
 
 __version__ = "0.1.0"
@@ -35,7 +35,7 @@ __all__ = [
     "invert_spec",
     "F0Track", "UnvoicedUtteranceError", "estimate_f0", "mean_f0",
     "f0_ratio_alpha",
-    "FeatureMatrix", "Embedding", "ScorerConfig", "mfcc", "embed",
+    "FeatureMatrix", "Embedding", "mfcc", "embed",
     "distance", "mel_filterbank", "load_external_embeddings",
     "write_embeddings",
     "GridSpec", "RestorationResult", "default_grid", "nearest_grid_value",

@@ -43,20 +43,17 @@ class AudioBuffer:
 @dataclass(frozen=True)
 class FrameParams:
     """Short-time analysis geometry, stored in milliseconds so a single
-    value works across sample rates."""
+    value works across sample rates. Frames are Hann-windowed and the
+    FFT size is the next power of two at or above the window length."""
 
     window_ms: float = 25.0
     hop_ms: float = 15.0
-    fft_size: Optional[int] = None   # None: next power of two >= window length
-    window: str = "hann"
 
     def __post_init__(self):
         if self.window_ms <= 0 or self.hop_ms <= 0:
             raise ValueError("window_ms and hop_ms must be positive")
         if self.hop_ms > self.window_ms:
             raise ValueError("hop must not exceed window")
-        if self.window not in ("hann", "hamming", "rect"):
-            raise ValueError(f"unknown window {self.window!r}")
 
     def window_length(self, sample_rate: int) -> int:
         return int(round(self.window_ms * sample_rate / 1000.0))
@@ -65,11 +62,6 @@ class FrameParams:
         return int(round(self.hop_ms * sample_rate / 1000.0))
 
     def fft_length(self, sample_rate: int) -> int:
-        if self.fft_size is not None:
-            n = int(self.fft_size)
-            if n < self.window_length(sample_rate):
-                raise ValueError("fft_size smaller than the analysis window")
-            return n
         n = 1
         while n < self.window_length(sample_rate):
             n *= 2
@@ -77,20 +69,18 @@ class FrameParams:
 
     def window_array(self, sample_rate: int) -> np.ndarray:
         n = self.window_length(sample_rate)
-        if self.window == "rect":
-            return np.ones(n)
-        k = np.arange(n)
-        if self.window == "hann":
-            return 0.5 - 0.5 * np.cos(2.0 * np.pi * k / n)   # periodic form
-        return 0.54 - 0.46 * np.cos(2.0 * np.pi * k / n)
+        return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)   # periodic
 
 
+# the spectral analysis frame of every STFT, VAD decision and feature
 DEFAULT_FRAME = FrameParams()
+VAD_THRESHOLD_DB = 40.0
 
 
 @dataclass
 class Spectrogram:
-    """Magnitudes (and optionally phases) of a short-time Fourier analysis.
+    """Magnitudes (and optionally phases) of a short-time Fourier
+    analysis with DEFAULT_FRAME.
 
     magnitudes: (n_frames, n_bins) non-negative float64
     phases: same shape in radians, or None for magnitude-only data
@@ -98,7 +88,6 @@ class Spectrogram:
 
     magnitudes: np.ndarray
     phases: Optional[np.ndarray]
-    params: FrameParams
     sample_rate: int
 
     def __post_init__(self):
@@ -107,7 +96,7 @@ class Spectrogram:
             raise ValueError("magnitudes must be 2-D (frames x bins)")
         if not np.all(np.isfinite(m)) or np.any(m < 0):
             raise ValueError("magnitudes must be finite and non-negative")
-        expected = self.params.fft_length(self.sample_rate) // 2 + 1
+        expected = DEFAULT_FRAME.fft_length(self.sample_rate) // 2 + 1
         if m.shape[1] != expected:
             raise ValueError(
                 f"bin count {m.shape[1]} inconsistent with fft size "
@@ -160,8 +149,8 @@ def load_wav(path) -> AudioBuffer:
     return AudioBuffer(x, int(sr))
 
 
-def save_wav(path, buf: AudioBuffer, encoding: str = "pcm16") -> None:
-    """Write an AudioBuffer to disk as PCM16 or float32 WAV.
+def save_wav(path, buf: AudioBuffer) -> None:
+    """Write an AudioBuffer to disk as a PCM16 WAV.
 
     Refuses non-finite data and missing parent directories before
     touching the filesystem, so a failed call leaves no partial file.
@@ -171,13 +160,8 @@ def save_wav(path, buf: AudioBuffer, encoding: str = "pcm16") -> None:
     parent = os.path.dirname(os.path.abspath(os.fspath(path)))
     if not os.path.isdir(parent):
         raise FileNotFoundError(f"directory does not exist: {parent}")
-    if encoding == "pcm16":
-        q = np.rint(buf.samples * 32768.0)
-        data = np.clip(q, -32768, 32767).astype(np.int16)
-    elif encoding == "float32":
-        data = buf.samples.astype(np.float32)
-    else:
-        raise ValueError(f"unknown encoding {encoding!r}")
+    q = np.rint(buf.samples * 32768.0)
+    data = np.clip(q, -32768, 32767).astype(np.int16)
     wavfile.write(os.fspath(path), buf.sample_rate, data)
 
 
@@ -191,19 +175,20 @@ def _frame_signal(x: np.ndarray, win: int, hop: int) -> np.ndarray:
     return view[:n_frames]
 
 
-def stft(buf: AudioBuffer, params: FrameParams = DEFAULT_FRAME) -> Spectrogram:
-    """Windowed short-time Fourier analysis.
+def stft(buf: AudioBuffer) -> Spectrogram:
+    """Windowed short-time Fourier analysis with DEFAULT_FRAME.
 
     Frames start at multiples of the hop; a trailing partial window is
     dropped rather than padded, so n_frames = 1 + (len - win) // hop.
     """
     sr = buf.sample_rate
-    win = params.window_length(sr)
-    hop = params.hop_length(sr)
-    nfft = params.fft_length(sr)
-    frames = _frame_signal(buf.samples, win, hop) * params.window_array(sr)
+    win = DEFAULT_FRAME.window_length(sr)
+    hop = DEFAULT_FRAME.hop_length(sr)
+    nfft = DEFAULT_FRAME.fft_length(sr)
+    frames = (_frame_signal(buf.samples, win, hop)
+              * DEFAULT_FRAME.window_array(sr))
     spec = np.fft.rfft(frames, n=nfft, axis=1)
-    return Spectrogram(np.abs(spec), np.angle(spec), params, sr)
+    return Spectrogram(np.abs(spec), np.angle(spec), sr)
 
 
 def istft(spec: Spectrogram) -> AudioBuffer:
@@ -216,10 +201,10 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     if spec.phases is None:
         raise ValueError("cannot invert a magnitude-only spectrogram")
     sr = spec.sample_rate
-    win = spec.params.window_length(sr)
-    hop = spec.params.hop_length(sr)
-    nfft = spec.params.fft_length(sr)
-    w = spec.params.window_array(sr)
+    win = DEFAULT_FRAME.window_length(sr)
+    hop = DEFAULT_FRAME.hop_length(sr)
+    nfft = DEFAULT_FRAME.fft_length(sr)
+    w = DEFAULT_FRAME.window_array(sr)
     frames = np.fft.irfft(spec.magnitudes * np.exp(1j * spec.phases),
                           n=nfft, axis=1)[:, :win]
     n_out = (spec.n_frames - 1) * hop + win
@@ -277,20 +262,19 @@ def resample(buf: AudioBuffer, ratio: float) -> AudioBuffer:
     return AudioBuffer(out, buf.sample_rate)
 
 
-def vad(buf: AudioBuffer, params: FrameParams = DEFAULT_FRAME,
-        threshold_db: float = 40.0) -> np.ndarray:
+def vad(buf: AudioBuffer) -> np.ndarray:
     """Frame-level energy gate.
 
     A frame is active when its mean-square energy is within
-    `threshold_db` of the loudest frame in the utterance, which makes
+    VAD_THRESHOLD_DB of the loudest frame in the utterance, which makes
     the decision invariant to overall gain. All-silent input yields an
     all-False mask. The framing matches `stft` exactly.
     """
     sr = buf.sample_rate
-    frames = _frame_signal(buf.samples, params.window_length(sr),
-                           params.hop_length(sr))
+    frames = _frame_signal(buf.samples, DEFAULT_FRAME.window_length(sr),
+                           DEFAULT_FRAME.hop_length(sr))
     energy = np.mean(frames * frames, axis=1)
     peak = energy.max()
     if peak <= 0.0:
         return np.zeros(energy.size, dtype=bool)
-    return energy > peak * (10.0 ** (-threshold_db / 10.0))
+    return energy > peak * (10.0 ** (-VAD_THRESHOLD_DB / 10.0))

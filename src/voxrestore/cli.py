@@ -12,8 +12,7 @@ import logging
 import os
 import sys
 import time
-
-import numpy as np
+from typing import Dict, Optional
 
 from .audio import load_wav, save_wav
 from .disguise import DisguiseSpec, disguise, parse_family
@@ -21,8 +20,8 @@ from .evaluate import (Corpus, CorpusConfig, Trial, gen_trials, run_matrix,
                        synth_corpus)
 from .pitch import UnvoicedUtteranceError
 from .restore import (GridSpec, default_grid, f0_ratio_restore,
-                      grid_search_restore)
-from .speaker import (ScorerConfig, embed, load_external_embeddings, mfcc,
+                      grid_from_range, grid_search_restore, restore_with)
+from .speaker import (Embedding, embed, load_external_embeddings, mfcc,
                       write_embeddings)
 
 log = logging.getLogger("voxrestore")
@@ -41,13 +40,13 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _parse_scorer(text: str) -> ScorerConfig:
+def _parse_scorer(text: str) -> Optional[Dict[str, Embedding]]:
+    """The external embedding table a --scorer value names, or None
+    for the builtin scorer."""
     if text == "builtin":
-        return ScorerConfig()
+        return None
     if text.startswith("external:"):
-        path = text[len("external:"):]
-        return ScorerConfig(mode="external",
-                            table=load_external_embeddings(path))
+        return load_external_embeddings(text[len("external:"):])
     raise ValueError(
         f"scorer must be 'builtin' or 'external:<path>', got {text!r}")
 
@@ -59,12 +58,7 @@ def _parse_grid(text: str, family) -> GridSpec:
     if len(parts) != 3:
         raise ValueError(
             f"grid must be 'default' or 'lo:hi:step', got {text!r}")
-    lo, hi, step = (float(p) for p in parts)
-    if step <= 0 or hi < lo:
-        raise ValueError(f"bad grid bounds {text!r}")
-    count = int(round((hi - lo) / step)) + 1
-    values = np.round(lo + step * np.arange(count), 10)
-    return GridSpec(parse_family(family), tuple(float(v) for v in values))
+    return grid_from_range(family, *(float(p) for p in parts))
 
 
 def _utt_id(token: str) -> str:
@@ -90,7 +84,7 @@ def cmd_disguise(args) -> int:
 def cmd_estimate(args) -> int:
     enroll = load_wav(args.enroll)
     test = load_wav(args.test)
-    scorer = _parse_scorer(args.scorer)
+    external = _parse_scorer(args.scorer)
     family = parse_family(args.family)
     grid = _parse_grid(args.grid, family)
     enroll_id = args.enroll_id or _utt_id(args.enroll)
@@ -98,17 +92,17 @@ def cmd_estimate(args) -> int:
     t0 = time.perf_counter()
     if args.method == "grid":
         result = grid_search_restore(
-            enroll, test, grid=grid, family=family, scorer=scorer,
-            enroll_id=enroll_id, test_id=test_id,
-            with_audio=args.restored is not None)
+            enroll, test, grid=grid, family=family, external=external,
+            enroll_id=enroll_id, test_id=test_id)
     else:
         result = f0_ratio_restore(
-            enroll, test, family=family, grid=grid, scorer=scorer,
-            enroll_id=enroll_id, test_id=test_id,
-            with_audio=args.restored is not None)
-    elapsed = time.perf_counter() - t0
+            enroll, test, family=family, grid=grid, external=external,
+            enroll_id=enroll_id, test_id=test_id)
     if args.restored is not None:
-        save_wav(args.restored, result.restored_audio)
+        _, restored = restore_with(test, result.alpha_hat, result.family,
+                                   with_audio=True)
+        save_wav(args.restored, restored)
+    elapsed = time.perf_counter() - t0
     _emit(result.to_dict())
     print(f"estimated {result.family.value}:{result.alpha_hat:g} "
           f"(distance {result.d_hat:.4f}) in {elapsed:.2f}s",
@@ -161,7 +155,7 @@ def _load_corpus_dir(path: str) -> Corpus:
             speaker_of[utt] = spk
     if not utterances:
         raise ValueError(f"corpus index {index_path} is empty")
-    return Corpus(utterances, speaker_of, None)
+    return Corpus(utterances, speaker_of)
 
 
 def cmd_trials(args) -> int:
@@ -216,8 +210,11 @@ def _read_trials(path: str):
                     f"[family:param]'")
             if parts[0] not in ("0", "1"):
                 raise ValueError(f"{path}:{lineno}: label must be 0 or 1")
-            meta = (DisguiseSpec.from_string(parts[3])
-                    if len(parts) == 4 else None)
+            try:
+                meta = (DisguiseSpec.from_string(parts[3])
+                        if len(parts) == 4 else None)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             trials.append(Trial(parts[1], parts[2], parts[0] == "1", meta))
             tokens.extend(parts[1:3])
     if not trials:
@@ -231,16 +228,16 @@ def _restoration_slug(name: str) -> str:
 
 def cmd_eval(args) -> int:
     trials, tokens, base = _read_trials(args.trials)
-    scorer = _parse_scorer(args.scorer)
+    external = _parse_scorer(args.scorer)
     restorations = args.restore or ["none"]
     t0 = time.perf_counter()
     audio = {}
     for token in tokens:
         full = token if os.path.isabs(token) else os.path.join(base, token)
-        if scorer.mode == "external" and not os.path.isfile(full):
+        if external is not None and not os.path.isfile(full):
             continue   # embeddings come from the table; audio optional
         audio[token] = load_wav(full)
-    report = run_matrix(audio, trials, restorations, scorer=scorer)
+    report = run_matrix(audio, trials, restorations, external=external)
     elapsed = time.perf_counter() - t0
 
     payload = report.to_dict()
@@ -272,13 +269,15 @@ def cmd_eval(args) -> int:
                 writer.writerow([key, repr(entry["eer_percent"])])
 
     if args.dump_embeddings:
-        if scorer.mode != "builtin":
+        if external is not None:
             raise ValueError(
                 "--dump-embeddings only applies to the builtin scorer")
-        table = {}
-        for token in sorted(set(t.enroll_id for t in trials)
-                            | set(t.test_id for t in trials)):
-            table[token] = embed(mfcc(audio[token]), token)
+        # the run holds every utterance's plain embedding except test
+        # utterances when no "none" restoration scored them
+        table = {token: report.embeddings[token]
+                 if token in report.embeddings
+                 else embed(mfcc(audio[token]), token)
+                 for token in tokens}
         write_embeddings(args.dump_embeddings, table)
 
     log.info("evaluated %d trials x %d restorations in %.2fs",

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, DEFAULT_FRAME, FrameParams, Spectrogram, istft
+from .audio import AudioBuffer, Spectrogram, istft
 from .audio import resample as _resample
 from .audio import stft as _stft
 
@@ -190,8 +190,9 @@ def _warp_values(family: DisguiseFamily, param: float,
     raise ValueError(f"family {family.value} has no spectral warp")
 
 
-def build_warp(spec: DisguiseSpec, n_knots: int = WARP_KNOTS) -> WarpFunction:
-    """Tabulate the frequency map of a spectral disguise family.
+def build_warp(spec: DisguiseSpec) -> WarpFunction:
+    """Tabulate the frequency map of a spectral disguise family on
+    WARP_KNOTS evenly spaced knots.
 
     The time-domain pitch family is rejected here; its spectral effect
     is the same linear map as the frequency-domain one, so callers
@@ -201,9 +202,7 @@ def build_warp(spec: DisguiseSpec, n_knots: int = WARP_KNOTS) -> WarpFunction:
         raise ValueError(
             "pitch-time operates on the waveform; build a pitch-freq warp "
             "for its spectral equivalent")
-    if n_knots < 1024:
-        raise ValueError("n_knots must be at least 1024")
-    knots = np.linspace(0.0, np.pi, n_knots)
+    knots = np.linspace(0.0, np.pi, WARP_KNOTS)
     if spec.is_identity:
         return WarpFunction(knots, knots.copy(), spec.family, spec.param,
                             is_identity=True)
@@ -225,8 +224,7 @@ def apply_spectral_warp(spec: Spectrogram, warp: WarpFunction,
         raise ValueError(f"direction must be forward or inverse, got {direction!r}")
     if warp.is_identity:
         phases = None if spec.phases is None else spec.phases.copy()
-        return Spectrogram(spec.magnitudes.copy(), phases, spec.params,
-                           spec.sample_rate)
+        return Spectrogram(spec.magnitudes.copy(), phases, spec.sample_rate)
     n_bins = spec.n_bins
     omega = np.linspace(0.0, np.pi, n_bins)
     src = warp.inverse(omega) if direction == "forward" else warp(omega)
@@ -237,11 +235,10 @@ def apply_spectral_warp(spec: Spectrogram, warp: WarpFunction,
     phases = None
     if spec.phases is not None:
         phases = spec.phases[:, lo] * (1.0 - frac) + spec.phases[:, lo + 1] * frac
-    return Spectrogram(mags, phases, spec.params, spec.sample_rate)
+    return Spectrogram(mags, phases, spec.sample_rate)
 
 
-def disguise(buf: AudioBuffer, spec: DisguiseSpec,
-             params: FrameParams = DEFAULT_FRAME) -> AudioBuffer:
+def disguise(buf: AudioBuffer, spec: DisguiseSpec) -> AudioBuffer:
     """Apply one disguise transform to an utterance.
 
     Pitch-time resamples the waveform; every other family round-trips
@@ -251,7 +248,7 @@ def disguise(buf: AudioBuffer, spec: DisguiseSpec,
     if spec.family is DisguiseFamily.PITCH_TIME:
         out = _resample(buf, semitone_to_scale(spec.param))
     else:
-        spectrum = _stft(buf, params)
+        spectrum = _stft(buf)
         warped = apply_spectral_warp(spectrum, build_warp(spec), "forward")
         out = istft(warped)
     peak = np.max(np.abs(out.samples))

@@ -7,13 +7,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.signal import lfilter
 
-from .audio import AudioBuffer, DEFAULT_FRAME, FrameParams
+from .audio import AudioBuffer
 from .disguise import (VTLN_FAMILIES, DisguiseFamily, DisguiseSpec,
                        IDENTITY_PARAMS, disguise, parse_family)
 from .pitch import UnvoicedUtteranceError, estimate_f0, f0_ratio_alpha, mean_f0
 from .restore import (_candidate_token, _search, default_grid,
                       embedding_table, nearest_grid_value)
-from .speaker import ScorerConfig, distance
+from .speaker import Embedding, distance
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +43,6 @@ class CorpusConfig:
 class Corpus:
     utterances: Dict[str, AudioBuffer]
     speaker_of: Dict[str, str]
-    config: CorpusConfig
 
     def by_speaker(self) -> Dict[str, List[str]]:
         out: Dict[str, List[str]] = {}
@@ -129,7 +128,7 @@ def synth_corpus(config: CorpusConfig = CorpusConfig()) -> Corpus:
                 urng, base_f0, formants, bandwidths, hiss_freq, hiss_bw,
                 hiss_level, config.sample_rate, config.duration_s)
             speaker_of[utt] = spk
-    return Corpus(utterances, speaker_of, config)
+    return Corpus(utterances, speaker_of)
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +151,7 @@ DISGUISE_POLICIES = ("none", "vtln-all") + tuple(f.value for f in DisguiseFamily
 
 
 def gen_trials(corpus: Corpus, n_trials: int, policy: str = "none",
-               seed: int = 0,
-               params: FrameParams = DEFAULT_FRAME
+               seed: int = 0
                ) -> Tuple[List[Trial], Dict[str, AudioBuffer]]:
     """Draw a label-balanced trial list, optionally disguising every
     test utterance.
@@ -207,8 +205,7 @@ def gen_trials(corpus: Corpus, n_trials: int, policy: str = "none",
             meta = DisguiseSpec(family, grid.values[rng.integers(len(grid))])
             test_id = f"{probe}~{meta.spec_string()}"
             if test_id not in extra:
-                extra[test_id] = disguise(corpus.utterances[probe], meta,
-                                          params)
+                extra[test_id] = disguise(corpus.utterances[probe], meta)
         trials.append(Trial(enroll, test_id, bool(label), meta))
     return trials, extra
 
@@ -315,9 +312,14 @@ class MatrixRow:
 
 @dataclass
 class MatrixReport:
+    """Per-method rows of one evaluation. `embeddings` holds every
+    embedding the run scored with, keyed by sidecar token; it is not
+    part of `to_dict`."""
+
     rows: List[MatrixRow]
     n_trials: int
     trial_summary: Dict[str, int]
+    embeddings: Dict[str, Embedding]
     disguise_label: str = "none"
 
     def to_dict(self) -> dict:
@@ -378,8 +380,7 @@ def _same_units(a: DisguiseFamily, b: DisguiseFamily) -> bool:
 
 def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
                restorations: Sequence[str],
-               scorer: Optional[ScorerConfig] = None,
-               params: FrameParams = DEFAULT_FRAME,
+               external: Optional[Dict[str, Embedding]] = None,
                jobs: int = 1) -> MatrixReport:
     """Score every trial under every requested restoration method and
     report per-method EER, parameter-recovery bias and per-parameter
@@ -388,7 +389,8 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
     Restoration methods are blind: they never read a trial's
     disguise_meta, which is used only to organize the report. Every
     embedding any method needs is computed once, in one table, however
-    often a test utterance repeats. `jobs` is accepted for
+    often a test utterance repeats, from the `external` table when one
+    is given (see `embedding_table`). `jobs` is accepted for
     compatibility and has no effect; the work runs in one thread.
     """
     trials = list(trials)
@@ -442,7 +444,7 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
                 need[1][family, f0_alpha[t.enroll_id, t.test_id]] = None
     table = embedding_table(
         ((u, audio.get(u), plain, cands)
-         for u, (plain, cands) in needs.items()), scorer, params)
+         for u, (plain, cands) in needs.items()), external)
 
     # 3. scores per method
     trial_summary: Dict[str, int] = {}
@@ -494,5 +496,5 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
                               "eer_percent": g.eer_percent,
                               "n_same": g.n_same, "n_diff": g.n_diff})
         rows.append(MatrixRow(name, eer, bias, per_alpha))
-    return MatrixReport(rows, len(trials), trial_summary,
+    return MatrixReport(rows, len(trials), trial_summary, table,
                         _disguise_label(trial_summary))

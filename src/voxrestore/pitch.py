@@ -32,7 +32,6 @@ class F0Track:
 
     f0_hz: np.ndarray
     voiced: np.ndarray
-    params: FrameParams
 
     def __post_init__(self):
         f0 = np.asarray(self.f0_hz, dtype=np.float64)
@@ -105,8 +104,8 @@ def _nccf(x: np.ndarray, max_lag: int) -> np.ndarray:
     return raw / np.sqrt(norm + 1e-300)
 
 
-def estimate_f0(buf: AudioBuffer, params: FrameParams = PITCH_FRAME) -> F0Track:
-    """Track F0 between F0_MIN and F0_MAX Hz.
+def estimate_f0(buf: AudioBuffer) -> F0Track:
+    """Track F0 between F0_MIN and F0_MAX Hz on PITCH_FRAME frames.
 
     Per frame: remove DC, whiten with an order-12 LPC inverse filter,
     then pick the shortest-lag autocorrelation peak of the residual
@@ -116,8 +115,8 @@ def estimate_f0(buf: AudioBuffer, params: FrameParams = PITCH_FRAME) -> F0Track:
     are unvoiced. The decision is invariant to signal gain.
     """
     sr = buf.sample_rate
-    win = params.window_length(sr)
-    hop = params.hop_length(sr)
+    win = PITCH_FRAME.window_length(sr)
+    hop = PITCH_FRAME.hop_length(sr)
     min_lag = max(2, int(np.floor(sr / F0_MAX)))
     max_lag = int(np.ceil(sr / F0_MIN))
     if win - LPC_ORDER <= max_lag + 2:
@@ -163,7 +162,7 @@ def estimate_f0(buf: AudioBuffer, params: FrameParams = PITCH_FRAME) -> F0Track:
         if F0_MIN <= hz <= F0_MAX:
             f0[i] = hz
             voiced[i] = True
-    return F0Track(f0, voiced, params)
+    return F0Track(f0, voiced)
 
 
 def mean_f0(track: F0Track) -> float:

@@ -6,15 +6,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .audio import (AudioBuffer, DEFAULT_FRAME, FrameParams, Spectrogram,
-                    istft, stft, vad)
+from .audio import AudioBuffer, DEFAULT_FRAME, Spectrogram, istft, stft, vad
 from .disguise import (DisguiseFamily, DisguiseSpec, IDENTITY_PARAMS,
                        PARAM_RANGES, apply_spectral_warp, build_warp,
                        parse_family)
 from .pitch import estimate_f0, f0_ratio_alpha, mean_f0
-from .speaker import (Embedding, FeatureMatrix, MIN_ACTIVE_FRAMES,
-                      ScorerConfig, distance, embed, features_from_magnitudes,
-                      mfcc)
+from .speaker import (Embedding, FeatureMatrix, MIN_ACTIVE_FRAMES, distance,
+                      embed, features_from_magnitudes, mfcc)
 
 _GRID_DEFS = {
     DisguiseFamily.PITCH_FREQ: (-11.0, 11.0, 1.0),
@@ -62,14 +60,21 @@ class GridSpec:
         return len(self.values)
 
 
+def grid_from_range(family, lo: float, hi: float, step: float) -> GridSpec:
+    """Candidates from lo to hi inclusive, `step` apart, rounded to 10
+    decimals so that fractional steps land on their nominal values."""
+    if step <= 0 or hi < lo:
+        raise ValueError(f"bad grid bounds {lo:g}:{hi:g}:{step:g}")
+    count = int(round((hi - lo) / step)) + 1
+    vals = np.round(lo + step * np.arange(count), 10)
+    return GridSpec(parse_family(family), tuple(float(v) for v in vals))
+
+
 def default_grid(family) -> GridSpec:
     """The stock search grid for a family (integer semitones for the
     pitch families, fixed-step sweeps for the warp families)."""
     fam = parse_family(family)
-    lo, hi, step = _GRID_DEFS[fam]
-    count = int(round((hi - lo) / step)) + 1
-    vals = np.round(lo + step * np.arange(count), 10)
-    return GridSpec(fam, tuple(float(v) for v in vals))
+    return grid_from_range(fam, *_GRID_DEFS[fam])
 
 
 def nearest_grid_value(grid: GridSpec, alpha: float) -> float:
@@ -86,7 +91,6 @@ class RestorationResult:
     family: DisguiseFamily
     method: str
     per_candidate: List[Tuple[float, float]]
-    restored_audio: Optional[AudioBuffer] = None
 
     def to_dict(self) -> dict:
         return {
@@ -107,12 +111,11 @@ class _RestorationContext:
     """STFT, VAD mask and geometry of one disguised utterance, computed
     once and shared across every candidate parameter."""
 
-    def __init__(self, disguised: AudioBuffer, params: FrameParams):
-        self.params = params
+    def __init__(self, disguised: AudioBuffer):
         self.sample_rate = disguised.sample_rate
-        self.fft_size = params.fft_length(disguised.sample_rate)
-        self.spectrum = stft(disguised, params)
-        self.mask = vad(disguised, params)
+        self.fft_size = DEFAULT_FRAME.fft_length(disguised.sample_rate)
+        self.spectrum = stft(disguised)
+        self.mask = vad(disguised)
         if int(self.mask.sum()) < MIN_ACTIVE_FRAMES:
             raise ValueError("insufficient voiced content for restoration")
 
@@ -126,11 +129,10 @@ class _RestorationContext:
         spec = self.warped(alpha, family)
         data = features_from_magnitudes(spec.magnitudes[self.mask],
                                         self.sample_rate, self.fft_size)
-        return FeatureMatrix(data, self.params)
+        return FeatureMatrix(data)
 
 
 def restore_with(disguised: AudioBuffer, alpha: float, family,
-                 params: FrameParams = DEFAULT_FRAME,
                  with_audio: bool = False):
     """Undo a disguise of known family and parameter in the spectral
     domain and return features of the restored utterance.
@@ -145,29 +147,29 @@ def restore_with(disguised: AudioBuffer, alpha: float, family,
     fam = parse_family(family)
     DisguiseSpec(DisguiseFamily.PITCH_FREQ
                  if fam is DisguiseFamily.PITCH_TIME else fam, alpha)
-    ctx = _RestorationContext(disguised, params)
+    ctx = _RestorationContext(disguised)
     feats = ctx.features(alpha, fam)
     if not with_audio:
         return feats
     return feats, istft(ctx.warped(alpha, fam))
 
 
-def embedding_table(utterances, scorer: Optional[ScorerConfig] = None,
-                    params: FrameParams = DEFAULT_FRAME
+def embedding_table(utterances,
+                    external: Optional[Dict[str, Embedding]] = None
                     ) -> Dict[str, Embedding]:
     """Every embedding a restoration needs, keyed by sidecar token.
 
     `utterances` holds (utt_id, audio, plain, candidates) entries.
     `plain` asks for the utterance's own embedding (token `utt_id`);
     `candidates`, a collection of (family, alpha) pairs, asks for one
-    embedding per inversion (token `utt_id#family:alpha`). An external
-    scorer looks each token up in its table, and audio may be None. The
-    builtin scorer analyzes an utterance with candidates once, derives
-    all of them from that analysis and then drops it; utterances
-    without candidates go through `mfcc`. Raises ValueError when the
-    audio mixes sample rates.
+    embedding per inversion (token `utt_id#family:alpha`). Given an
+    `external` table, each token is looked up there (a missing one is a
+    KeyError) and audio may be None. Otherwise an utterance with
+    candidates is analyzed once, all of them are derived from that
+    analysis and it is dropped; utterances without candidates go
+    through `mfcc`. Raises ValueError when the audio mixes sample
+    rates.
     """
-    scorer = scorer or ScorerConfig()
     utterances = list(utterances)
     rates = sorted({buf.sample_rate for _, buf, _, _ in utterances
                     if buf is not None})
@@ -176,18 +178,22 @@ def embedding_table(utterances, scorer: Optional[ScorerConfig] = None,
                          + " and ".join(f"{r} Hz" for r in rates))
     table: Dict[str, Embedding] = {}
     for utt, buf, plain, candidates in utterances:
-        if scorer.mode == "external":
+        if external is not None:
             tokens = [utt] if plain else []
             tokens += [_candidate_token(utt, fam, a) for fam, a in candidates]
-            table.update((tok, scorer.lookup(tok)) for tok in tokens)
+            for tok in tokens:
+                if tok not in external:
+                    raise KeyError(f"utterance {tok!r} missing from external "
+                                   f"embedding table")
+                table[tok] = external[tok]
             continue
         if buf is None:
             raise KeyError(f"no audio for utterance {utt!r}")
-        ctx = _RestorationContext(buf, params) if candidates else None
+        ctx = _RestorationContext(buf) if candidates else None
         if plain:   # the no-op inversion equals mfcc, without a second STFT
             table[utt] = embed(
                 ctx.features(0.0, DisguiseFamily.PITCH_FREQ) if ctx
-                else mfcc(buf, params), utt)
+                else mfcc(buf), utt)
         for fam, alpha in candidates:
             token = _candidate_token(utt, fam, alpha)
             table[token] = embed(ctx.features(alpha, fam), token)
@@ -212,10 +218,9 @@ def _search(reference: Embedding, table: Dict[str, Embedding],
 def grid_search_restore(enrolled: AudioBuffer, disguised: AudioBuffer,
                         grid: Optional[GridSpec] = None,
                         family=DisguiseFamily.PITCH_FREQ,
-                        scorer: Optional[ScorerConfig] = None,
-                        params: FrameParams = DEFAULT_FRAME,
-                        enroll_id: str = "", test_id: str = "",
-                        with_audio: bool = False) -> RestorationResult:
+                        external: Optional[Dict[str, Embedding]] = None,
+                        enroll_id: str = "", test_id: str = ""
+                        ) -> RestorationResult:
     """Estimate the disguise parameter by trying every grid value,
     inverting with it, and keeping the candidate whose restored
     embedding lands closest to the enrolled speaker.
@@ -223,28 +228,26 @@ def grid_search_restore(enrolled: AudioBuffer, disguised: AudioBuffer,
     Ties prefer the candidate nearest the no-op parameter (then the
     smaller value), so undisguised input maps to "no disguise". The
     analysis of the disguised utterance is computed once and shared by
-    all candidates. The ids name the two sides in an external table.
+    all candidates. The ids name the two sides in an `external` table
+    (see `embedding_table`).
     """
     grid = grid or default_grid(family)
     table = embedding_table(
         [(enroll_id, enrolled, True, ()),
          (test_id, disguised, False,
-          [(grid.family, a) for a in grid.values])], scorer, params)
+          [(grid.family, a) for a in grid.values])], external)
     alpha_hat, d_hat, per_candidate = _search(table[enroll_id], table,
                                               test_id, grid)
-    audio = (restore_with(disguised, alpha_hat, grid.family, params,
-                          with_audio=True)[1] if with_audio else None)
     return RestorationResult(alpha_hat, d_hat, grid.family, "grid",
-                             per_candidate, audio)
+                             per_candidate)
 
 
 def f0_ratio_restore(enrolled: AudioBuffer, disguised: AudioBuffer,
                      family=DisguiseFamily.PITCH_FREQ,
                      grid: Optional[GridSpec] = None,
-                     scorer: Optional[ScorerConfig] = None,
-                     params: FrameParams = DEFAULT_FRAME,
-                     enroll_id: str = "", test_id: str = "",
-                     with_audio: bool = False) -> RestorationResult:
+                     external: Optional[Dict[str, Embedding]] = None,
+                     enroll_id: str = "", test_id: str = ""
+                     ) -> RestorationResult:
     """Estimate a pitch disguise from mean F0s alone.
 
     The semitone offset implied by the two utterances' mean F0 is
@@ -264,10 +267,8 @@ def f0_ratio_restore(enrolled: AudioBuffer, disguised: AudioBuffer,
     alpha_hat = nearest_grid_value(grid, f0_ratio_alpha(f_x, f_y))
     table = embedding_table([(enroll_id, enrolled, True, ()),
                              (test_id, disguised, False, [(fam, alpha_hat)])],
-                            scorer, params)
+                            external)
     d_hat = distance(table[enroll_id],
                      table[_candidate_token(test_id, fam, alpha_hat)])
-    audio = (restore_with(disguised, alpha_hat, fam, params,
-                          with_audio=True)[1] if with_audio else None)
     return RestorationResult(alpha_hat, d_hat, fam, "f0-ratio",
-                             [(alpha_hat, d_hat)], audio)
+                             [(alpha_hat, d_hat)])

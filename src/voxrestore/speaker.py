@@ -3,12 +3,12 @@ scoring, and sidecar files for embeddings computed elsewhere."""
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 from scipy.fft import dct
 
-from .audio import AudioBuffer, DEFAULT_FRAME, FrameParams, stft, vad
+from .audio import AudioBuffer, DEFAULT_FRAME, stft, vad
 
 N_MELS = 26
 N_CEPSTRA = 24
@@ -24,7 +24,6 @@ class FeatureMatrix:
     """Frame-level features, FEATURE_DIM columns per frame."""
 
     data: np.ndarray
-    params: FrameParams
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=np.float64)
@@ -63,49 +62,19 @@ class Embedding:
         return self.vector.size
 
 
-@dataclass
-class ScorerConfig:
-    """Choice of embedding backend for trial scoring.
-
-    mode "builtin" computes embeddings from audio; "external" looks
-    utterance ids up in a preloaded table and never touches the
-    waveform beyond what the restoration step itself needs.
-    """
-
-    mode: str = "builtin"
-    table: Optional[Dict[str, Embedding]] = None
-
-    def __post_init__(self):
-        if self.mode not in ("builtin", "external"):
-            raise ValueError(f"unknown scorer mode {self.mode!r}")
-        if self.mode == "external" and not self.table:
-            raise ValueError("external scorer requires an embedding table")
-
-    def lookup(self, utterance_id: str) -> Embedding:
-        if self.mode != "external":
-            raise ValueError("lookup is only valid for external scorers")
-        try:
-            return self.table[utterance_id]
-        except KeyError:
-            raise KeyError(
-                f"utterance {utterance_id!r} missing from external "
-                f"embedding table") from None
-
-
-def mel_filterbank(sample_rate: int, fft_size: int,
-                   n_mels: int = N_MELS) -> np.ndarray:
+def mel_filterbank(sample_rate: int, fft_size: int) -> np.ndarray:
     """Triangular filters spaced uniformly on the mel scale from 0 Hz
-    to Nyquist, returned as (n_mels, fft_size // 2 + 1)."""
+    to Nyquist, returned as (N_MELS, fft_size // 2 + 1)."""
     def to_mel(hz):
         return 2595.0 * np.log10(1.0 + hz / 700.0)
 
     def to_hz(mel):
         return 700.0 * (10.0 ** (mel / 2595.0) - 1.0)
 
-    edges_hz = to_hz(np.linspace(0.0, to_mel(sample_rate / 2.0), n_mels + 2))
+    edges_hz = to_hz(np.linspace(0.0, to_mel(sample_rate / 2.0), N_MELS + 2))
     bins = np.arange(fft_size // 2 + 1) * sample_rate / fft_size
-    fb = np.zeros((n_mels, bins.size))
-    for m in range(n_mels):
+    fb = np.zeros((N_MELS, bins.size))
+    for m in range(N_MELS):
         left, center, right = edges_hz[m], edges_hz[m + 1], edges_hz[m + 2]
         rising = (bins - left) / max(center - left, 1e-12)
         falling = (right - bins) / max(right - center, 1e-12)
@@ -149,20 +118,20 @@ def features_from_magnitudes(magnitudes: np.ndarray, sample_rate: int,
     return np.concatenate([ceps, d1, d2], axis=1)
 
 
-def mfcc(buf: AudioBuffer, params: FrameParams = DEFAULT_FRAME) -> FeatureMatrix:
+def mfcc(buf: AudioBuffer) -> FeatureMatrix:
     """Voice-activity-gated cepstral features for one utterance.
 
     Raises ValueError when fewer than MIN_ACTIVE_FRAMES frames pass the
     energy gate (e.g. silence).
     """
-    spectrum = stft(buf, params)
-    mask = vad(buf, params)
+    spectrum = stft(buf)
+    mask = vad(buf)
     if int(mask.sum()) < MIN_ACTIVE_FRAMES:
         raise ValueError("insufficient voiced content for features")
-    fft_size = params.fft_length(buf.sample_rate)
+    fft_size = DEFAULT_FRAME.fft_length(buf.sample_rate)
     data = features_from_magnitudes(spectrum.magnitudes[mask],
                                     buf.sample_rate, fft_size)
-    return FeatureMatrix(data, params)
+    return FeatureMatrix(data)
 
 
 def embed(features: FeatureMatrix, utterance_id: str = "") -> Embedding:
@@ -213,7 +182,11 @@ def load_external_embeddings(path) -> Dict[str, Embedding]:
                 raise ValueError(
                     f"line {lineno}: dimension {vec.size} differs from "
                     f"{dim} seen earlier")
-            table[utt] = Embedding(vec, source="external", utterance_id=utt)
+            try:
+                table[utt] = Embedding(vec, source="external",
+                                       utterance_id=utt)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     if not table:
         raise ValueError(f"no embeddings found in {path}")
     return table

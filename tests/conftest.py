@@ -1,11 +1,11 @@
 import pytest
 
-from voxrestore import CorpusConfig, synth_corpus
+from helpers import SMALL_CORPUS
+from voxrestore import synth_corpus
 
 
 @pytest.fixture(scope="session")
 def corpus_small():
-    """Four synthetic speakers, two short utterances each. Shared across
-    test modules; treat as read-only."""
-    return synth_corpus(CorpusConfig(n_speakers=4, utts_per_speaker=2,
-                                     duration_s=1.0))
+    """SMALL_CORPUS: four synthetic speakers, two short utterances each.
+    Shared across test modules; treat as read-only."""
+    return synth_corpus(SMALL_CORPUS)

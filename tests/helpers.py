@@ -7,9 +7,12 @@ analysis code so tests measure against a second implementation.
 import numpy as np
 from scipy.signal import lfilter
 
-from voxrestore import AudioBuffer
+from voxrestore import AudioBuffer, CorpusConfig
 
 SR = 16000
+
+# the configuration of the shared `corpus_small` fixture
+SMALL_CORPUS = CorpusConfig(n_speakers=4, utts_per_speaker=2, duration_s=1.0)
 
 
 def tone(freq: float, duration: float = 1.0, sr: int = SR,

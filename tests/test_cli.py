@@ -297,6 +297,60 @@ def test_eval_dump_embeddings_round_trip(trial_dir, tmp_path, capsys):
         == (b["matrix"][0]["eer"], b["matrix"][0]["threshold"])
 
 
+def _count_analyses(monkeypatch) -> dict:
+    """Count `mfcc` calls and restoration contexts built, wherever the
+    CLI reaches them."""
+    from voxrestore import cli, restore
+    counts = {"mfcc": 0, "context": 0}
+    mfcc = restore.mfcc
+    init = restore._RestorationContext.__init__
+
+    def counted_mfcc(buf):
+        counts["mfcc"] += 1
+        return mfcc(buf)
+
+    def counted_init(self, disguised):
+        counts["context"] += 1
+        init(self, disguised)
+
+    for module in (cli, restore):
+        monkeypatch.setattr(module, "mfcc", counted_mfcc)
+    monkeypatch.setattr(restore._RestorationContext, "__init__", counted_init)
+    return counts
+
+
+def test_eval_dump_embeddings_reuses_the_run(trial_dir, tmp_path, capsys,
+                                             monkeypatch):
+    trials = os.path.join(trial_dir, "trials.txt")
+    counts = _count_analyses(monkeypatch)
+    methods = ["--restore", "none", "--restore", "pitch-freq"]
+    assert run_cli(capsys, "eval", "--trials", trials, "--out",
+                   str(tmp_path / "a.json"), *methods)[0] == 0
+    plain = dict(counts)
+    counts.update(mfcc=0, context=0)
+    assert run_cli(capsys, "eval", "--trials", trials, "--out",
+                   str(tmp_path / "b.json"), *methods,
+                   "--dump-embeddings", str(tmp_path / "b.txt"))[0] == 0
+    assert counts == plain
+    # without "none" the test rows are computed for the dump alone,
+    # and come out the same
+    assert run_cli(capsys, "eval", "--trials", trials, "--out",
+                   str(tmp_path / "c.json"), "--restore", "pitch-freq",
+                   "--dump-embeddings", str(tmp_path / "c.txt"))[0] == 0
+    assert ((tmp_path / "b.txt").read_bytes()
+            == (tmp_path / "c.txt").read_bytes())
+
+
+def test_eval_names_the_line_of_a_bad_disguise_token(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    for token in ("pitch-freq:abc", "pitch-freq:99"):
+        bad.write_text(f"1 a.wav b.wav pitch-freq:1\n0 a.wav b.wav {token}\n",
+                       encoding="utf-8")
+        rc, _, stderr = run_cli(capsys, "eval", "--trials", str(bad),
+                                "--out", str(tmp_path / "r.json"))
+        assert rc == 1 and f"{bad}:2: " in stderr
+
+
 def test_eval_missing_trials_writes_nothing(tmp_path, capsys):
     report = str(tmp_path / "report.json")
     rc, _, stderr = run_cli(capsys, "eval", "--trials",

@@ -1,0 +1,27 @@
+"""The narrated demos are the documented callers of the library API;
+each must run to completion and print something."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# demos/03 takes most of a minute; its gen_trials/run_matrix calls are
+# covered by tests/test_evaluate.py
+DEMOS = ["01_disguise_tour.py", "02_blind_estimation.py"]
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

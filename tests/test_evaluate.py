@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SR, bl_sawtooth, white_noise
-from voxrestore import (AudioBuffer, Corpus, CorpusConfig, ScorerConfig,
-                        Trial, alpha_bias, compute_eer, default_grid,
-                        distance, embed, gen_trials, mfcc, run_matrix,
-                        synth_corpus)
+from helpers import SMALL_CORPUS, SR, bl_sawtooth, white_noise
+from voxrestore import (AudioBuffer, Corpus, CorpusConfig, Trial, alpha_bias,
+                        compute_eer, default_grid, distance, embed,
+                        gen_trials, mfcc, run_matrix, synth_corpus)
 from voxrestore.disguise import DisguiseFamily
 from voxrestore.evaluate import _disguise_label
 from voxrestore.restore import _RestorationContext, _candidate_token
-from voxrestore.audio import DEFAULT_FRAME
 
 
 # ---------------------------------------------------------------------------
@@ -19,7 +17,7 @@ from voxrestore.audio import DEFAULT_FRAME
 
 
 def test_corpus_shape_and_ids(corpus_small):
-    cfg = corpus_small.config
+    cfg = SMALL_CORPUS
     assert len(corpus_small.utterances) == cfg.n_speakers * cfg.utts_per_speaker
     assert set(corpus_small.utterances) == set(corpus_small.speaker_of)
     assert "spk00_u00" in corpus_small.utterances
@@ -34,7 +32,7 @@ def test_corpus_shape_and_ids(corpus_small):
 
 
 def test_corpus_is_deterministic(corpus_small):
-    again = synth_corpus(corpus_small.config)
+    again = synth_corpus(SMALL_CORPUS)
     for utt, buf in corpus_small.utterances.items():
         assert np.array_equal(buf.samples, again.utterances[utt].samples)
 
@@ -42,7 +40,7 @@ def test_corpus_is_deterministic(corpus_small):
 def test_corpus_growth_keeps_existing_utterances(corpus_small):
     # hierarchical seeding: adding speakers or utterances never changes
     # the ones already generated
-    cfg = corpus_small.config
+    cfg = SMALL_CORPUS
     bigger = synth_corpus(CorpusConfig(
         n_speakers=cfg.n_speakers + 1, utts_per_speaker=cfg.utts_per_speaker + 1,
         seed=cfg.seed, duration_s=cfg.duration_s))
@@ -131,7 +129,7 @@ def test_gen_trials_validation(corpus_small):
     solo = Corpus(
         {"a_u0": corpus_small.utterances["spk00_u00"],
          "b_u0": corpus_small.utterances["spk01_u00"]},
-        {"a_u0": "a", "b_u0": "b"}, corpus_small.config)
+        {"a_u0": "a", "b_u0": "b"})
     with pytest.raises(ValueError, match="two utterances per speaker"):
         gen_trials(solo, 10)
 
@@ -369,7 +367,7 @@ def test_matrix_external_scorer_matches_builtin(corpus_small):
         if t.enroll_id not in table:
             table[t.enroll_id] = embed(mfcc(audio[t.enroll_id]), t.enroll_id)
         if t.test_id not in table:
-            ctx = _RestorationContext(audio[t.test_id], DEFAULT_FRAME)
+            ctx = _RestorationContext(audio[t.test_id])
             table[t.test_id] = embed(
                 ctx.features(0.0, DisguiseFamily.PITCH_FREQ), t.test_id)
             for a in default_grid("pitch-freq").values:
@@ -379,8 +377,7 @@ def test_matrix_external_scorer_matches_builtin(corpus_small):
                     ctx.features(a, DisguiseFamily.PITCH_FREQ))
     methods = ["none", "pitch-freq"]
     builtin = run_matrix(audio, trials, methods)
-    external = run_matrix(audio, trials, methods,
-                          scorer=ScorerConfig(mode="external", table=table))
+    external = run_matrix(audio, trials, methods, external=table)
     for name in methods:
         assert (external.row(name).eer.eer_percent
                 == builtin.row(name).eer.eer_percent)

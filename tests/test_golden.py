@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from voxrestore import (CorpusConfig, Embedding, ScorerConfig, default_grid,
+from voxrestore import (CorpusConfig, Embedding, default_grid,
                         embed, f0_ratio_restore, gen_trials,
                         grid_search_restore, mfcc, restore_with, run_matrix,
                         synth_corpus)
@@ -68,10 +68,9 @@ def compute_reports() -> dict:
         out[f"matrix/{policy}"] = run_matrix(audio, trials,
                                              methods).to_dict()
         if policy == "pitch-freq":
-            scorer = ScorerConfig(mode="external",
-                                  table=_external_table(audio, trials))
             out["matrix/pitch-freq/external"] = run_matrix(
-                audio, trials, methods, scorer=scorer).to_dict()
+                audio, trials, methods,
+                external=_external_table(audio, trials)).to_dict()
         if policy == "pitch-time":
             t = next(t for t in trials if t.label)
             enrolled, disguised = audio[t.enroll_id], audio[t.test_id]

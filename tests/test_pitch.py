@@ -5,7 +5,6 @@ from helpers import bl_sawtooth, tone, white_noise
 from voxrestore import (AudioBuffer, F0Track, UnvoicedUtteranceError,
                         estimate_f0, f0_ratio_alpha, mean_f0, resample,
                         semitone_to_scale)
-from voxrestore.pitch import PITCH_FRAME
 
 SR = 16000
 
@@ -15,19 +14,18 @@ SR = 16000
 
 
 def test_f0_track_invariants():
-    params = PITCH_FRAME
-    F0Track(np.array([200.0, 0.0]), np.array([True, False]), params)
+    F0Track(np.array([200.0, 0.0]), np.array([True, False]))
     with pytest.raises(ValueError):
         # voiced frame with no frequency
-        F0Track(np.array([0.0, 0.0]), np.array([True, False]), params)
+        F0Track(np.array([0.0, 0.0]), np.array([True, False]))
     with pytest.raises(ValueError):
         # unvoiced frame carrying a frequency
-        F0Track(np.array([0.0, 150.0]), np.array([False, False]), params)
+        F0Track(np.array([0.0, 150.0]), np.array([False, False]))
     with pytest.raises(ValueError):
         # voiced value outside the search band
-        F0Track(np.array([700.0]), np.array([True]), params)
+        F0Track(np.array([700.0]), np.array([True]))
     with pytest.raises(ValueError):
-        F0Track(np.array([200.0, 200.0]), np.array([True]), params)
+        F0Track(np.array([200.0, 200.0]), np.array([True]))
 
 
 # ---------------------------------------------------------------------------
@@ -80,17 +78,16 @@ def test_tracking_is_gain_invariant(gain):
 
 
 def test_mean_f0_averages_voiced_frames_only():
-    params = PITCH_FRAME
     track = F0Track(np.array([200.0, 200.0, 200.0]),
-                    np.array([True, True, True]), params)
+                    np.array([True, True, True]))
     assert mean_f0(track) == 200.0
     track = F0Track(np.array([100.0, 0.0, 300.0]),
-                    np.array([True, False, True]), params)
+                    np.array([True, False, True]))
     assert mean_f0(track) == 200.0
 
 
 def test_mean_f0_requires_voiced_frames():
-    track = F0Track(np.zeros(3), np.zeros(3, dtype=bool), PITCH_FRAME)
+    track = F0Track(np.zeros(3), np.zeros(3, dtype=bool))
     with pytest.raises(UnvoicedUtteranceError, match="unvoiced utterance"):
         mean_f0(track)
 

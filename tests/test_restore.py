@@ -3,13 +3,13 @@ import pytest
 
 from helpers import bl_sawtooth, white_noise
 from voxrestore import (AudioBuffer, DisguiseFamily, DisguiseSpec, Embedding,
-                        GridSpec, ScorerConfig, UnvoicedUtteranceError,
+                        GridSpec, UnvoicedUtteranceError,
                         default_grid, disguise, distance, embed,
                         f0_ratio_restore,
                         grid_search_restore, mfcc, nearest_grid_value,
                         resample, restore_with, semitone_to_scale)
-from voxrestore.restore import _RestorationContext, _candidate_token
-from voxrestore.audio import DEFAULT_FRAME
+from voxrestore.restore import (_RestorationContext, _candidate_token,
+                                embedding_table)
 
 
 @pytest.fixture(scope="module")
@@ -161,8 +161,7 @@ def test_grid_search_tie_breaks_toward_identity(pair):
     table = {"ref": same}
     for a in grid.values:
         table[_candidate_token("probe", DisguiseFamily.PITCH_FREQ, a)] = same
-    scorer = ScorerConfig(mode="external", table=table)
-    result = grid_search_restore(y, y, grid=grid, scorer=scorer,
+    result = grid_search_restore(y, y, grid=grid, external=table,
                                  enroll_id="ref", test_id="probe")
     assert result.alpha_hat == 0.0          # all distances equal
 
@@ -178,8 +177,7 @@ def test_grid_search_tie_breaks_toward_smaller_alpha(pair):
         _candidate_token("probe", DisguiseFamily.PITCH_FREQ, 0.0): far,
         _candidate_token("probe", DisguiseFamily.PITCH_FREQ, 1.0): near,
     }
-    scorer = ScorerConfig(mode="external", table=table)
-    result = grid_search_restore(y, y, grid=grid, scorer=scorer,
+    result = grid_search_restore(y, y, grid=grid, external=table,
                                  enroll_id="ref", test_id="probe")
     assert result.alpha_hat == -1.0         # equal distance, equal |a|
 
@@ -188,19 +186,30 @@ def test_external_scorer_agrees_with_builtin(pair):
     x, clean = pair
     y = disguise(clean, DisguiseSpec("pitch-freq", 2.0))
     grid = GridSpec("pitch-freq", (-2.0, 0.0, 2.0))
-    ctx = _RestorationContext(y, DEFAULT_FRAME)
+    ctx = _RestorationContext(y)
     table = {"enroll": embed(mfcc(x))}
     for a in grid.values:
         token = _candidate_token("test", DisguiseFamily.PITCH_FREQ, a)
         table[token] = embed(ctx.features(a, DisguiseFamily.PITCH_FREQ))
     builtin = grid_search_restore(x, y, grid=grid)
     external = grid_search_restore(
-        x, y, grid=grid, scorer=ScorerConfig(mode="external", table=table),
-        enroll_id="enroll", test_id="test")
+        x, y, grid=grid, external=table, enroll_id="enroll", test_id="test")
     assert external.alpha_hat == builtin.alpha_hat
     for (_, d_ext), (_, d_blt) in zip(external.per_candidate,
                                       builtin.per_candidate):
         assert d_ext == pytest.approx(d_blt, abs=1e-12)
+
+
+def test_embedding_table_reports_missing_external_token():
+    table = {"u1": Embedding(np.ones(3))}
+    got = embedding_table([("u1", None, True, ())], external=table)
+    assert got["u1"] is table["u1"]
+    with pytest.raises(KeyError,
+                       match="'u2' missing from external embedding table"):
+        embedding_table([("u2", None, True, ())], external=table)
+    # an empty table is still external: it never falls back to audio
+    with pytest.raises(KeyError, match="'u1' missing"):
+        embedding_table([("u1", None, True, ())], external={})
 
 
 def test_grid_search_rejects_mixed_sample_rates(pair):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import speechy, white_noise
-from voxrestore import (AudioBuffer, DEFAULT_FRAME, Embedding, FeatureMatrix,
-                        ScorerConfig, distance, embed,
-                        load_external_embeddings, mel_filterbank, mfcc,
+from voxrestore import (AudioBuffer, Embedding, FeatureMatrix, distance,
+                        embed, load_external_embeddings, mel_filterbank, mfcc,
                         write_embeddings)
 from voxrestore.speaker import EMBED_DIM, FEATURE_DIM
 
@@ -39,11 +38,11 @@ def test_mfcc_gain_change_shifts_only_the_first_cepstrum():
 
 def test_feature_matrix_validation():
     with pytest.raises(ValueError):
-        FeatureMatrix(np.ones((5, 10)), DEFAULT_FRAME)
+        FeatureMatrix(np.ones((5, 10)))
     with pytest.raises(ValueError):
-        FeatureMatrix(np.ones((0, FEATURE_DIM)), DEFAULT_FRAME)
+        FeatureMatrix(np.ones((0, FEATURE_DIM)))
     with pytest.raises(ValueError):
-        FeatureMatrix(np.full((2, FEATURE_DIM), np.nan), DEFAULT_FRAME)
+        FeatureMatrix(np.full((2, FEATURE_DIM), np.nan))
 
 
 def test_mel_filterbank_geometry():
@@ -60,7 +59,7 @@ def test_mel_filterbank_geometry():
 
 
 def test_embed_of_constant_features_has_zero_std_half():
-    feats = FeatureMatrix(np.ones((10, FEATURE_DIM)), DEFAULT_FRAME)
+    feats = FeatureMatrix(np.ones((10, FEATURE_DIM)))
     e = embed(feats)
     assert e.dim == EMBED_DIM == 144
     assert np.all(e.vector[FEATURE_DIM:] == 0.0)
@@ -71,16 +70,16 @@ def test_embed_is_frame_order_free():
     rng = np.random.default_rng(0)
     data = rng.standard_normal((20, FEATURE_DIM))
     shuffled = data[rng.permutation(20)]
-    a = embed(FeatureMatrix(data, DEFAULT_FRAME))
-    b = embed(FeatureMatrix(shuffled, DEFAULT_FRAME))
+    a = embed(FeatureMatrix(data))
+    b = embed(FeatureMatrix(shuffled))
     assert np.allclose(a.vector, b.vector, rtol=0, atol=1e-12)
 
 
 def test_embed_ignores_exact_duplication():
     rng = np.random.default_rng(1)
     data = rng.standard_normal((15, FEATURE_DIM))
-    a = embed(FeatureMatrix(data, DEFAULT_FRAME))
-    b = embed(FeatureMatrix(np.vstack([data, data]), DEFAULT_FRAME))
+    a = embed(FeatureMatrix(data))
+    b = embed(FeatureMatrix(np.vstack([data, data])))
     assert np.allclose(a.vector, b.vector, rtol=0, atol=1e-12)
 
 
@@ -183,16 +182,10 @@ def test_load_external_embeddings_error_reporting(tmp_path):
         load_external_embeddings(path)
 
 
-def test_scorer_config_contract():
-    with pytest.raises(ValueError):
-        ScorerConfig(mode="external")
-    with pytest.raises(ValueError):
-        ScorerConfig(mode="plda")
-    builtin = ScorerConfig()
-    with pytest.raises(ValueError):
-        builtin.lookup("anything")
-    table = {"u1": Embedding(np.ones(3))}
-    scorer = ScorerConfig(mode="external", table=table)
-    assert scorer.lookup("u1") is table["u1"]
-    with pytest.raises(KeyError, match="u2"):
-        scorer.lookup("u2")
+def test_load_external_embeddings_names_the_line_of_a_non_finite_row(
+        tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("a 1 2 3\nb 4 nan 6\n")
+    with pytest.raises(ValueError,
+                       match="line 2: embedding vector contains non-finite"):
+        load_external_embeddings(path)
