@@ -19,7 +19,7 @@ from .disguise import DisguiseSpec, disguise, parse_family
 from .evaluate import (Corpus, CorpusConfig, Trial, gen_trials, run_matrix,
                        synth_corpus)
 from .pitch import UnvoicedUtteranceError
-from .restore import (GridSpec, default_grid, f0_ratio_restore,
+from .restore import (GridSpec, _inverse_warp, default_grid, f0_ratio_restore,
                       grid_from_range, grid_search_restore, restore_with)
 from .speaker import (Embedding, embed, load_external_embeddings, mfcc,
                       write_embeddings)
@@ -229,6 +229,8 @@ def _restoration_slug(name: str) -> str:
 def cmd_eval(args) -> int:
     trials, tokens, base = _read_trials(args.trials)
     external = _parse_scorer(args.scorer)
+    if external is not None and args.dump_embeddings:
+        raise ValueError("--dump-embeddings needs the builtin scorer")
     restorations = args.restore or ["none"]
     t0 = time.perf_counter()
     audio = {}
@@ -269,9 +271,6 @@ def cmd_eval(args) -> int:
                 writer.writerow([key, repr(entry["eer_percent"])])
 
     if args.dump_embeddings:
-        if external is not None:
-            raise ValueError(
-                "--dump-embeddings only applies to the builtin scorer")
         # the run holds every utterance's plain embedding except test
         # utterances when no "none" restoration scored them
         table = {token: report.embeddings[token]
@@ -280,8 +279,9 @@ def cmd_eval(args) -> int:
                  for token in tokens}
         write_embeddings(args.dump_embeddings, table)
 
-    log.info("evaluated %d trials x %d restorations in %.2fs",
-             report.n_trials, len(report.rows), elapsed)
+    log.info("evaluated %d trials x %d restorations in %.2fs; %d embeddings,"
+             " %d warp maps", report.n_trials, len(report.rows), elapsed,
+             len(report.embeddings), _inverse_warp.cache_info().misses)
     _emit(payload)
     for row in report.rows:
         print(f"{row.restoration}: EER {row.eer.eer_percent:.2f}% "

@@ -210,6 +210,15 @@ def build_warp(spec: DisguiseSpec) -> WarpFunction:
     return WarpFunction(knots, values, spec.family, spec.param)
 
 
+def warp_indices(warp: WarpFunction, n_bins: int, direction: str):
+    """Source bin `lo` and weight `frac` of bin `lo + 1` per warped bin."""
+    omega = np.linspace(0.0, np.pi, n_bins)
+    src = warp.inverse(omega) if direction == "forward" else warp(omega)
+    coord = np.clip(src / np.pi * (n_bins - 1), 0.0, n_bins - 1.0)
+    lo = np.minimum(coord.astype(np.int64), n_bins - 2)
+    return lo, coord - lo
+
+
 def apply_spectral_warp(spec: Spectrogram, warp: WarpFunction,
                         direction: str = "forward") -> Spectrogram:
     """Resample every spectral frame along a warped frequency axis.
@@ -225,16 +234,10 @@ def apply_spectral_warp(spec: Spectrogram, warp: WarpFunction,
     if warp.is_identity:
         phases = None if spec.phases is None else spec.phases.copy()
         return Spectrogram(spec.magnitudes.copy(), phases, spec.sample_rate)
-    n_bins = spec.n_bins
-    omega = np.linspace(0.0, np.pi, n_bins)
-    src = warp.inverse(omega) if direction == "forward" else warp(omega)
-    coord = np.clip(src / np.pi * (n_bins - 1), 0.0, n_bins - 1.0)
-    lo = np.minimum(coord.astype(np.int64), n_bins - 2)
-    frac = coord - lo
+    lo, frac = warp_indices(warp, spec.n_bins, direction)
     mags = spec.magnitudes[:, lo] * (1.0 - frac) + spec.magnitudes[:, lo + 1] * frac
-    phases = None
-    if spec.phases is not None:
-        phases = spec.phases[:, lo] * (1.0 - frac) + spec.phases[:, lo + 1] * frac
+    phases = None if spec.phases is None else (
+        spec.phases[:, lo] * (1.0 - frac) + spec.phases[:, lo + 1] * frac)
     return Spectrogram(mags, phases, spec.sample_rate)
 
 

@@ -1,6 +1,7 @@
 """Blind voice restoration: undo an unknown disguise by exhaustive
 parameter search against an enrolled speaker, or from the F0 ratio."""
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -9,7 +10,7 @@ import numpy as np
 from .audio import AudioBuffer, DEFAULT_FRAME, Spectrogram, istft, stft, vad
 from .disguise import (DisguiseFamily, DisguiseSpec, IDENTITY_PARAMS,
                        PARAM_RANGES, apply_spectral_warp, build_warp,
-                       parse_family)
+                       parse_family, warp_indices)
 from .pitch import estimate_f0, f0_ratio_alpha, mean_f0
 from .speaker import (Embedding, FeatureMatrix, MIN_ACTIVE_FRAMES, distance,
                       embed, features_from_magnitudes, mfcc)
@@ -22,6 +23,8 @@ _GRID_DEFS = {
     DisguiseFamily.VTLN_POWER: (-0.5, 0.5, 0.05),
     DisguiseFamily.VTLN_PIECEWISE: (0.5, 1.5, 0.05),
 }
+# pitch-time's spectral inverse is the same linear map as pitch-freq's
+_WARP_FAMILY = {DisguiseFamily.PITCH_TIME: DisguiseFamily.PITCH_FREQ}
 
 
 @dataclass(frozen=True)
@@ -107,29 +110,43 @@ def _candidate_token(test_id: str, family: DisguiseFamily,
     return f"{test_id}#{family.value}:{alpha:g}"
 
 
+@functools.lru_cache(maxsize=1024)
+def _inverse_warp(family: DisguiseFamily, alpha: float, n_bins: int):
+    """Read-only `warp_indices` that undo `family` at `alpha`, or None."""
+    warp = build_warp(DisguiseSpec(_WARP_FAMILY.get(family, family), alpha))
+    if warp.is_identity:
+        return None
+    lo, frac = warp_indices(warp, n_bins, "inverse")
+    lo.flags.writeable = frac.flags.writeable = False
+    return lo, frac
+
+
 class _RestorationContext:
-    """STFT, VAD mask and geometry of one disguised utterance, computed
-    once and shared across every candidate parameter."""
+    """STFT, VAD-active magnitudes and geometry of one disguised
+    utterance, computed once and shared across every candidate."""
 
     def __init__(self, disguised: AudioBuffer):
         self.sample_rate = disguised.sample_rate
         self.fft_size = DEFAULT_FRAME.fft_length(disguised.sample_rate)
         self.spectrum = stft(disguised)
-        self.mask = vad(disguised)
-        if int(self.mask.sum()) < MIN_ACTIVE_FRAMES:
+        mask = vad(disguised)
+        if int(mask.sum()) < MIN_ACTIVE_FRAMES:
             raise ValueError("insufficient voiced content for restoration")
+        self.active = self.spectrum.magnitudes[mask]
 
     def warped(self, alpha: float, family: DisguiseFamily) -> Spectrogram:
-        warp_family = (DisguiseFamily.PITCH_FREQ
-                       if family is DisguiseFamily.PITCH_TIME else family)
-        warp = build_warp(DisguiseSpec(warp_family, alpha))
-        return apply_spectral_warp(self.spectrum, warp, "inverse")
+        spec = DisguiseSpec(_WARP_FAMILY.get(family, family), alpha)
+        return apply_spectral_warp(self.spectrum, build_warp(spec), "inverse")
 
     def features(self, alpha: float, family: DisguiseFamily) -> FeatureMatrix:
-        spec = self.warped(alpha, family)
-        data = features_from_magnitudes(spec.magnitudes[self.mask],
-                                        self.sample_rate, self.fft_size)
-        return FeatureMatrix(data)
+        mags = self.active     # `warped(alpha, family)` on these rows only
+        index = _inverse_warp(family, float(alpha), mags.shape[1])
+        if index is not None:  # contiguous as masked rows are, so that the
+            lo, frac = index   # filterbank product rounds the same
+            mags = np.ascontiguousarray(
+                mags[:, lo] * (1.0 - frac) + mags[:, lo + 1] * frac)
+        return FeatureMatrix(features_from_magnitudes(
+            mags, self.sample_rate, self.fft_size))
 
 
 def restore_with(disguised: AudioBuffer, alpha: float, family,
@@ -145,8 +162,6 @@ def restore_with(disguised: AudioBuffer, alpha: float, family,
     (features, audio) pair is returned.
     """
     fam = parse_family(family)
-    DisguiseSpec(DisguiseFamily.PITCH_FREQ
-                 if fam is DisguiseFamily.PITCH_TIME else fam, alpha)
     ctx = _RestorationContext(disguised)
     feats = ctx.features(alpha, fam)
     if not with_audio:

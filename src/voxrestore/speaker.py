@@ -1,6 +1,7 @@
 """Cepstral features, statistics-pooling speaker embeddings, cosine
 scoring, and sidecar files for embeddings computed elsewhere."""
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Dict
@@ -62,9 +63,10 @@ class Embedding:
         return self.vector.size
 
 
+@functools.lru_cache(maxsize=None)
 def mel_filterbank(sample_rate: int, fft_size: int) -> np.ndarray:
     """Triangular filters spaced uniformly on the mel scale from 0 Hz
-    to Nyquist, returned as (N_MELS, fft_size // 2 + 1)."""
+    to Nyquist, returned as (N_MELS, fft_size // 2 + 1), read-only."""
     def to_mel(hz):
         return 2595.0 * np.log10(1.0 + hz / 700.0)
 
@@ -79,7 +81,15 @@ def mel_filterbank(sample_rate: int, fft_size: int) -> np.ndarray:
         rising = (bins - left) / max(center - left, 1e-12)
         falling = (right - bins) / max(right - center, 1e-12)
         fb[m] = np.clip(np.minimum(rising, falling), 0.0, None)
+    fb.flags.writeable = False
     return fb
+
+
+@functools.lru_cache(maxsize=None)
+def _preemphasis(n_bins: int, fft_size: int) -> np.ndarray:
+    """Power response of first-order pre-emphasis at each FFT bin."""
+    omega = 2.0 * np.pi * np.arange(n_bins) / fft_size
+    return 1.0 + PREEMPHASIS ** 2 - 2.0 * PREEMPHASIS * np.cos(omega)
 
 
 def _delta(c: np.ndarray, span: int = DELTA_SPAN) -> np.ndarray:
@@ -105,11 +115,8 @@ def features_from_magnitudes(magnitudes: np.ndarray, sample_rate: int,
     mags = np.asarray(magnitudes, dtype=np.float64)
     if mags.ndim != 2 or mags.shape[0] == 0:
         raise ValueError("need a non-empty (frames, bins) magnitude array")
-    omega = 2.0 * np.pi * np.arange(mags.shape[1]) / fft_size
-    preemph = 1.0 + PREEMPHASIS ** 2 - 2.0 * PREEMPHASIS * np.cos(omega)
-    power = (mags * mags) * preemph
-    fb = mel_filterbank(sample_rate, fft_size)
-    mel = power @ fb.T
+    power = (mags * mags) * _preemphasis(mags.shape[1], fft_size)
+    mel = power @ mel_filterbank(sample_rate, fft_size).T
     floor = max(float(mel.max()) * 1e-12, 1e-300)
     logmel = np.log(np.maximum(mel, floor))
     ceps = dct(logmel, type=2, norm="ortho", axis=1)[:, :N_CEPSTRA]

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import numpy as np
@@ -413,6 +414,48 @@ def test_eval_dump_embeddings_needs_builtin(trial_dir, tmp_path, capsys):
                             "--scorer", f"external:{emb_path}",
                             "--dump-embeddings", str(tmp_path / "c.txt"))
     assert rc == 1 and "builtin" in stderr
+
+
+def test_eval_rejects_external_dump_before_any_work(trial_dir, tmp_path,
+                                                   tmp_path_factory, capsys,
+                                                   monkeypatch):
+    from voxrestore import cli
+    trials = os.path.join(trial_dir, "trials.txt")
+    first = tmp_path_factory.mktemp("first")
+    sidecar = first / "emb.txt"
+    assert run_cli(capsys, "eval", "--trials", trials,
+                   "--out", str(first / "a.json"),
+                   "--dump-embeddings", str(sidecar))[0] == 0
+    loaded = []
+    monkeypatch.setattr(cli, "load_wav",
+                        lambda path: loaded.append(path) or load_wav(path))
+    rc, _, stderr = run_cli(capsys, "eval", "--trials", trials,
+                            "--out", str(tmp_path / "b.json"),
+                            "--scorer", f"external:{sidecar}",
+                            "--dump-embeddings", str(tmp_path / "c.txt"))
+    assert rc == 1 and "builtin" in stderr
+    assert loaded == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_logs_embeddings_and_warp_maps(trial_dir, tmp_path, capsys,
+                                            caplog):
+    from voxrestore.restore import _inverse_warp
+    trials = os.path.join(trial_dir, "trials.txt")
+    enrolls, tests = set(), set()
+    for line in open(trials, encoding="utf-8"):
+        enrolls.add(line.split()[1])
+        tests.add(line.split()[2])
+    _inverse_warp.cache_clear()
+    caplog.set_level(logging.INFO, logger="voxrestore")
+    rc, stdout, _ = run_cli(capsys, "eval", "--trials", trials, "--out",
+                            str(tmp_path / "a.json"), "--restore",
+                            "vtln-power", "--log-level", "info")
+    assert rc == 0
+    n_grid = 21     # the default vtln-power grid
+    assert (f"; {len(enrolls) + n_grid * len(tests)} embeddings, "
+            f"{n_grid} warp maps" in caplog.text)
+    assert "warp maps" not in stdout
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 
 from helpers import bl_sawtooth, white_noise
-from voxrestore import (AudioBuffer, DisguiseFamily, DisguiseSpec, Embedding,
+from voxrestore import (DEFAULT_FRAME, IDENTITY_PARAMS, AudioBuffer,
+                        DisguiseFamily, DisguiseSpec, Embedding,
                         GridSpec, UnvoicedUtteranceError,
+                        apply_spectral_warp, build_warp,
                         default_grid, disguise, distance, embed,
                         f0_ratio_restore,
-                        grid_search_restore, mfcc, nearest_grid_value,
-                        resample, restore_with, semitone_to_scale)
+                        grid_search_restore, mel_filterbank, mfcc,
+                        nearest_grid_value, resample, restore_with,
+                        semitone_to_scale, stft, vad)
+from voxrestore import restore
 from voxrestore.restore import (_RestorationContext, _candidate_token,
-                                embedding_table)
+                                _inverse_warp, embedding_table)
+from voxrestore.speaker import features_from_magnitudes
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +120,82 @@ def test_restore_with_audio_output(pair):
 def test_restore_with_rejects_out_of_range(pair):
     with pytest.raises(ValueError):
         restore_with(pair[1], 0.9, "vtln-power")
+
+
+# ---------------------------------------------------------------------------
+# candidate features against the whole-spectrogram warp
+
+
+def _whole_spectrogram_features(y: AudioBuffer, alpha: float,
+                                family: DisguiseFamily) -> np.ndarray:
+    """The candidate path the inverse-warp cache replaced: warp every
+    frame of the full spectrogram, phases included, then keep the
+    VAD-active frames."""
+    warp_family = (DisguiseFamily.PITCH_FREQ
+                   if family is DisguiseFamily.PITCH_TIME else family)
+    warped = apply_spectral_warp(stft(y), build_warp(
+        DisguiseSpec(warp_family, alpha)), "inverse")
+    return features_from_magnitudes(warped.magnitudes[vad(y)], y.sample_rate,
+                                    DEFAULT_FRAME.fft_length(y.sample_rate))
+
+
+@pytest.mark.parametrize("family", list(DisguiseFamily))
+def test_candidate_features_equal_the_whole_spectrogram_warp(pair, family):
+    grid = default_grid(family)
+    lo, hi = grid.values[0], grid.values[-1]
+    ident = IDENTITY_PARAMS[family]
+    interior = grid.values[len(grid) // 4]
+    assert lo < interior < ident
+    y = disguise(pair[1], DisguiseSpec(family, lo + 0.7 * (hi - lo)))
+    # the half-second cut has few enough active frames that the
+    # filterbank product rounds differently for a non-contiguous input
+    half = AudioBuffer(y.samples[:y.sample_rate // 2], y.sample_rate)
+    for buf in (y, half):
+        ctx = _RestorationContext(buf)
+        for alpha in (lo, ident, interior, hi):
+            assert np.array_equal(
+                ctx.features(alpha, family).data,
+                _whole_spectrogram_features(buf, alpha, family))
+
+
+def test_inverse_warp_is_built_once_per_family_and_alpha(pair, monkeypatch):
+    built = []
+
+    def counted_build_warp(spec):
+        built.append((spec.family, spec.param))
+        return build_warp(spec)
+
+    monkeypatch.setattr(restore, "build_warp", counted_build_warp)
+    _inverse_warp.cache_clear()
+    grid = default_grid("vtln-power")
+    for utterance in pair:
+        ctx = _RestorationContext(utterance)
+        for alpha in grid.values:
+            ctx.features(alpha, grid.family)
+    assert built == [(grid.family, a) for a in grid.values]
+    # pitch-time shares pitch-freq's map but keeps its own entry
+    _RestorationContext(pair[0]).features(3.0, DisguiseFamily.PITCH_TIME)
+    assert built[-1] == (DisguiseFamily.PITCH_FREQ, 3.0)
+
+
+def test_cached_tables_are_read_only():
+    with pytest.raises(ValueError):
+        mel_filterbank(16000, 512)[0, 0] = 1.0
+    lo, frac = _inverse_warp(DisguiseFamily.VTLN_POWER, 0.2, 257)
+    with pytest.raises(ValueError):
+        lo[0] = 1
+    with pytest.raises(ValueError):
+        frac[0] = 0.5
+    assert _inverse_warp(DisguiseFamily.VTLN_POWER, 0.0, 257) is None
+
+
+def test_out_of_range_alpha_fails_on_every_call(pair):
+    ctx = _RestorationContext(pair[1])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="outside"):
+            _inverse_warp(DisguiseFamily.VTLN_POWER, 0.9, 257)
+        with pytest.raises(ValueError, match="outside"):
+            ctx.features(13.0, DisguiseFamily.PITCH_TIME)
 
 
 # ---------------------------------------------------------------------------
