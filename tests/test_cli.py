@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from helpers import SR, dominant_freq, rel_rms, speechy, tone, white_noise
-from voxrestore import load_wav, load_external_embeddings, save_wav
+from voxrestore import (IDENTITY_PARAMS, load_wav, load_external_embeddings,
+                        save_wav)
 from voxrestore.cli import main
 
 
@@ -111,6 +113,41 @@ def test_estimate_recovers_disguise_and_writes_audio(tmp_path, capsys,
     ref = load_wav(voice_wav)
     assert dominant_freq(undone, lo=50.0, hi=1000.0) == pytest.approx(
         dominant_freq(ref, lo=50.0, hi=1000.0), rel=0.05)
+
+
+# SHA-256 of the `estimate --restored` WAV for `voice_wav` disguised with
+# each family; a refactor of the restoration path must leave them alone
+RESTORED_SHA256 = {
+    "pitch-freq:4": "114ca34535548b091ce05b116e70f273"
+                    "559d0167c4c4f1191dd1302252dad236",
+    "pitch-time:-3": "f521a0605c6de432a994db11b670e091"
+                     "283190b31372e5b7626613ce6683a35e",
+    "vtln-bilinear:0.1": "1e4b4b743f4a47ece4caace6a5a7cdc1"
+                         "a9ec33cc6b8e6550a18118882d142457",
+    "vtln-quadratic:1": "ad5702bd94e1bec703e9eeec4eaa33a0"
+                        "ba011365b7aad09e9551c5a57203f04d",
+    "vtln-power:0.2": "8caa7fd0fba9c16d15d6a3c930829f1a"
+                      "823a867ddb8211f8c523585c9b6f433b",
+    "vtln-piecewise:1.2": "5b485f260f31b7b72cc08c27e4142b49"
+                          "5892aec1e40db197c58916be95041778",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(RESTORED_SHA256))
+def test_estimate_restored_audio_is_pinned(tmp_path, capsys, voice_wav,
+                                           spec):
+    family = spec.split(":")[0]
+    disguised = tmp_path / "disguised.wav"
+    restored = tmp_path / "restored.wav"
+    assert run_cli(capsys, "disguise", "--in", voice_wav,
+                   "--out", str(disguised), "--spec", spec)[0] == 0
+    rc, stdout, _ = run_cli(capsys, "estimate", "--enroll", voice_wav,
+                            "--test", str(disguised), "--family", family,
+                            "--restored", str(restored))
+    assert rc == 0
+    assert json_line(stdout)["alpha_hat"] != IDENTITY_PARAMS[family]
+    digest = hashlib.sha256(restored.read_bytes()).hexdigest()
+    assert digest == RESTORED_SHA256[spec]
 
 
 def test_estimate_f0ratio_requires_voiced_audio(tmp_path, capsys):
