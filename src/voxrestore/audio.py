@@ -2,7 +2,6 @@
 
 import os
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.io import wavfile
@@ -79,15 +78,15 @@ VAD_THRESHOLD_DB = 40.0
 
 @dataclass
 class Spectrogram:
-    """Magnitudes (and optionally phases) of a short-time Fourier
-    analysis with DEFAULT_FRAME.
+    """Magnitudes and phases of a short-time Fourier analysis with
+    DEFAULT_FRAME.
 
     magnitudes: (n_frames, n_bins) non-negative float64
-    phases: same shape in radians, or None for magnitude-only data
+    phases: same shape in radians
     """
 
     magnitudes: np.ndarray
-    phases: Optional[np.ndarray]
+    phases: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
@@ -101,14 +100,13 @@ class Spectrogram:
             raise ValueError(
                 f"bin count {m.shape[1]} inconsistent with fft size "
                 f"({expected} expected)")
-        if self.phases is not None:
-            p = np.asarray(self.phases, dtype=np.float64)
-            if p.shape != m.shape:
-                raise ValueError("phases shape differs from magnitudes")
-            if not np.all(np.isfinite(p)):
-                raise ValueError("phases must be finite")
-            self.phases = p
+        p = np.asarray(self.phases, dtype=np.float64)
+        if p.shape != m.shape:
+            raise ValueError("phases shape differs from magnitudes")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("phases must be finite")
         self.magnitudes = m
+        self.phases = p
 
     @property
     def n_frames(self) -> int:
@@ -196,10 +194,8 @@ def istft(spec: Spectrogram) -> AudioBuffer:
 
     Each synthesized frame is re-windowed and the sum is normalized by
     the accumulated squared window, which makes interior samples exact
-    for any window/hop combination. Requires phases.
+    for any window/hop combination.
     """
-    if spec.phases is None:
-        raise ValueError("cannot invert a magnitude-only spectrogram")
     sr = spec.sample_rate
     win = DEFAULT_FRAME.window_length(sr)
     hop = DEFAULT_FRAME.hop_length(sr)

@@ -14,13 +14,14 @@ import sys
 import time
 from typing import Dict, Optional
 
-from .audio import load_wav, save_wav
-from .disguise import DisguiseSpec, disguise, parse_family
+from .audio import istft, load_wav, save_wav, stft
+from .disguise import (DisguiseSpec, apply_spectral_warp, disguise,
+                       parse_family, warp_indices)
 from .evaluate import (Corpus, CorpusConfig, Trial, gen_trials, run_matrix,
                        synth_corpus)
 from .pitch import UnvoicedUtteranceError
-from .restore import (GridSpec, _inverse_warp, default_grid, f0_ratio_restore,
-                      grid_from_range, grid_search_restore, restore_with)
+from .restore import (GridSpec, default_grid, f0_ratio_restore,
+                      grid_from_range, grid_search_restore)
 from .speaker import (Embedding, embed, load_external_embeddings, mfcc,
                       write_embeddings)
 
@@ -99,9 +100,9 @@ def cmd_estimate(args) -> int:
             enroll, test, family=family, grid=grid, external=external,
             enroll_id=enroll_id, test_id=test_id)
     if args.restored is not None:
-        _, restored = restore_with(test, result.alpha_hat, result.family,
-                                   with_audio=True)
-        save_wav(args.restored, restored)
+        spec = DisguiseSpec(result.family, result.alpha_hat)
+        save_wav(args.restored,
+                 istft(apply_spectral_warp(stft(test), spec, "inverse")))
     elapsed = time.perf_counter() - t0
     _emit(result.to_dict())
     print(f"estimated {result.family.value}:{result.alpha_hat:g} "
@@ -275,13 +276,14 @@ def cmd_eval(args) -> int:
         # utterances when no "none" restoration scored them
         table = {token: report.embeddings[token]
                  if token in report.embeddings
-                 else embed(mfcc(audio[token]), token)
+                 else embed(mfcc(audio[token]))
                  for token in tokens}
         write_embeddings(args.dump_embeddings, table)
 
+    maps = warp_indices.cache_info()
     log.info("evaluated %d trials x %d restorations in %.2fs; %d embeddings,"
-             " %d warp maps", report.n_trials, len(report.rows), elapsed,
-             len(report.embeddings), _inverse_warp.cache_info().misses)
+             " %d warp maps (%d reused)", report.n_trials, len(report.rows),
+             elapsed, len(report.embeddings), maps.misses, maps.hits)
     _emit(payload)
     for row in report.rows:
         print(f"{row.restoration}: EER {row.eer.eer_percent:.2f}% "

@@ -2,6 +2,7 @@
 families, each invertible from its parameter alone."""
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,35 +211,45 @@ def build_warp(spec: DisguiseSpec) -> WarpFunction:
     return WarpFunction(knots, values, spec.family, spec.param)
 
 
-def warp_indices(warp: WarpFunction, n_bins: int, direction: str):
-    """Source bin `lo` and weight `frac` of bin `lo + 1` per warped bin."""
+@functools.lru_cache(maxsize=1024)
+def warp_indices(spec: DisguiseSpec, n_bins: int, direction: str):
+    """Source bin `lo` and weight `frac` of bin `lo + 1` for each of
+    `n_bins` bins warped by `spec`, read-only, or None for a no-op.
+
+    "forward" reads output bin w from warp^-1(w) and "inverse" from
+    warp(w), both clipped to [0, pi]. Pitch-time has the same spectral
+    map as pitch-freq. Each (spec, n_bins, direction) is built once.
+    """
+    if direction not in ("forward", "inverse"):
+        raise ValueError(f"direction must be forward or inverse, got {direction!r}")
+    if spec.is_identity:
+        return None
+    if spec.family is DisguiseFamily.PITCH_TIME:
+        spec = DisguiseSpec(DisguiseFamily.PITCH_FREQ, spec.param)
+    warp = build_warp(spec)
     omega = np.linspace(0.0, np.pi, n_bins)
     src = warp.inverse(omega) if direction == "forward" else warp(omega)
     coord = np.clip(src / np.pi * (n_bins - 1), 0.0, n_bins - 1.0)
     lo = np.minimum(coord.astype(np.int64), n_bins - 2)
-    return lo, coord - lo
+    frac = coord - lo
+    lo.flags.writeable = frac.flags.writeable = False
+    return lo, frac
 
 
-def apply_spectral_warp(spec: Spectrogram, warp: WarpFunction,
+def apply_spectral_warp(spectrogram: Spectrogram, spec: DisguiseSpec,
                         direction: str = "forward") -> Spectrogram:
-    """Resample every spectral frame along a warped frequency axis.
-
-    "forward" builds output bin w from the input at warp^-1(w);
-    "inverse" reads from warp(w). Source positions falling outside
-    [0, pi] replicate the nearest in-range bin. Phases, when present,
-    are moved with the same interpolation as magnitudes. An identity
-    warp copies the input bit for bit.
-    """
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be forward or inverse, got {direction!r}")
-    if warp.is_identity:
-        phases = None if spec.phases is None else spec.phases.copy()
-        return Spectrogram(spec.magnitudes.copy(), phases, spec.sample_rate)
-    lo, frac = warp_indices(warp, spec.n_bins, direction)
-    mags = spec.magnitudes[:, lo] * (1.0 - frac) + spec.magnitudes[:, lo + 1] * frac
-    phases = None if spec.phases is None else (
-        spec.phases[:, lo] * (1.0 - frac) + spec.phases[:, lo + 1] * frac)
-    return Spectrogram(mags, phases, spec.sample_rate)
+    """Resample every spectral frame along the frequency axis warped by
+    `spec` (see `warp_indices`); phases move with the magnitudes and a
+    no-op copies the input bit for bit."""
+    mags, phases = spectrogram.magnitudes, spectrogram.phases
+    index = warp_indices(spec, spectrogram.n_bins, direction)
+    if index is None:
+        return Spectrogram(mags.copy(), phases.copy(),
+                           spectrogram.sample_rate)
+    lo, frac = index
+    return Spectrogram(mags[:, lo] * (1.0 - frac) + mags[:, lo + 1] * frac,
+                       phases[:, lo] * (1.0 - frac) + phases[:, lo + 1] * frac,
+                       spectrogram.sample_rate)
 
 
 def disguise(buf: AudioBuffer, spec: DisguiseSpec) -> AudioBuffer:
@@ -251,9 +262,7 @@ def disguise(buf: AudioBuffer, spec: DisguiseSpec) -> AudioBuffer:
     if spec.family is DisguiseFamily.PITCH_TIME:
         out = _resample(buf, semitone_to_scale(spec.param))
     else:
-        spectrum = _stft(buf)
-        warped = apply_spectral_warp(spectrum, build_warp(spec), "forward")
-        out = istft(warped)
+        out = istft(apply_spectral_warp(_stft(buf), spec, "forward"))
     peak = np.max(np.abs(out.samples))
     if peak > 0.999:
         return AudioBuffer(out.samples * (0.999 / peak), out.sample_rate)

@@ -220,7 +220,6 @@ class EerReport:
     threshold: float
     n_same: int
     n_diff: int
-    roc_points: List[Tuple[float, float, float]]   # (threshold, FAR, FRR)
 
     def to_dict(self) -> dict:
         return {"eer_percent": self.eer_percent,
@@ -252,10 +251,9 @@ def compute_eer(same_scores, diff_scores) -> EerReport:
     mean_err = 0.5 * (far + frr)
     order = np.lexsort((thresholds, mean_err, gap))
     pick = order[0]
-    roc = list(zip(thresholds.tolist(), far.tolist(), frr.tolist()))
     return EerReport(float(mean_err[pick] * 100.0),
                      float(thresholds[pick]),
-                     int(same.size), int(diff.size), roc)
+                     int(same.size), int(diff.size))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,14 @@
 """Blind voice restoration: undo an unknown disguise by exhaustive
 parameter search against an enrolled speaker, or from the F0 ratio."""
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .audio import AudioBuffer, DEFAULT_FRAME, Spectrogram, istft, stft, vad
+from .audio import AudioBuffer, DEFAULT_FRAME, stft, vad
 from .disguise import (DisguiseFamily, DisguiseSpec, IDENTITY_PARAMS,
-                       PARAM_RANGES, apply_spectral_warp, build_warp,
-                       parse_family, warp_indices)
+                       PARAM_RANGES, parse_family, warp_indices)
 from .pitch import estimate_f0, f0_ratio_alpha, mean_f0
 from .speaker import (Embedding, FeatureMatrix, MIN_ACTIVE_FRAMES, distance,
                       embed, features_from_magnitudes, mfcc)
@@ -23,8 +21,6 @@ _GRID_DEFS = {
     DisguiseFamily.VTLN_POWER: (-0.5, 0.5, 0.05),
     DisguiseFamily.VTLN_PIECEWISE: (0.5, 1.5, 0.05),
 }
-# pitch-time's spectral inverse is the same linear map as pitch-freq's
-_WARP_FAMILY = {DisguiseFamily.PITCH_TIME: DisguiseFamily.PITCH_FREQ}
 
 
 @dataclass(frozen=True)
@@ -110,63 +106,42 @@ def _candidate_token(test_id: str, family: DisguiseFamily,
     return f"{test_id}#{family.value}:{alpha:g}"
 
 
-@functools.lru_cache(maxsize=1024)
-def _inverse_warp(family: DisguiseFamily, alpha: float, n_bins: int):
-    """Read-only `warp_indices` that undo `family` at `alpha`, or None."""
-    warp = build_warp(DisguiseSpec(_WARP_FAMILY.get(family, family), alpha))
-    if warp.is_identity:
-        return None
-    lo, frac = warp_indices(warp, n_bins, "inverse")
-    lo.flags.writeable = frac.flags.writeable = False
-    return lo, frac
-
-
 class _RestorationContext:
-    """STFT, VAD-active magnitudes and geometry of one disguised
+    """VAD-active STFT magnitudes and geometry of one disguised
     utterance, computed once and shared across every candidate."""
 
     def __init__(self, disguised: AudioBuffer):
         self.sample_rate = disguised.sample_rate
         self.fft_size = DEFAULT_FRAME.fft_length(disguised.sample_rate)
-        self.spectrum = stft(disguised)
+        spectrum = stft(disguised)
         mask = vad(disguised)
         if int(mask.sum()) < MIN_ACTIVE_FRAMES:
             raise ValueError("insufficient voiced content for restoration")
-        self.active = self.spectrum.magnitudes[mask]
-
-    def warped(self, alpha: float, family: DisguiseFamily) -> Spectrogram:
-        spec = DisguiseSpec(_WARP_FAMILY.get(family, family), alpha)
-        return apply_spectral_warp(self.spectrum, build_warp(spec), "inverse")
+        self.active = spectrum.magnitudes[mask]
 
     def features(self, alpha: float, family: DisguiseFamily) -> FeatureMatrix:
-        mags = self.active     # `warped(alpha, family)` on these rows only
-        index = _inverse_warp(family, float(alpha), mags.shape[1])
-        if index is not None:  # contiguous as masked rows are, so that the
-            lo, frac = index   # filterbank product rounds the same
-            mags = np.ascontiguousarray(
-                mags[:, lo] * (1.0 - frac) + mags[:, lo + 1] * frac)
+        # the inverse `apply_spectral_warp`, on the active rows only
+        mags = self.active
+        index = warp_indices(DisguiseSpec(family, alpha), mags.shape[1],
+                             "inverse")
+        if index is not None:
+            lo, frac = index
+            mags = mags[:, lo] * (1.0 - frac) + mags[:, lo + 1] * frac
         return FeatureMatrix(features_from_magnitudes(
             mags, self.sample_rate, self.fft_size))
 
 
-def restore_with(disguised: AudioBuffer, alpha: float, family,
-                 with_audio: bool = False):
+def restore_with(disguised: AudioBuffer, alpha: float,
+                 family) -> FeatureMatrix:
     """Undo a disguise of known family and parameter in the spectral
     domain and return features of the restored utterance.
 
     The disguise's own frequency map is applied in the inverse
     direction to the STFT of the disguised audio; features come
     straight from the warped magnitudes, so alpha equal to the no-op
-    parameter reproduces `mfcc(disguised)` exactly. With `with_audio`
-    the warped frames are also resynthesized and an
-    (features, audio) pair is returned.
+    parameter reproduces `mfcc(disguised)` exactly.
     """
-    fam = parse_family(family)
-    ctx = _RestorationContext(disguised)
-    feats = ctx.features(alpha, fam)
-    if not with_audio:
-        return feats
-    return feats, istft(ctx.warped(alpha, fam))
+    return _RestorationContext(disguised).features(alpha, family)
 
 
 def embedding_table(utterances,
@@ -208,10 +183,10 @@ def embedding_table(utterances,
         if plain:   # the no-op inversion equals mfcc, without a second STFT
             table[utt] = embed(
                 ctx.features(0.0, DisguiseFamily.PITCH_FREQ) if ctx
-                else mfcc(buf), utt)
+                else mfcc(buf))
         for fam, alpha in candidates:
             token = _candidate_token(utt, fam, alpha)
-            table[token] = embed(ctx.features(alpha, fam), token)
+            table[token] = embed(ctx.features(alpha, fam))
     return table
 
 

@@ -47,8 +47,6 @@ class Embedding:
     """A fixed-length utterance representation."""
 
     vector: np.ndarray
-    source: str = "builtin"
-    utterance_id: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=np.float64)
@@ -111,8 +109,10 @@ def features_from_magnitudes(magnitudes: np.ndarray, sample_rate: int,
     from warped magnitudes and from re-analyzed audio share one code
     path. The log floor is relative to the loudest filter output,
     keeping a pure gain change a constant shift of the first cepstrum.
+    The input is made C-contiguous first, so that the filterbank
+    product rounds the same for any memory layout.
     """
-    mags = np.asarray(magnitudes, dtype=np.float64)
+    mags = np.ascontiguousarray(magnitudes, dtype=np.float64)
     if mags.ndim != 2 or mags.shape[0] == 0:
         raise ValueError("need a non-empty (frames, bins) magnitude array")
     power = (mags * mags) * _preemphasis(mags.shape[1], fft_size)
@@ -141,12 +141,11 @@ def mfcc(buf: AudioBuffer) -> FeatureMatrix:
     return FeatureMatrix(data)
 
 
-def embed(features: FeatureMatrix, utterance_id: str = "") -> Embedding:
+def embed(features: FeatureMatrix) -> Embedding:
     """Mean and standard deviation of each feature column, concatenated."""
     mu = features.data.mean(axis=0)
     sigma = features.data.std(axis=0)
-    return Embedding(np.concatenate([mu, sigma]), source="builtin",
-                     utterance_id=utterance_id)
+    return Embedding(np.concatenate([mu, sigma]))
 
 
 def distance(a: Embedding, b: Embedding) -> float:
@@ -190,8 +189,7 @@ def load_external_embeddings(path) -> Dict[str, Embedding]:
                     f"line {lineno}: dimension {vec.size} differs from "
                     f"{dim} seen earlier")
             try:
-                table[utt] = Embedding(vec, source="external",
-                                       utterance_id=utt)
+                table[utt] = Embedding(vec)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
     if not table:

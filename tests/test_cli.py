@@ -477,13 +477,13 @@ def test_eval_rejects_external_dump_before_any_work(trial_dir, tmp_path,
 
 def test_eval_logs_embeddings_and_warp_maps(trial_dir, tmp_path, capsys,
                                             caplog):
-    from voxrestore.restore import _inverse_warp
+    from voxrestore.disguise import warp_indices
     trials = os.path.join(trial_dir, "trials.txt")
     enrolls, tests = set(), set()
     for line in open(trials, encoding="utf-8"):
         enrolls.add(line.split()[1])
         tests.add(line.split()[2])
-    _inverse_warp.cache_clear()
+    warp_indices.cache_clear()
     caplog.set_level(logging.INFO, logger="voxrestore")
     rc, stdout, _ = run_cli(capsys, "eval", "--trials", trials, "--out",
                             str(tmp_path / "a.json"), "--restore",
@@ -491,7 +491,8 @@ def test_eval_logs_embeddings_and_warp_maps(trial_dir, tmp_path, capsys,
     assert rc == 0
     n_grid = 21     # the default vtln-power grid
     assert (f"; {len(enrolls) + n_grid * len(tests)} embeddings, "
-            f"{n_grid} warp maps" in caplog.text)
+            f"{n_grid} warp maps ({n_grid * (len(tests) - 1)} reused)"
+            in caplog.text)
     assert "warp maps" not in stdout
 
 

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,13 +234,13 @@ def test_build_warp_rejects_pitch_time_and_tiny_tables():
 
 
 def _flat_spec(mags: np.ndarray) -> Spectrogram:
-    return Spectrogram(mags, None, SR)
+    return Spectrogram(mags, np.zeros_like(mags), SR)
 
 
 def test_identity_warp_copies_bit_for_bit():
     spec = stft(tone(500.0, 0.5))
-    w = build_warp(DisguiseSpec("vtln-power", 0.0))
-    out = apply_spectral_warp(spec, w, "forward")
+    out = apply_spectral_warp(spec, DisguiseSpec("vtln-power", 0.0),
+                              "forward")
     assert np.array_equal(out.magnitudes, spec.magnitudes)
     assert np.array_equal(out.phases, spec.phases)
     out.magnitudes[0, 0] = 123.0   # outputs are copies, not views
@@ -249,7 +251,7 @@ def test_identity_warp_copies_bit_for_bit():
 def test_octave_up_moves_single_bin(k):
     mags = np.zeros((3, 257))
     mags[:, k] = 1.0
-    w = build_warp(DisguiseSpec("pitch-freq", 12.0))   # s = 2
+    w = DisguiseSpec("pitch-freq", 12.0)   # s = 2
     out = apply_spectral_warp(_flat_spec(mags), w, "forward")
     assert np.all(np.argmax(out.magnitudes, axis=1) == 2 * k)
 
@@ -257,7 +259,7 @@ def test_octave_up_moves_single_bin(k):
 def test_octave_down_replicates_top_band():
     mags = np.zeros((2, 257))
     mags[:, 256] = 1.0
-    w = build_warp(DisguiseSpec("pitch-freq", -12.0))   # s = 1/2
+    w = DisguiseSpec("pitch-freq", -12.0)   # s = 1/2
     out = apply_spectral_warp(_flat_spec(mags), w, "forward")
     # above the fold the source position clamps to the last bin
     assert np.allclose(out.magnitudes[:, 129:], 1.0)
@@ -274,7 +276,7 @@ def test_forward_inverse_round_trip_on_smooth_spectrum(family, param):
     row = (1.0 + np.exp(-((i - 60.0) ** 2) / (2 * 18.0 ** 2))
            + 0.7 * np.exp(-((i - 150.0) ** 2) / (2 * 25.0 ** 2)))
     mags = np.tile(row, (4, 1))
-    w = build_warp(DisguiseSpec(family, param))
+    w = DisguiseSpec(family, param)
     fwd = apply_spectral_warp(_flat_spec(mags), w, "forward")
     back = apply_spectral_warp(fwd, w, "inverse")
     err = np.linalg.norm(back.magnitudes - mags) / np.linalg.norm(mags)
@@ -283,15 +285,9 @@ def test_forward_inverse_round_trip_on_smooth_spectrum(family, param):
 
 def test_apply_spectral_warp_direction_validation():
     spec = _flat_spec(np.ones((2, 257)))
-    w = build_warp(DisguiseSpec("vtln-power", 0.2))
-    with pytest.raises(ValueError):
-        apply_spectral_warp(spec, w, "backward")
-
-
-def test_magnitude_only_stays_magnitude_only():
-    spec = _flat_spec(np.ones((2, 257)))
-    w = build_warp(DisguiseSpec("vtln-power", 0.2))
-    assert apply_spectral_warp(spec, w, "forward").phases is None
+    for w in (DisguiseSpec("vtln-power", 0.2), DisguiseSpec("vtln-power", 0)):
+        with pytest.raises(ValueError):
+            apply_spectral_warp(spec, w, "backward")
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +337,23 @@ def test_quadratic_warp_relocates_formant():
     out = disguise(vowel, spec)
     assert dominant_freq(out, 4200.0, 7000.0) == pytest.approx(expected_hz,
                                                                abs=60.0)
+
+
+def test_disguise_builds_each_warp_once(monkeypatch):
+    module = importlib.import_module("voxrestore.disguise")
+    built = []
+
+    def counted_build_warp(spec):
+        built.append(spec)
+        return build_warp(spec)
+
+    monkeypatch.setattr(module, "build_warp", counted_build_warp)
+    module.warp_indices.cache_clear()
+    spec = DisguiseSpec("vtln-bilinear", 0.1)
+    first = disguise(tone(300.0, 0.3), spec)
+    assert np.array_equal(disguise(tone(300.0, 0.3), spec).samples,
+                          first.samples)
+    assert built == [spec]
 
 
 def test_disguise_caps_output_peak():

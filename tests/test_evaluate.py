@@ -157,16 +157,6 @@ def test_eer_interleaved_example():
     assert rep.threshold == 0.25
 
 
-def test_eer_roc_points():
-    rep = compute_eer([0.1, 0.2, 0.3], [0.25, 0.4, 0.5])
-    thr = [p[0] for p in rep.roc_points]
-    far = [p[1] for p in rep.roc_points]
-    frr = [p[2] for p in rep.roc_points]
-    assert thr == sorted(thr) and len(thr) == 6
-    assert far == sorted(far)                       # FAR grows with threshold
-    assert frr == sorted(frr, reverse=True)         # FRR shrinks
-
-
 def test_eer_validation():
     with pytest.raises(ValueError):
         compute_eer([], [0.5])
@@ -260,7 +250,7 @@ def plain_trials(corpus_small):
 
 def test_matrix_none_row_matches_direct_scoring(corpus_small, plain_trials):
     report = run_matrix(corpus_small.utterances, plain_trials, ["none"])
-    emb = {u: embed(mfcc(corpus_small.utterances[u]), u)
+    emb = {u: embed(mfcc(corpus_small.utterances[u]))
            for u in {t.enroll_id for t in plain_trials}
            | {t.test_id for t in plain_trials}}
     same = [distance(emb[t.enroll_id], emb[t.test_id])
@@ -365,11 +355,11 @@ def test_matrix_external_scorer_matches_builtin(corpus_small):
     table = {}
     for t in trials:
         if t.enroll_id not in table:
-            table[t.enroll_id] = embed(mfcc(audio[t.enroll_id]), t.enroll_id)
+            table[t.enroll_id] = embed(mfcc(audio[t.enroll_id]))
         if t.test_id not in table:
             ctx = _RestorationContext(audio[t.test_id])
             table[t.test_id] = embed(
-                ctx.features(0.0, DisguiseFamily.PITCH_FREQ), t.test_id)
+                ctx.features(0.0, DisguiseFamily.PITCH_FREQ))
             for a in default_grid("pitch-freq").values:
                 token = _candidate_token(t.test_id,
                                          DisguiseFamily.PITCH_FREQ, a)

@@ -41,20 +41,19 @@ CLOSE_KEYS = {"threshold", "d_hat", "mean_error", "std_error"}
 def _external_table(audio, trials):
     """A stand-in for a foreign embedder: builtin embeddings shifted by
     one, for every utterance and every pitch-freq candidate."""
-    def shifted(feats, token):
-        return Embedding(embed(feats).vector + 1.0, source="external",
-                         utterance_id=token)
+    def shifted(feats):
+        return Embedding(embed(feats).vector + 1.0)
 
     table = {}
     for t in trials:
         for utt in (t.enroll_id, t.test_id):
             if utt not in table:
-                table[utt] = shifted(mfcc(audio[utt]), utt)
+                table[utt] = shifted(mfcc(audio[utt]))
         for a in default_grid("pitch-freq").values:
             token = f"{t.test_id}#pitch-freq:{a:g}"
             if token not in table:
                 table[token] = shifted(
-                    restore_with(audio[t.test_id], a, "pitch-freq"), token)
+                    restore_with(audio[t.test_id], a, "pitch-freq"))
     return table
 
 

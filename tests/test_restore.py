@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,12 @@ from voxrestore import (DEFAULT_FRAME, IDENTITY_PARAMS, AudioBuffer,
                         apply_spectral_warp, build_warp,
                         default_grid, disguise, distance, embed,
                         f0_ratio_restore,
-                        grid_search_restore, mel_filterbank, mfcc,
+                        grid_search_restore, istft, mel_filterbank, mfcc,
                         nearest_grid_value, resample, restore_with,
                         semitone_to_scale, stft, vad)
-from voxrestore import restore
+from voxrestore.disguise import warp_indices
 from voxrestore.restore import (_RestorationContext, _candidate_token,
-                                _inverse_warp, embedding_table)
+                                embedding_table)
 from voxrestore.speaker import features_from_magnitudes
 
 
@@ -110,8 +112,10 @@ def test_restoring_quadratic_with_truth_beats_identity(pair):
 
 
 def test_restore_with_audio_output(pair):
-    y = disguise(pair[1], DisguiseSpec("pitch-freq", 3.0))
-    feats, audio = restore_with(y, 3.0, "pitch-freq", with_audio=True)
+    spec = DisguiseSpec("pitch-freq", 3.0)
+    y = disguise(pair[1], spec)
+    feats = restore_with(y, 3.0, "pitch-freq")
+    audio = istft(apply_spectral_warp(stft(y), spec, "inverse"))
     assert feats.n_frames >= 3
     assert np.all(np.isfinite(audio.samples))
     assert audio.sample_rate == y.sample_rate
@@ -128,14 +132,21 @@ def test_restore_with_rejects_out_of_range(pair):
 
 def _whole_spectrogram_features(y: AudioBuffer, alpha: float,
                                 family: DisguiseFamily) -> np.ndarray:
-    """The candidate path the inverse-warp cache replaced: warp every
-    frame of the full spectrogram, phases included, then keep the
-    VAD-active frames."""
+    """The candidate path the inverse-warp cache replaced, with its
+    index math written out: warp every frame of the full spectrogram,
+    then keep the VAD-active frames."""
     warp_family = (DisguiseFamily.PITCH_FREQ
                    if family is DisguiseFamily.PITCH_TIME else family)
-    warped = apply_spectral_warp(stft(y), build_warp(
-        DisguiseSpec(warp_family, alpha)), "inverse")
-    return features_from_magnitudes(warped.magnitudes[vad(y)], y.sample_rate,
+    spec = DisguiseSpec(warp_family, alpha)
+    mags = stft(y).magnitudes
+    if not spec.is_identity:
+        n_bins = mags.shape[1]
+        src = build_warp(spec)(np.linspace(0.0, np.pi, n_bins))
+        coord = np.clip(src / np.pi * (n_bins - 1), 0.0, n_bins - 1.0)
+        lo = np.minimum(coord.astype(np.int64), n_bins - 2)
+        frac = coord - lo
+        mags = mags[:, lo] * (1.0 - frac) + mags[:, lo + 1] * frac
+    return features_from_magnitudes(mags[vad(y)], y.sample_rate,
                                     DEFAULT_FRAME.fft_length(y.sample_rate))
 
 
@@ -165,14 +176,18 @@ def test_inverse_warp_is_built_once_per_family_and_alpha(pair, monkeypatch):
         built.append((spec.family, spec.param))
         return build_warp(spec)
 
-    monkeypatch.setattr(restore, "build_warp", counted_build_warp)
-    _inverse_warp.cache_clear()
+    monkeypatch.setattr(importlib.import_module("voxrestore.disguise"),
+                        "build_warp", counted_build_warp)
+    warp_indices.cache_clear()
     grid = default_grid("vtln-power")
     for utterance in pair:
         ctx = _RestorationContext(utterance)
         for alpha in grid.values:
             ctx.features(alpha, grid.family)
-    assert built == [(grid.family, a) for a in grid.values]
+    # the no-op needs no map, but its None is cached like the others
+    ident = IDENTITY_PARAMS[grid.family]
+    assert built == [(grid.family, a) for a in grid.values if a != ident]
+    assert warp_indices.cache_info().misses == len(grid)
     # pitch-time shares pitch-freq's map but keeps its own entry
     _RestorationContext(pair[0]).features(3.0, DisguiseFamily.PITCH_TIME)
     assert built[-1] == (DisguiseFamily.PITCH_FREQ, 3.0)
@@ -181,19 +196,23 @@ def test_inverse_warp_is_built_once_per_family_and_alpha(pair, monkeypatch):
 def test_cached_tables_are_read_only():
     with pytest.raises(ValueError):
         mel_filterbank(16000, 512)[0, 0] = 1.0
-    lo, frac = _inverse_warp(DisguiseFamily.VTLN_POWER, 0.2, 257)
-    with pytest.raises(ValueError):
-        lo[0] = 1
-    with pytest.raises(ValueError):
-        frac[0] = 0.5
-    assert _inverse_warp(DisguiseFamily.VTLN_POWER, 0.0, 257) is None
+    for direction in ("forward", "inverse"):
+        spec = DisguiseSpec(DisguiseFamily.VTLN_POWER, 0.2)
+        lo, frac = warp_indices(spec, 257, direction)
+        with pytest.raises(ValueError):
+            lo[0] = 1
+        with pytest.raises(ValueError):
+            frac[0] = 0.5
+        spec = DisguiseSpec(DisguiseFamily.VTLN_POWER, 0.0)
+        assert warp_indices(spec, 257, direction) is None
 
 
 def test_out_of_range_alpha_fails_on_every_call(pair):
     ctx = _RestorationContext(pair[1])
     for _ in range(2):
         with pytest.raises(ValueError, match="outside"):
-            _inverse_warp(DisguiseFamily.VTLN_POWER, 0.9, 257)
+            warp_indices(DisguiseSpec(DisguiseFamily.VTLN_POWER, 0.9), 257,
+                         "inverse")
         with pytest.raises(ValueError, match="outside"):
             ctx.features(13.0, DisguiseFamily.PITCH_TIME)
 
@@ -238,7 +257,7 @@ def test_grid_search_result_invariants(pair):
 def test_grid_search_tie_breaks_toward_identity(pair):
     y = pair[1]
     grid = GridSpec("pitch-freq", (-1.0, 0.0, 1.0))
-    same = Embedding(np.ones(4), source="external")
+    same = Embedding(np.ones(4))
     table = {"ref": same}
     for a in grid.values:
         table[_candidate_token("probe", DisguiseFamily.PITCH_FREQ, a)] = same
@@ -250,10 +269,10 @@ def test_grid_search_tie_breaks_toward_identity(pair):
 def test_grid_search_tie_breaks_toward_smaller_alpha(pair):
     y = pair[1]
     grid = GridSpec("pitch-freq", (-1.0, 0.0, 1.0))
-    near = Embedding(np.array([1.0, 0.05]), source="external")
-    far = Embedding(np.array([0.0, 1.0]), source="external")
+    near = Embedding(np.array([1.0, 0.05]))
+    far = Embedding(np.array([0.0, 1.0]))
     table = {
-        "ref": Embedding(np.array([1.0, 0.0]), source="external"),
+        "ref": Embedding(np.array([1.0, 0.0])),
         _candidate_token("probe", DisguiseFamily.PITCH_FREQ, -1.0): near,
         _candidate_token("probe", DisguiseFamily.PITCH_FREQ, 0.0): far,
         _candidate_token("probe", DisguiseFamily.PITCH_FREQ, 1.0): near,

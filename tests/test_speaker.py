@@ -5,7 +5,8 @@ from helpers import speechy, white_noise
 from voxrestore import (AudioBuffer, Embedding, FeatureMatrix, distance,
                         embed, load_external_embeddings, mel_filterbank, mfcc,
                         write_embeddings)
-from voxrestore.speaker import EMBED_DIM, FEATURE_DIM
+from voxrestore.speaker import (EMBED_DIM, FEATURE_DIM,
+                                features_from_magnitudes)
 
 SR = 16000
 
@@ -52,6 +53,14 @@ def test_mel_filterbank_geometry():
     assert np.all(fb.sum(axis=1) > 0)          # every filter is non-empty
     peaks = np.argmax(fb, axis=1)
     assert np.all(np.diff(peaks) > 0)          # centers march upward
+
+
+@pytest.mark.parametrize("n", [8, 15, 20, 30, 43])
+def test_features_do_not_depend_on_memory_layout(n):
+    mags = np.random.default_rng(n).random((n, 257))
+    want = features_from_magnitudes(mags, SR, 512)
+    got = features_from_magnitudes(np.asfortranarray(mags), SR, 512)
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +134,7 @@ def test_pipeline_is_deterministic():
 
 
 def test_toy_speakers_separate(corpus_small):
-    embs = {utt: embed(mfcc(buf), utt)
+    embs = {utt: embed(mfcc(buf))
             for utt, buf in corpus_small.utterances.items()}
     within, between = [], []
     keys = sorted(embs)
@@ -143,9 +152,7 @@ def test_toy_speakers_separate(corpus_small):
 
 def test_embedding_sidecar_round_trip(tmp_path):
     rng = np.random.default_rng(3)
-    table = {f"utt{i}": Embedding(rng.standard_normal(20), source="external",
-                                  utterance_id=f"utt{i}")
-             for i in range(4)}
+    table = {f"utt{i}": Embedding(rng.standard_normal(20)) for i in range(4)}
     path = tmp_path / "emb.txt"
     write_embeddings(path, table)
     back = load_external_embeddings(path)
