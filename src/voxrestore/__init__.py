@@ -9,9 +9,9 @@ effect of restoration on verification error rates.
 from .audio import (AudioBuffer, DEFAULT_FRAME, FrameParams, Spectrogram,
                     istft, load_wav, resample, save_wav, stft, vad)
 from .disguise import (DisguiseFamily, DisguiseSpec, IDENTITY_PARAMS,
-                       PARAM_RANGES, VTLN_FAMILIES, WarpFunction,
-                       apply_spectral_warp, build_warp, disguise, invert_spec,
-                       parse_family, scale_to_semitone, semitone_to_scale)
+                       PARAM_RANGES, VTLN_FAMILIES, apply_spectral_warp,
+                       build_warp, disguise, parse_family, scale_to_semitone,
+                       semitone_to_scale)
 from .evaluate import (BiasStats, Corpus, CorpusConfig, EerReport,
                        MatrixReport, MatrixRow, Trial, alpha_bias,
                        compute_eer, gen_trials, run_matrix, synth_corpus)
@@ -29,10 +29,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AudioBuffer", "FrameParams", "Spectrogram", "DEFAULT_FRAME",
     "load_wav", "save_wav", "stft", "istft", "resample", "vad",
-    "DisguiseFamily", "DisguiseSpec", "WarpFunction", "PARAM_RANGES",
-    "IDENTITY_PARAMS", "VTLN_FAMILIES", "parse_family", "semitone_to_scale",
+    "DisguiseFamily", "DisguiseSpec", "PARAM_RANGES", "IDENTITY_PARAMS",
+    "VTLN_FAMILIES", "parse_family", "semitone_to_scale",
     "scale_to_semitone", "build_warp", "apply_spectral_warp", "disguise",
-    "invert_spec",
     "F0Track", "UnvoicedUtteranceError", "estimate_f0", "mean_f0",
     "f0_ratio_alpha",
     "FeatureMatrix", "Embedding", "mfcc", "embed",

@@ -19,7 +19,6 @@ from .disguise import (DisguiseSpec, apply_spectral_warp, disguise,
                        parse_family, warp_indices)
 from .evaluate import (Corpus, CorpusConfig, Trial, gen_trials, run_matrix,
                        synth_corpus)
-from .pitch import UnvoicedUtteranceError
 from .restore import (GridSpec, default_grid, f0_ratio_restore,
                       grid_from_range, grid_search_restore)
 from .speaker import (Embedding, embed, load_external_embeddings, mfcc,
@@ -378,8 +377,9 @@ def main(argv=None) -> int:
     try:
         _setup_logging(args.log_level)
         return args.func(args)
-    except (ValueError, KeyError, OSError, UnvoicedUtteranceError) as exc:
-        msg = exc.args[0] if exc.args else exc
+    except (ValueError, KeyError, OSError) as exc:
+        # an OSError's args[0] is its errno; its str names the file
+        msg = exc if isinstance(exc, OSError) or not exc.args else exc.args[0]
         print(f"error: {msg}", file=sys.stderr)
         return 1
 

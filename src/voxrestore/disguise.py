@@ -125,39 +125,21 @@ class WarpFunction:
     to float rounding at any point of the domain.
     """
 
-    def __init__(self, knots: np.ndarray, values: np.ndarray,
-                 family=None, param=None, is_identity: bool = False):
+    def __init__(self, knots: np.ndarray, values: np.ndarray):
         knots = np.asarray(knots, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
-        if knots.ndim != 1 or knots.shape != values.shape:
-            raise ValueError("knots and values must be 1-D arrays of equal length")
-        if knots.size < 1024:
-            raise ValueError("warp table needs at least 1024 knots")
         if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
             raise ValueError("warp table must be finite")
         if np.any(np.diff(knots) <= 0) or np.any(np.diff(values) <= 0):
             raise ValueError("warp table must be strictly increasing")
         self.knots = knots
         self.values = values
-        self.family = family
-        self.param = param
-        self.is_identity = bool(is_identity)
 
     def __call__(self, omega):
         return np.interp(omega, self.knots, self.values)
 
     def inverse(self, omega):
         return np.interp(omega, self.values, self.knots)
-
-    def inverted(self) -> "WarpFunction":
-        return WarpFunction(self.values.copy(), self.knots.copy(),
-                            family=self.family, param=None,
-                            is_identity=self.is_identity)
-
-    def __repr__(self) -> str:
-        fam = getattr(self.family, "value", self.family)
-        return (f"WarpFunction(family={fam}, param={self.param}, "
-                f"knots={self.knots.size})")
 
 
 def _warp_values(family: DisguiseFamily, param: float,
@@ -205,10 +187,8 @@ def build_warp(spec: DisguiseSpec) -> WarpFunction:
             "for its spectral equivalent")
     knots = np.linspace(0.0, np.pi, WARP_KNOTS)
     if spec.is_identity:
-        return WarpFunction(knots, knots.copy(), spec.family, spec.param,
-                            is_identity=True)
-    values = _warp_values(spec.family, spec.param, knots)
-    return WarpFunction(knots, values, spec.family, spec.param)
+        return WarpFunction(knots, knots.copy())
+    return WarpFunction(knots, _warp_values(spec.family, spec.param, knots))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -268,15 +248,3 @@ def disguise(buf: AudioBuffer, spec: DisguiseSpec) -> AudioBuffer:
         return AudioBuffer(out.samples * (0.999 / peak), out.sample_rate)
     return out
 
-
-def invert_spec(spec: DisguiseSpec):
-    """Exact inverse of a disguise transform.
-
-    Pitch families and the bilinear warp invert within their own family
-    by negating the parameter. The other warp families have no such
-    parameter, so the numerically inverted warp table is returned.
-    """
-    if spec.family in (DisguiseFamily.PITCH_FREQ, DisguiseFamily.PITCH_TIME,
-                       DisguiseFamily.VTLN_BILINEAR):
-        return DisguiseSpec(spec.family, -spec.param)
-    return build_warp(spec).inverted()

@@ -1,6 +1,7 @@
 """Synthetic speaker corpus, trial generation, EER computation and the
 disguise x restoration evaluation matrix."""
 
+import logging
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -11,9 +12,10 @@ from .audio import AudioBuffer
 from .disguise import (VTLN_FAMILIES, DisguiseFamily, DisguiseSpec,
                        IDENTITY_PARAMS, disguise, parse_family)
 from .pitch import UnvoicedUtteranceError, estimate_f0, f0_ratio_alpha, mean_f0
-from .restore import (_candidate_token, _search, default_grid,
-                      embedding_table, nearest_grid_value)
+from .restore import _search, default_grid, embedding_table, nearest_grid_value
 from .speaker import Embedding, distance
+
+log = logging.getLogger("voxrestore")
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +402,6 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
     if not methods:
         raise ValueError("no restoration methods requested")
 
-    def _require_audio(utt: str) -> AudioBuffer:
-        try:
-            return audio[utt]
-        except KeyError:
-            raise KeyError(f"no audio for utterance {utt!r}") from None
-
     grids = {family: default_grid(family)
              for _, kind, family in methods if kind != "none"}
 
@@ -415,17 +411,23 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
         f0_mean: Dict[str, Optional[float]] = {}
         for utt in dict.fromkeys(u for t in trials
                                  for u in (t.enroll_id, t.test_id)):
+            if utt not in audio:
+                raise KeyError(f"no audio for utterance {utt!r}")
             try:
-                f0_mean[utt] = mean_f0(estimate_f0(_require_audio(utt)))
+                f0_mean[utt] = mean_f0(estimate_f0(audio[utt]))
             except UnvoicedUtteranceError:
                 f0_mean[utt] = None
         grid = grids[DisguiseFamily.PITCH_FREQ]
+        fallbacks = 0
         for t in trials:
             fe, ft = f0_mean[t.enroll_id], f0_mean[t.test_id]
+            fallbacks += fe is None or ft is None
             f0_alpha[t.enroll_id, t.test_id] = (
                 IDENTITY_PARAMS[grid.family]   # no pitch to compare
                 if fe is None or ft is None
                 else nearest_grid_value(grid, f0_ratio_alpha(fe, ft)))
+        log.info("f0ratio: %d of %d trials fell back to the no-op "
+                 "parameter (a side is unvoiced)", fallbacks, len(trials))
 
     # 2. one table of every embedding any method needs
     plain_tests = any(kind == "none" for _, kind, _ in methods)
@@ -458,14 +460,11 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
             ref = table[t.enroll_id]
             if kind == "none":
                 results.append((distance(ref, table[t.test_id]), None))
-            elif kind == "grid":
-                a_hat, d_hat, _ = _search(ref, table, t.test_id,
-                                          grids[family])
-                results.append((d_hat, a_hat))
-            else:
-                a_hat = f0_alpha[t.enroll_id, t.test_id]
-                cand = table[_candidate_token(t.test_id, family, a_hat)]
-                results.append((distance(ref, cand), a_hat))
+                continue
+            values = (grids[family].values if kind == "grid"
+                      else (f0_alpha[t.enroll_id, t.test_id],))
+            a_hat, d_hat, _ = _search(ref, table, t.test_id, family, values)
+            results.append((d_hat, a_hat))
         scores = np.array([r[0] for r in results])
         eer = compute_eer(scores[labels], scores[~labels])
 

@@ -11,7 +11,7 @@ from .disguise import (DisguiseFamily, DisguiseSpec, IDENTITY_PARAMS,
                        PARAM_RANGES, parse_family, warp_indices)
 from .pitch import estimate_f0, f0_ratio_alpha, mean_f0
 from .speaker import (Embedding, FeatureMatrix, MIN_ACTIVE_FRAMES, distance,
-                      embed, features_from_magnitudes, mfcc)
+                      embed, features_from_magnitudes)
 
 _GRID_DEFS = {
     DisguiseFamily.PITCH_FREQ: (-11.0, 11.0, 1.0),
@@ -107,8 +107,8 @@ def _candidate_token(test_id: str, family: DisguiseFamily,
 
 
 class _RestorationContext:
-    """VAD-active STFT magnitudes and geometry of one disguised
-    utterance, computed once and shared across every candidate."""
+    """VAD-active STFT magnitudes and geometry of one utterance,
+    computed once and shared by its plain row and every candidate."""
 
     def __init__(self, disguised: AudioBuffer):
         self.sample_rate = disguised.sample_rate
@@ -116,7 +116,7 @@ class _RestorationContext:
         spectrum = stft(disguised)
         mask = vad(disguised)
         if int(mask.sum()) < MIN_ACTIVE_FRAMES:
-            raise ValueError("insufficient voiced content for restoration")
+            raise ValueError("insufficient voiced content for features")
         self.active = spectrum.magnitudes[mask]
 
     def features(self, alpha: float, family: DisguiseFamily) -> FeatureMatrix:
@@ -154,11 +154,10 @@ def embedding_table(utterances,
     `candidates`, a collection of (family, alpha) pairs, asks for one
     embedding per inversion (token `utt_id#family:alpha`). Given an
     `external` table, each token is looked up there (a missing one is a
-    KeyError) and audio may be None. Otherwise an utterance with
-    candidates is analyzed once, all of them are derived from that
-    analysis and it is dropped; utterances without candidates go
-    through `mfcc`. Raises ValueError when the audio mixes sample
-    rates.
+    KeyError) and audio may be None. Otherwise each utterance is
+    analyzed once, its plain row is the no-op inversion, every other
+    inversion is derived from that analysis once and the analysis is
+    dropped. Raises ValueError when the audio mixes sample rates.
     """
     utterances = list(utterances)
     rates = sorted({buf.sample_rate for _, buf, _, _ in utterances
@@ -168,10 +167,11 @@ def embedding_table(utterances,
                          + " and ".join(f"{r} Hz" for r in rates))
     table: Dict[str, Embedding] = {}
     for utt, buf, plain, candidates in utterances:
+        # token -> (family, alpha); the plain row is the no-op inversion
+        wanted = {utt: (DisguiseFamily.PITCH_FREQ, 0.0)} if plain else {}
+        wanted.update((_candidate_token(utt, *key), key) for key in candidates)
         if external is not None:
-            tokens = [utt] if plain else []
-            tokens += [_candidate_token(utt, fam, a) for fam, a in candidates]
-            for tok in tokens:
+            for tok in wanted:
                 if tok not in external:
                     raise KeyError(f"utterance {tok!r} missing from external "
                                    f"embedding table")
@@ -179,30 +179,38 @@ def embedding_table(utterances,
             continue
         if buf is None:
             raise KeyError(f"no audio for utterance {utt!r}")
-        ctx = _RestorationContext(buf) if candidates else None
-        if plain:   # the no-op inversion equals mfcc, without a second STFT
-            table[utt] = embed(
-                ctx.features(0.0, DisguiseFamily.PITCH_FREQ) if ctx
-                else mfcc(buf))
-        for fam, alpha in candidates:
-            token = _candidate_token(utt, fam, alpha)
-            table[token] = embed(ctx.features(alpha, fam))
+        ctx = _RestorationContext(buf)
+        rows = {(fam, a): embed(ctx.features(a, fam))
+                for fam, a in dict.fromkeys(wanted.values())}
+        table.update((tok, rows[key]) for tok, key in wanted.items())
     return table
 
 
 def _search(reference: Embedding, table: Dict[str, Embedding],
-            test_id: str, grid: GridSpec):
-    """Argmin of the distance from `reference` over the grid's candidate
-    embeddings of `test_id`; ties prefer the candidate nearest the
-    no-op parameter, then the smaller value."""
-    ident = IDENTITY_PARAMS[grid.family]
+            test_id: str, family: DisguiseFamily, values):
+    """Argmin of the distance from `reference` over the candidate
+    embeddings of `test_id` at `values`; ties prefer the candidate
+    nearest the no-op parameter, then the smaller value."""
+    ident = IDENTITY_PARAMS[family]
     per_candidate = [
         (float(alpha), distance(reference, table[
-            _candidate_token(test_id, grid.family, alpha)]))
-        for alpha in grid.values]
+            _candidate_token(test_id, family, alpha)]))
+        for alpha in values]
     best = min(per_candidate,
                key=lambda ad: (ad[1], abs(ad[0] - ident), ad[0]))
     return best[0], best[1], per_candidate
+
+
+def _restore(enrolled, disguised, family, values, method, external,
+             enroll_id, test_id) -> RestorationResult:
+    """The best inversion of `disguised` at `values` (see `_search`)."""
+    table = embedding_table(
+        [(enroll_id, enrolled, True, ()),
+         (test_id, disguised, False, [(family, a) for a in values])],
+        external)
+    alpha_hat, d_hat, per_candidate = _search(table[enroll_id], table,
+                                              test_id, family, values)
+    return RestorationResult(alpha_hat, d_hat, family, method, per_candidate)
 
 
 def grid_search_restore(enrolled: AudioBuffer, disguised: AudioBuffer,
@@ -222,14 +230,8 @@ def grid_search_restore(enrolled: AudioBuffer, disguised: AudioBuffer,
     (see `embedding_table`).
     """
     grid = grid or default_grid(family)
-    table = embedding_table(
-        [(enroll_id, enrolled, True, ()),
-         (test_id, disguised, False,
-          [(grid.family, a) for a in grid.values])], external)
-    alpha_hat, d_hat, per_candidate = _search(table[enroll_id], table,
-                                              test_id, grid)
-    return RestorationResult(alpha_hat, d_hat, grid.family, "grid",
-                             per_candidate)
+    return _restore(enrolled, disguised, grid.family, grid.values, "grid",
+                    external, enroll_id, test_id)
 
 
 def f0_ratio_restore(enrolled: AudioBuffer, disguised: AudioBuffer,
@@ -255,10 +257,5 @@ def f0_ratio_restore(enrolled: AudioBuffer, disguised: AudioBuffer,
     f_x = mean_f0(estimate_f0(enrolled))
     f_y = mean_f0(estimate_f0(disguised))
     alpha_hat = nearest_grid_value(grid, f0_ratio_alpha(f_x, f_y))
-    table = embedding_table([(enroll_id, enrolled, True, ()),
-                             (test_id, disguised, False, [(fam, alpha_hat)])],
-                            external)
-    d_hat = distance(table[enroll_id],
-                     table[_candidate_token(test_id, fam, alpha_hat)])
-    return RestorationResult(alpha_hat, d_hat, fam, "f0-ratio",
-                             [(alpha_hat, d_hat)])
+    return _restore(enrolled, disguised, fam, (alpha_hat,), "f0-ratio",
+                    external, enroll_id, test_id)

@@ -76,11 +76,11 @@ def test_disguise_rejects_malformed_spec(tmp_path, capsys, voice_wav):
 
 
 def test_disguise_missing_input(tmp_path, capsys):
-    rc, _, stderr = run_cli(capsys, "disguise", "--in",
-                            str(tmp_path / "ghost.wav"),
+    ghost = str(tmp_path / "ghost.wav")
+    rc, _, stderr = run_cli(capsys, "disguise", "--in", ghost,
                             "--out", str(tmp_path / "no.wav"),
                             "--spec", "pitch-freq:2")
-    assert rc == 1 and "error:" in stderr
+    assert rc == 1 and "error:" in stderr and ghost in stderr
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +340,7 @@ def _count_analyses(monkeypatch) -> dict:
     CLI reaches them."""
     from voxrestore import cli, restore
     counts = {"mfcc": 0, "context": 0}
-    mfcc = restore.mfcc
+    mfcc = cli.mfcc
     init = restore._RestorationContext.__init__
 
     def counted_mfcc(buf):
@@ -351,8 +351,7 @@ def _count_analyses(monkeypatch) -> dict:
         counts["context"] += 1
         init(self, disguised)
 
-    for module in (cli, restore):
-        monkeypatch.setattr(module, "mfcc", counted_mfcc)
+    monkeypatch.setattr(cli, "mfcc", counted_mfcc)
     monkeypatch.setattr(restore._RestorationContext, "__init__", counted_init)
     return counts
 
@@ -395,6 +394,15 @@ def test_eval_missing_trials_writes_nothing(tmp_path, capsys):
                             str(tmp_path / "ghost.txt"), "--out", report)
     assert rc == 1 and "error:" in stderr
     assert not os.path.exists(report)
+
+
+def test_eval_names_a_missing_audio_file(tmp_path, capsys, voice_wav):
+    trials = tmp_path / "trials.txt"
+    trials.write_text("1 voice.wav ghost.wav\n0 voice.wav ghost.wav\n",
+                      encoding="utf-8")
+    rc, _, stderr = run_cli(capsys, "eval", "--trials", str(trials),
+                            "--out", str(tmp_path / "r.json"))
+    assert rc == 1 and str(tmp_path / "ghost.wav") in stderr
 
 
 def test_eval_rejects_bad_trial_lines(tmp_path, capsys):
@@ -490,8 +498,11 @@ def test_eval_logs_embeddings_and_warp_maps(trial_dir, tmp_path, capsys,
                             "vtln-power", "--log-level", "info")
     assert rc == 0
     n_grid = 21     # the default vtln-power grid
+    # enrollment plain rows add one no-op map, reused by every enrollment
+    # after the first
     assert (f"; {len(enrolls) + n_grid * len(tests)} embeddings, "
-            f"{n_grid} warp maps ({n_grid * (len(tests) - 1)} reused)"
+            f"{n_grid + 1} warp maps "
+            f"({n_grid * (len(tests) - 1) + len(enrolls) - 1} reused)"
             in caplog.text)
     assert "warp maps" not in stdout
 

@@ -1,3 +1,6 @@
+import hashlib
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,8 @@ from hypothesis import strategies as st
 from helpers import SMALL_CORPUS, SR, bl_sawtooth, white_noise
 from voxrestore import (AudioBuffer, Corpus, CorpusConfig, Trial, alpha_bias,
                         compute_eer, default_grid, distance, embed,
-                        gen_trials, mfcc, run_matrix, synth_corpus)
+                        f0_ratio_restore, gen_trials, grid_search_restore,
+                        mfcc, run_matrix, synth_corpus)
 from voxrestore.disguise import DisguiseFamily
 from voxrestore.evaluate import _disguise_label
 from voxrestore.restore import _RestorationContext, _candidate_token
@@ -335,12 +339,15 @@ def test_matrix_per_alpha_skips_single_class_groups():
     assert got == mixed
 
 
-def test_matrix_f0ratio_falls_back_on_unvoiced_enrollment():
+def test_matrix_f0ratio_falls_back_on_unvoiced_enrollment(caplog):
     audio = {"noise": white_noise(1.0, seed=3),
              "a2": bl_sawtooth(132.0, 1.0),
              "b2": bl_sawtooth(210.0, 1.0)}
     trials = [Trial("noise", "a2", True), Trial("noise", "b2", False)]
+    caplog.set_level(logging.INFO, logger="voxrestore")
     ratio = run_matrix(audio, trials, ["f0ratio"]).row("f0ratio")
+    assert ("f0ratio: 2 of 2 trials fell back to the no-op parameter"
+            in caplog.text)
     plain = run_matrix(audio, trials, ["none"]).row("none")
     # no usable pitch on the enrollment side, so the method must degrade
     # to scoring the test audio unmodified rather than erroring out
@@ -381,17 +388,35 @@ def test_matrix_computes_each_candidate_once(corpus_small, monkeypatch):
     features = _RestorationContext.features
 
     def counted(self, alpha, family):
-        calls.append((alpha, family))
+        utterance = hashlib.sha256(self.active.tobytes()).hexdigest()
+        calls.append((utterance, family, alpha))
         return features(self, alpha, family)
 
     monkeypatch.setattr(_RestorationContext, "features", counted)
     run_matrix(corpus_small.utterances, trials, ["pitch-freq", "f0ratio"])
     # f0ratio picks pitch-freq grid values, so the grid covers its
-    # candidates; one more call per test utterance may serve its plain
-    # embedding when it is also enrolled
-    distinct = {(u, a) for u in tests
-                for a in default_grid("pitch-freq").values}
-    assert len(calls) <= len(distinct) + len(tests)
+    # candidates, and an utterance both enrolled and tested shares the
+    # no-op inversion between its plain row and its grid
+    assert len(calls) == len(set(calls))
+
+
+def test_matrix_agrees_with_single_pair_restoration(corpus_small):
+    trials, extra = gen_trials(corpus_small, 8, policy="pitch-time", seed=4)
+    audio = dict(corpus_small.utterances, **extra)
+    report = run_matrix(audio, trials, ["pitch-time", "f0ratio"])
+    for name, restore, family in (("pitch-time", grid_search_restore,
+                                   "pitch-time"),
+                                  ("f0ratio", f0_ratio_restore,
+                                   "pitch-freq")):
+        results = [restore(audio[t.enroll_id], audio[t.test_id],
+                           family=family) for t in trials]
+        d_hat = np.array([r.d_hat for r in results])
+        labels = np.array([t.label for t in trials])
+        row = report.row(name)
+        assert row.eer == compute_eer(d_hat[labels], d_hat[~labels])
+        bias = alpha_bias([(t.disguise_meta.param, r.alpha_hat)
+                           for t, r in zip(trials, results) if t.label])
+        assert row.bias == bias
 
 
 def test_matrix_rejects_mixed_sample_rates(corpus_small):
