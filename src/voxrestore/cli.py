@@ -21,8 +21,7 @@ from .evaluate import (Corpus, CorpusConfig, Trial, gen_trials, run_matrix,
                        synth_corpus)
 from .restore import (GridSpec, default_grid, f0_ratio_restore,
                       grid_from_range, grid_search_restore)
-from .speaker import (Embedding, embed, load_external_embeddings, mfcc,
-                      write_embeddings)
+from .speaker import Embedding, load_external_embeddings, write_embeddings
 
 log = logging.getLogger("voxrestore")
 
@@ -271,13 +270,8 @@ def cmd_eval(args) -> int:
                 writer.writerow([key, repr(entry["eer_percent"])])
 
     if args.dump_embeddings:
-        # the run holds every utterance's plain embedding except test
-        # utterances when no "none" restoration scored them
-        table = {token: report.embeddings[token]
-                 if token in report.embeddings
-                 else embed(mfcc(audio[token]))
-                 for token in tokens}
-        write_embeddings(args.dump_embeddings, table)
+        write_embeddings(args.dump_embeddings,
+                         {token: report.embeddings[token] for token in tokens})
 
     maps = warp_indices.cache_info()
     log.info("evaluated %d trials x %d restorations in %.2fs; %d embeddings,"

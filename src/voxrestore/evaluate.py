@@ -368,14 +368,9 @@ def _parse_restoration(name: str):
     return "grid", parse_family(name)
 
 
-def _semitone_like(family: DisguiseFamily) -> bool:
-    return family in (DisguiseFamily.PITCH_FREQ, DisguiseFamily.PITCH_TIME)
-
-
 def _same_units(a: DisguiseFamily, b: DisguiseFamily) -> bool:
-    if _semitone_like(a) and _semitone_like(b):
-        return True
-    return a is b
+    semitones = (DisguiseFamily.PITCH_FREQ, DisguiseFamily.PITCH_TIME)
+    return a is b or (a in semitones and b in semitones)
 
 
 def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
@@ -417,6 +412,8 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
                 f0_mean[utt] = mean_f0(estimate_f0(audio[utt]))
             except UnvoicedUtteranceError:
                 f0_mean[utt] = None
+            except ValueError as exc:
+                raise ValueError(f"{utt}: {exc}") from None
         grid = grids[DisguiseFamily.PITCH_FREQ]
         fallbacks = 0
         for t in trials:
@@ -429,28 +426,36 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
         log.info("f0ratio: %d of %d trials fell back to the no-op "
                  "parameter (a side is unvoiced)", fallbacks, len(trials))
 
-    # 2. one table of every embedding any method needs
-    plain_tests = any(kind == "none" for _, kind, _ in methods)
+    def values(kind: str, family: DisguiseFamily, t: Trial):
+        """The candidate parameters a method scores on one trial."""
+        return (grids[family].values if kind == "grid"
+                else (f0_alpha[t.enroll_id, t.test_id],))
+
+    # 2. one table of every embedding any method needs; a builtin one
+    # holds every plain row, the no-op inversion each grid computes anyway
+    plain_tests = external is None or any(kind == "none"
+                                          for _, kind, _ in methods)
     needs: Dict[str, list] = {}       # utt -> [plain, {(family, alpha)}]
     for t in trials:
         needs.setdefault(t.enroll_id, [False, {}])[0] = True
-        need = needs.setdefault(t.test_id, [False, {}])
-        need[0] |= plain_tests
+        need = needs.setdefault(t.test_id, [plain_tests, {}])
         for _, kind, family in methods:
-            if kind == "grid":
+            if kind != "none":
                 need[1].update(dict.fromkeys(
-                    (family, a) for a in grids[family].values))
-            elif kind == "f0ratio":
-                need[1][family, f0_alpha[t.enroll_id, t.test_id]] = None
+                    (family, a) for a in values(kind, family, t)))
     table = embedding_table(
         ((u, audio.get(u), plain, cands)
          for u, (plain, cands) in needs.items()), external)
 
     # 3. scores per method
     trial_summary: Dict[str, int] = {}
-    for t in trials:
-        key = "none" if t.disguise_meta is None else t.disguise_meta.family.value
+    groups: Dict[Tuple[str, float], List[int]] = {}   # per-alpha trials
+    for i, t in enumerate(trials):
+        meta = t.disguise_meta
+        key = "none" if meta is None else meta.family.value
         trial_summary[key] = trial_summary.get(key, 0) + 1
+        if meta is not None:
+            groups.setdefault((key, meta.param), []).append(i)
     labels = np.array([t.label for t in trials], dtype=bool)
 
     rows: List[MatrixRow] = []
@@ -461,9 +466,8 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
             if kind == "none":
                 results.append((distance(ref, table[t.test_id]), None))
                 continue
-            values = (grids[family].values if kind == "grid"
-                      else (f0_alpha[t.enroll_id, t.test_id],))
-            a_hat, d_hat, _ = _search(ref, table, t.test_id, family, values)
+            a_hat, d_hat, _ = _search(ref, table, t.test_id, family,
+                                      values(kind, family, t))
             results.append((d_hat, a_hat))
         scores = np.array([r[0] for r in results])
         eer = compute_eer(scores[labels], scores[~labels])
@@ -478,11 +482,6 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
                 bias = alpha_bias(pairs)
 
         per_alpha: List[dict] = []
-        groups: Dict[Tuple[str, float], List[int]] = {}
-        for i, t in enumerate(trials):
-            if t.disguise_meta is not None:
-                key = (t.disguise_meta.family.value, t.disguise_meta.param)
-                groups.setdefault(key, []).append(i)
         for key in sorted(groups):
             idx = np.array(groups[key])
             g_labels = labels[idx]

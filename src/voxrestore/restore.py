@@ -6,7 +6,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .audio import AudioBuffer, DEFAULT_FRAME, stft, vad
+from .audio import AudioBuffer, stft, vad
 from .disguise import (DisguiseFamily, DisguiseSpec, IDENTITY_PARAMS,
                        PARAM_RANGES, parse_family, warp_indices)
 from .pitch import estimate_f0, f0_ratio_alpha, mean_f0
@@ -112,7 +112,6 @@ class _RestorationContext:
 
     def __init__(self, disguised: AudioBuffer):
         self.sample_rate = disguised.sample_rate
-        self.fft_size = DEFAULT_FRAME.fft_length(disguised.sample_rate)
         spectrum = stft(disguised)
         mask = vad(disguised)
         if int(mask.sum()) < MIN_ACTIVE_FRAMES:
@@ -127,8 +126,7 @@ class _RestorationContext:
         if index is not None:
             lo, frac = index
             mags = mags[:, lo] * (1.0 - frac) + mags[:, lo + 1] * frac
-        return FeatureMatrix(features_from_magnitudes(
-            mags, self.sample_rate, self.fft_size))
+        return FeatureMatrix(features_from_magnitudes(mags, self.sample_rate))
 
 
 def restore_with(disguised: AudioBuffer, alpha: float,
@@ -155,9 +153,10 @@ def embedding_table(utterances,
     embedding per inversion (token `utt_id#family:alpha`). Given an
     `external` table, each token is looked up there (a missing one is a
     KeyError) and audio may be None. Otherwise each utterance is
-    analyzed once, its plain row is the no-op inversion, every other
-    inversion is derived from that analysis once and the analysis is
-    dropped. Raises ValueError when the audio mixes sample rates.
+    analyzed once and each distinct inversion is derived from that
+    analysis once; the plain row and every family's no-op parameter are
+    one inversion. Raises ValueError when the audio mixes sample rates
+    or an utterance cannot be analyzed (naming the utterance).
     """
     utterances = list(utterances)
     rates = sorted({buf.sample_rate for _, buf, _, _ in utterances
@@ -167,9 +166,13 @@ def embedding_table(utterances,
                          + " and ".join(f"{r} Hz" for r in rates))
     table: Dict[str, Embedding] = {}
     for utt, buf, plain, candidates in utterances:
-        # token -> (family, alpha); the plain row is the no-op inversion
-        wanted = {utt: (DisguiseFamily.PITCH_FREQ, 0.0)} if plain else {}
-        wanted.update((_candidate_token(utt, *key), key) for key in candidates)
+        # token -> (family, alpha) of its inversion; the plain row and
+        # every no-op share one
+        no_op = (DisguiseFamily.PITCH_FREQ, 0.0)
+        wanted = {utt: no_op} if plain else {}
+        wanted.update((_candidate_token(utt, fam, a),
+                       no_op if a == IDENTITY_PARAMS[fam] else (fam, a))
+                      for fam, a in candidates)
         if external is not None:
             for tok in wanted:
                 if tok not in external:
@@ -179,9 +182,12 @@ def embedding_table(utterances,
             continue
         if buf is None:
             raise KeyError(f"no audio for utterance {utt!r}")
-        ctx = _RestorationContext(buf)
-        rows = {(fam, a): embed(ctx.features(a, fam))
-                for fam, a in dict.fromkeys(wanted.values())}
+        try:
+            ctx = _RestorationContext(buf)
+            rows = {(fam, a): embed(ctx.features(a, fam))
+                    for fam, a in dict.fromkeys(wanted.values())}
+        except ValueError as exc:
+            raise ValueError(f"{utt}: {exc}" if utt else str(exc)) from None
         table.update((tok, rows[key]) for tok, key in wanted.items())
     return table
 

@@ -9,7 +9,7 @@ from typing import Dict
 import numpy as np
 from scipy.fft import dct
 
-from .audio import AudioBuffer, DEFAULT_FRAME, stft, vad
+from .audio import AudioBuffer, stft, vad
 
 N_MELS = 26
 N_CEPSTRA = 24
@@ -100,9 +100,10 @@ def _delta(c: np.ndarray, span: int = DELTA_SPAN) -> np.ndarray:
     return num / (2.0 * sum(j * j for j in range(1, span + 1)))
 
 
-def features_from_magnitudes(magnitudes: np.ndarray, sample_rate: int,
-                             fft_size: int) -> np.ndarray:
-    """Cepstral features straight from STFT magnitude frames.
+def features_from_magnitudes(magnitudes: np.ndarray,
+                             sample_rate: int) -> np.ndarray:
+    """Cepstral features straight from STFT magnitude frames; frames of
+    n bins come from an FFT of 2 * (n - 1) points.
 
     Pre-emphasis is a per-bin power weighting (the squared magnitude
     response of the usual first-order difference), so features computed
@@ -113,8 +114,9 @@ def features_from_magnitudes(magnitudes: np.ndarray, sample_rate: int,
     product rounds the same for any memory layout.
     """
     mags = np.ascontiguousarray(magnitudes, dtype=np.float64)
-    if mags.ndim != 2 or mags.shape[0] == 0:
-        raise ValueError("need a non-empty (frames, bins) magnitude array")
+    if mags.ndim != 2 or mags.shape[0] == 0 or mags.shape[1] < 2:
+        raise ValueError("need a (frames, bins) magnitude array, bins >= 2")
+    fft_size = 2 * (mags.shape[1] - 1)
     power = (mags * mags) * _preemphasis(mags.shape[1], fft_size)
     mel = power @ mel_filterbank(sample_rate, fft_size).T
     floor = max(float(mel.max()) * 1e-12, 1e-300)
@@ -135,10 +137,8 @@ def mfcc(buf: AudioBuffer) -> FeatureMatrix:
     mask = vad(buf)
     if int(mask.sum()) < MIN_ACTIVE_FRAMES:
         raise ValueError("insufficient voiced content for features")
-    fft_size = DEFAULT_FRAME.fft_length(buf.sample_rate)
-    data = features_from_magnitudes(spectrum.magnitudes[mask],
-                                    buf.sample_rate, fft_size)
-    return FeatureMatrix(data)
+    return FeatureMatrix(features_from_magnitudes(spectrum.magnitudes[mask],
+                                                  buf.sample_rate))
 
 
 def embed(features: FeatureMatrix) -> Embedding:

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from helpers import SR, dominant_freq, rel_rms, speechy, tone, white_noise
-from voxrestore import (IDENTITY_PARAMS, load_wav, load_external_embeddings,
-                        save_wav)
+from voxrestore import (IDENTITY_PARAMS, AudioBuffer, DisguiseSpec, disguise,
+                        embed, load_wav, load_external_embeddings, mfcc,
+                        restore_with, save_wav, write_embeddings)
 from voxrestore.cli import main
 
 
@@ -148,6 +149,32 @@ def test_estimate_restored_audio_is_pinned(tmp_path, capsys, voice_wav,
     assert json_line(stdout)["alpha_hat"] != IDENTITY_PARAMS[family]
     digest = hashlib.sha256(restored.read_bytes()).hexdigest()
     assert digest == RESTORED_SHA256[spec]
+
+
+@pytest.mark.parametrize("method", ["grid", "f0ratio"])
+def test_estimate_external_scorer_matches_builtin(tmp_path, capsys,
+                                                  voice_wav, method):
+    probe = str(tmp_path / "probe.wav")
+    save_wav(probe, disguise(speechy(1.0, seed=5),
+                             DisguiseSpec("pitch-freq", 3.0)))
+    enroll, test = load_wav(voice_wav), load_wav(probe)
+    argv = ["estimate", "--enroll", voice_wav, "--test", probe,
+            "--method", method, "--grid=-4:4:1"]
+    rc, want, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    for enroll_id, test_id, flags in (
+            ("E", "T", ["--enroll-id", "E", "--test-id", "T"]),
+            ("voice", "probe", [])):
+        table = {enroll_id: embed(mfcc(enroll))}
+        for alpha in range(-4, 5):
+            table[f"{test_id}#pitch-freq:{alpha}"] = embed(
+                restore_with(test, float(alpha), "pitch-freq"))
+        sidecar = tmp_path / f"{enroll_id}.txt"
+        write_embeddings(sidecar, table)
+        rc, got, _ = run_cli(capsys, *argv, "--scorer",
+                             f"external:{sidecar}", *flags)
+        assert rc == 0
+        assert json_line(got) == json_line(want)
 
 
 def test_estimate_f0ratio_requires_voiced_audio(tmp_path, capsys):
@@ -336,22 +363,24 @@ def test_eval_dump_embeddings_round_trip(trial_dir, tmp_path, capsys):
 
 
 def _count_analyses(monkeypatch) -> dict:
-    """Count `mfcc` calls and restoration contexts built, wherever the
-    CLI reaches them."""
-    from voxrestore import cli, restore
-    counts = {"mfcc": 0, "context": 0}
-    mfcc = cli.mfcc
+    """Count restoration contexts built and feature computations,
+    wherever the CLI reaches them."""
+    from voxrestore import restore, speaker
+    counts = {"features": 0, "context": 0}
+    features = speaker.features_from_magnitudes
     init = restore._RestorationContext.__init__
 
-    def counted_mfcc(buf):
-        counts["mfcc"] += 1
-        return mfcc(buf)
+    def counted_features(*args):
+        counts["features"] += 1
+        return features(*args)
 
     def counted_init(self, disguised):
         counts["context"] += 1
         init(self, disguised)
 
-    monkeypatch.setattr(cli, "mfcc", counted_mfcc)
+    for module in (restore, speaker):
+        monkeypatch.setattr(module, "features_from_magnitudes",
+                            counted_features)
     monkeypatch.setattr(restore._RestorationContext, "__init__", counted_init)
     return counts
 
@@ -364,15 +393,34 @@ def test_eval_dump_embeddings_reuses_the_run(trial_dir, tmp_path, capsys,
     assert run_cli(capsys, "eval", "--trials", trials, "--out",
                    str(tmp_path / "a.json"), *methods)[0] == 0
     plain = dict(counts)
-    counts.update(mfcc=0, context=0)
+    counts.update(features=0, context=0)
     assert run_cli(capsys, "eval", "--trials", trials, "--out",
                    str(tmp_path / "b.json"), *methods,
                    "--dump-embeddings", str(tmp_path / "b.txt"))[0] == 0
     assert counts == plain
-    # without "none" the test rows are computed for the dump alone,
-    # and come out the same
+    # without "none" the dump holds the same rows
     assert run_cli(capsys, "eval", "--trials", trials, "--out",
                    str(tmp_path / "c.json"), "--restore", "pitch-freq",
+                   "--dump-embeddings", str(tmp_path / "c.txt"))[0] == 0
+    assert ((tmp_path / "b.txt").read_bytes()
+            == (tmp_path / "c.txt").read_bytes())
+
+
+def test_eval_dump_without_none_reuses_the_run(trial_dir, tmp_path, capsys,
+                                               monkeypatch):
+    trials = os.path.join(trial_dir, "trials.txt")
+    counts = _count_analyses(monkeypatch)
+    assert run_cli(capsys, "eval", "--trials", trials, "--out",
+                   str(tmp_path / "a.json"), "--restore", "pitch-freq")[0] == 0
+    plain = dict(counts)
+    counts.update(features=0, context=0)
+    assert run_cli(capsys, "eval", "--trials", trials, "--out",
+                   str(tmp_path / "b.json"), "--restore", "pitch-freq",
+                   "--dump-embeddings", str(tmp_path / "b.txt"))[0] == 0
+    assert counts == plain
+    assert run_cli(capsys, "eval", "--trials", trials, "--out",
+                   str(tmp_path / "c.json"), "--restore", "none",
+                   "--restore", "pitch-freq",
                    "--dump-embeddings", str(tmp_path / "c.txt"))[0] == 0
     assert ((tmp_path / "b.txt").read_bytes()
             == (tmp_path / "c.txt").read_bytes())
@@ -403,6 +451,23 @@ def test_eval_names_a_missing_audio_file(tmp_path, capsys, voice_wav):
     rc, _, stderr = run_cli(capsys, "eval", "--trials", str(trials),
                             "--out", str(tmp_path / "r.json"))
     assert rc == 1 and str(tmp_path / "ghost.wav") in stderr
+
+
+@pytest.mark.parametrize("method", ["none", "pitch-freq", "f0ratio"])
+@pytest.mark.parametrize("kind", ["silent", "short"])
+def test_eval_names_the_utterance_it_cannot_analyze(tmp_path, capsys,
+                                                    voice_wav, kind, method):
+    samples = np.zeros(SR) if kind == "silent" else tone(200.0).samples[:100]
+    save_wav(tmp_path / f"{kind}.wav", AudioBuffer(samples, SR))
+    trials = tmp_path / "trials.txt"
+    trials.write_text(f"1 voice.wav {kind}.wav\n0 voice.wav {kind}.wav\n",
+                      encoding="utf-8")
+    rc, _, stderr = run_cli(capsys, "eval", "--trials", str(trials),
+                            "--out", str(tmp_path / "r.json"),
+                            "--restore", method)
+    reason = ("insufficient voiced content" if kind == "silent"
+              else "signal of 100 samples is shorter")
+    assert rc == 1 and f"error: {kind}.wav: {reason}" in stderr
 
 
 def test_eval_rejects_bad_trial_lines(tmp_path, capsys):
@@ -498,11 +563,11 @@ def test_eval_logs_embeddings_and_warp_maps(trial_dir, tmp_path, capsys,
                             "vtln-power", "--log-level", "info")
     assert rc == 0
     n_grid = 21     # the default vtln-power grid
-    # enrollment plain rows add one no-op map, reused by every enrollment
-    # after the first
-    assert (f"; {len(enrolls) + n_grid * len(tests)} embeddings, "
-            f"{n_grid + 1} warp maps "
-            f"({n_grid * (len(tests) - 1) + len(enrolls) - 1} reused)"
+    # every utterance has a plain row; it and the grid's no-op share one
+    # inversion, whose map is the pitch-freq:0 one
+    assert (f"; {len(enrolls) + (n_grid + 1) * len(tests)} embeddings, "
+            f"{n_grid} warp maps "
+            f"({n_grid * (len(tests) - 1) + len(enrolls)} reused)"
             in caplog.text)
     assert "warp maps" not in stdout
 

@@ -1,6 +1,6 @@
-"""Import hygiene of the package sources, checked with `ast` since no
-linter is a dependency: no module imports a name it never uses, and
-every name in an `__all__` resolves."""
+"""Hygiene of the package sources, checked with `ast` since no linter
+is a dependency: no module imports a name it never uses, every name in
+an `__all__` resolves, and every function reads all its parameters."""
 
 import ast
 import importlib
@@ -34,6 +34,31 @@ def _unused_imports(tree: ast.Module) -> list:
                   if name not in used)
 
 
+# parameters kept unread on purpose: (module, function, parameter) -> reason
+UNREAD_PARAMETERS = {
+    ("evaluate.py", "run_matrix", "jobs"):
+        "a no-op the benchmark still passes as jobs=1; ROADMAP item 2 "
+        "makes it real or deletes it",
+}
+
+
+def _unread_parameters(tree: ast.Module) -> list:
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(getattr(node, "name", "<lambda>"), p.arg)
+                  for p in params if p.arg not in read]
+    return found
+
+
 def test_sources_are_found():
     assert {"__init__.py", "restore.py", "cli.py"} <= {p.name for p in MODULES}
 
@@ -41,6 +66,20 @@ def test_sources_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    unread = _unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
+    assert [(path.name, fn, p) for fn, p in unread
+            if (path.name, fn, p) not in UNREAD_PARAMETERS] == []
+
+
+def test_unread_parameter_allowlist_is_current():
+    unread = {(path.name, fn, p) for path in MODULES
+              for fn, p in _unread_parameters(
+                  ast.parse(path.read_text(encoding="utf-8")))}
+    assert set(UNREAD_PARAMETERS) <= unread
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -55,3 +94,9 @@ def test_checks_catch_leftovers():
     tree = ast.parse("import os\nfrom .speaker import embed, mfcc\n"
                      "__all__ = ['embed']\n")
     assert _unused_imports(tree) == ["mfcc (line 2)", "os (line 1)"]
+    tree = ast.parse("def f(a, b, *args, c=1, **kw):\n"
+                     "    g = lambda x, y: x\n"
+                     "    b = 2\n"
+                     "    return a + c + g(1, 0) + len(kw)\n")
+    assert _unread_parameters(tree) == [("f", "b"), ("f", "args"),
+                                        ("<lambda>", "y")]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import bl_sawtooth, white_noise
-from voxrestore import (DEFAULT_FRAME, IDENTITY_PARAMS, AudioBuffer,
+from voxrestore import (IDENTITY_PARAMS, AudioBuffer,
                         DisguiseFamily, DisguiseSpec, Embedding,
                         GridSpec, UnvoicedUtteranceError,
                         apply_spectral_warp, build_warp,
@@ -146,8 +146,7 @@ def _whole_spectrogram_features(y: AudioBuffer, alpha: float,
         lo = np.minimum(coord.astype(np.int64), n_bins - 2)
         frac = coord - lo
         mags = mags[:, lo] * (1.0 - frac) + mags[:, lo + 1] * frac
-    return features_from_magnitudes(mags[vad(y)], y.sample_rate,
-                                    DEFAULT_FRAME.fft_length(y.sample_rate))
+    return features_from_magnitudes(mags[vad(y)], y.sample_rate)
 
 
 @pytest.mark.parametrize("family", list(DisguiseFamily))
