@@ -81,9 +81,12 @@ def cmd_disguise(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    enroll = load_wav(args.enroll)
-    test = load_wav(args.test)
     external = _parse_scorer(args.scorer)
+    # an external grid search reads only the sidecar, not the samples
+    reads_audio = (external is None or args.method != "grid"
+                   or args.restored is not None)
+    enroll = load_wav(args.enroll) if reads_audio else None
+    test = load_wav(args.test) if reads_audio else None
     family = parse_family(args.family)
     grid = _parse_grid(args.grid, family)
     enroll_id = args.enroll_id or _utt_id(args.enroll)

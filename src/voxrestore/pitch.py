@@ -4,8 +4,6 @@ normalized autocorrelation of the residual."""
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_toeplitz
-from scipy.signal import lfilter
 
 from .audio import AudioBuffer, FrameParams, _frame_signal
 
@@ -52,56 +50,109 @@ class F0Track:
         return self.f0_hz.size
 
 
-def _lpc_residual(frame: np.ndarray, order: int) -> np.ndarray:
-    """Whiten a frame with an autocorrelation-method LPC inverse filter.
-
-    The lag-0 term gets a small ridge so the solve stays stable on
-    near-deterministic input (a pure sinusoid would otherwise be
-    cancelled down to numerical noise). The first `order` output
-    samples are dropped to skip the filter start-up transient.
-    """
-    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame.size) / frame.size)
-    xw = frame * w
-    full = np.correlate(xw, xw, mode="full")
-    r = full[frame.size - 1:frame.size + order]
-    r0 = r[0] * (1.0 + 1e-4)
-    coeffs = solve_toeplitz((np.concatenate(([r0], r[1:order])),
-                             np.concatenate(([r0], r[1:order]))), r[1:])
-    inverse = np.concatenate(([1.0], -coeffs))
-    return lfilter(inverse, [1.0], frame)[order:]
-
-
 _LAG_OVERSAMPLE = 4
+_BLOCK_FRAMES = 128     # frames analyzed together; bounds the NCCF buffers
 
 
-def _nccf(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Normalized cross-correlation of a signal with itself on a lag
-    grid oversampled by _LAG_OVERSAMPLE (so entry m sits at lag
-    m / _LAG_OVERSAMPLE samples).
+def _levinson(r: np.ndarray) -> np.ndarray:
+    """Levinson-Durbin recursion on each row of `r` (lags 0..p):
+    predictor coefficients a_1..a_p solving the Toeplitz normal
+    equations. Rows need r[:, 0] > 0."""
+    p = r.shape[1] - 1
+    a = np.zeros((r.shape[0], p))
+    err = r[:, 0].copy()
+    for k in range(p):
+        acc = r[:, k + 1] - np.einsum("ij,ij->i", a[:, :k], r[:, k:0:-1])
+        refl = acc / err
+        a[:, :k] -= refl[:, None] * a[:, :k][:, ::-1]
+        a[:, k] = refl
+        err *= 1.0 - refl * refl
+    return a
 
-    The correlation itself is band-limited, so evaluating it between
-    integer lags via frequency-domain zero padding is exact; without
-    it a fundamental whose period falls between samples can lose
-    almost 30% of its peak height against an integer-period
-    subharmonic. Each lag is normalized by the energies of the two
-    overlapped segments (interpolated between integer lags), which
-    keeps peak heights near 1 regardless of amplitude."""
-    n = x.size
+
+def _track_frames(frames: np.ndarray, sr: int, min_lag: int,
+                  max_lag: int):
+    """F0 and voicing of each row of `frames` (see `estimate_f0`)."""
+    n_frames, win = frames.shape
+    f0 = np.zeros(n_frames)
+    voiced = np.zeros(n_frames, dtype=bool)
+    x = frames - frames.mean(axis=1, keepdims=True)
+    power = np.mean(x * x, axis=1)
+    rows = np.flatnonzero(power >= 1e-18)
+    if rows.size == 0:
+        return f0, voiced
+    x, power = x[rows], power[rows]
+
+    # whiten with an autocorrelation-method LPC inverse filter; the
+    # lag-0 term gets a small ridge so the solve stays stable on
+    # near-deterministic input, and the first LPC_ORDER output samples
+    # are dropped to skip the filter start-up transient
+    xw = x * (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win))
+    r = np.stack([np.einsum("ij,ij->i", xw[:, :win - k], xw[:, k:])
+                  for k in range(LPC_ORDER + 1)], axis=1)
+    r[:, 0] *= 1.0 + 1e-4
+    inverse = np.concatenate((-_levinson(r)[:, ::-1],
+                              np.ones((rows.size, 1))), axis=1)
+    residual = np.einsum("ink,ik->in", np.lib.stride_tricks
+                         .sliding_window_view(x, LPC_ORDER + 1, axis=1),
+                         inverse)
+    # a near-deterministic frame (e.g. a pure tone) is cancelled by LPC
+    # down to numerical noise; correlate the frame itself then
+    cancelled = (np.sqrt(np.mean(residual * residual, axis=1))
+                 < 1e-2 * np.sqrt(power))
+    residual[cancelled] = x[cancelled, LPC_ORDER:]
+
+    # normalized cross-correlation on a lag grid oversampled by
+    # _LAG_OVERSAMPLE (entry m sits at lag m / _LAG_OVERSAMPLE). The
+    # correlation is band-limited, so zero padding in frequency
+    # evaluates it exactly between integer lags; without it a
+    # fundamental whose period falls between samples can lose almost
+    # 30% of its peak height against an integer-period subharmonic.
+    # Each lag is normalized by the energies of the two overlapped
+    # segments (interpolated between integer lags), which keeps peak
+    # heights near 1 regardless of amplitude.
+    n = residual.shape[1]
     os = _LAG_OVERSAMPLE
     nfft = 1
     while nfft < 2 * n:
         nfft *= 2
-    spec = np.fft.rfft(x, nfft)
-    power = spec * np.conj(spec)
-    raw = os * np.fft.irfft(power, os * nfft)[:os * max_lag + 1]
-    csum = np.cumsum(x * x)
-    total = csum[-1]
-    lags = np.arange(max_lag + 1)
-    head = csum[n - 1 - lags]                      # energy of x[0 : n-k]
-    tail = total - np.concatenate(([0.0], csum[:max_lag]))
-    frac = np.arange(os * max_lag + 1) / os
-    norm = np.interp(frac, lags, head) * np.interp(frac, lags, tail)
-    return raw / np.sqrt(norm + 1e-300)
+    spec = np.fft.rfft(residual, nfft, axis=1)
+    corr = os * np.fft.irfft(spec * np.conj(spec), os * nfft,
+                             axis=1)[:, :os * max_lag + 1]
+    # segment energies at integer lags 0 .. max_lag + 1 (the last one is
+    # only read at weight 0), interpolated onto the oversampled grid
+    csum = np.cumsum(residual * residual, axis=1)
+    head = csum[:, n - 1 - np.arange(max_lag + 2)]   # energy of x[0 : n-k]
+    tail = csum[:, -1:] - np.concatenate(
+        (np.zeros((rows.size, 1)), csum[:, :max_lag + 1]), axis=1)
+
+    def interp(v):
+        step = np.diff(v, axis=1)[:, :, None] * (np.arange(os) / os)
+        fine = (step + v[:, :-1, None]).reshape(len(v), -1)
+        return fine[:, :os * max_lag + 1]
+
+    corr /= np.sqrt(interp(head) * interp(tail) + 1e-300)
+
+    # pick the shortest-lag peak within PEAK_KEEP of the best one
+    # (favoring the fundamental over its subharmonics), each peak
+    # refined by parabolic interpolation before heights are compared
+    first, last = os * min_lag, os * max_lag
+    ym = corr[:, first:last - 1]
+    y0 = corr[:, first + 1:last]
+    yp = corr[:, first + 2:last + 1]
+    peak = (y0 > ym) & (y0 >= yp)
+    denom = ym - 2.0 * y0 + yp
+    flat = np.abs(denom) < 1e-12
+    shifts = np.clip(0.5 * (ym - yp) / np.where(flat, 1.0, denom), -0.5, 0.5)
+    shifts[flat] = 0.0
+    heights = np.where(peak, y0 - 0.25 * (ym - yp) * shifts, -np.inf)
+    best = heights.max(axis=1)
+    j = np.argmax(heights >= PEAK_KEEP * best[:, None], axis=1)
+    hz = sr * os / (first + 1 + j + shifts[np.arange(rows.size), j])
+    ok = (best >= VOICING_THRESHOLD) & (hz >= F0_MIN) & (hz <= F0_MAX)
+    f0[rows[ok]] = hz[ok]
+    voiced[rows[ok]] = True
+    return f0, voiced
 
 
 def estimate_f0(buf: AudioBuffer) -> F0Track:
@@ -112,7 +163,8 @@ def estimate_f0(buf: AudioBuffer) -> F0Track:
     whose height is within PEAK_KEEP of the strongest peak (favoring
     the fundamental over subharmonics), refined by parabolic
     interpolation. Frames whose best peak is below VOICING_THRESHOLD
-    are unvoiced. The decision is invariant to signal gain.
+    are unvoiced. The decision is invariant to signal gain. Frames are
+    analyzed together, in blocks of _BLOCK_FRAMES.
     """
     sr = buf.sample_rate
     win = PITCH_FRAME.window_length(sr)
@@ -124,45 +176,10 @@ def estimate_f0(buf: AudioBuffer) -> F0Track:
             f"window of {win} samples too short to resolve {F0_MIN} Hz "
             f"at {sr} Hz")
     frames = _frame_signal(buf.samples, win, hop)
-    f0 = np.zeros(frames.shape[0])
-    voiced = np.zeros(frames.shape[0], dtype=bool)
-    for i, frame in enumerate(frames):
-        frame = frame - frame.mean()
-        power = np.mean(frame * frame)
-        if power < 1e-18:
-            continue
-        residual = _lpc_residual(frame, LPC_ORDER)
-        # a near-deterministic frame (e.g. a pure tone) is cancelled by
-        # LPC down to numerical noise; correlate the frame itself then
-        if np.sqrt(np.mean(residual * residual)) < 1e-2 * np.sqrt(power):
-            residual = frame[LPC_ORDER:]
-        corr = _nccf(residual, max_lag)
-        os = _LAG_OVERSAMPLE
-        lo, hi = os * min_lag, os * max_lag
-        seg = corr[lo:hi + 1]
-        interior = (seg[1:-1] > seg[:-2]) & (seg[1:-1] >= seg[2:])
-        peak_idx = np.flatnonzero(interior) + 1 + lo
-        if peak_idx.size == 0:
-            continue
-        # refine each candidate by parabolic interpolation, then compare
-        # refined heights; the shortest candidate near the best wins,
-        # favoring the fundamental over its subharmonics
-        ym, y0, yp = corr[peak_idx - 1], corr[peak_idx], corr[peak_idx + 1]
-        denom = ym - 2.0 * y0 + yp
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shifts = np.where(np.abs(denom) < 1e-12, 0.0,
-                              0.5 * (ym - yp) / denom)
-        shifts = np.clip(shifts, -0.5, 0.5)
-        heights = y0 - 0.25 * (ym - yp) * shifts
-        best = np.max(heights)
-        if best < VOICING_THRESHOLD:
-            continue
-        j = int(np.flatnonzero(heights >= PEAK_KEEP * best)[0])
-        hz = sr * os / (peak_idx[j] + shifts[j])
-        if F0_MIN <= hz <= F0_MAX:
-            f0[i] = hz
-            voiced[i] = True
-    return F0Track(f0, voiced)
+    tracks = [_track_frames(frames[i:i + _BLOCK_FRAMES], sr, min_lag, max_lag)
+              for i in range(0, frames.shape[0], _BLOCK_FRAMES)]
+    return F0Track(np.concatenate([f for f, _ in tracks]),
+                   np.concatenate([v for _, v in tracks]))
 
 
 def mean_f0(track: F0Track) -> float:

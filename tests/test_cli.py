@@ -177,6 +177,34 @@ def test_estimate_external_scorer_matches_builtin(tmp_path, capsys,
         assert json_line(got) == json_line(want)
 
 
+def test_estimate_external_grid_reads_no_audio(tmp_path, capsys, voice_wav):
+    probe = str(tmp_path / "probe.wav")
+    save_wav(probe, disguise(speechy(1.0, seed=5),
+                             DisguiseSpec("pitch-freq", 2.0)))
+    rc, want, _ = run_cli(capsys, "estimate", "--enroll", voice_wav,
+                          "--test", probe, "--grid=-2:2:1")
+    assert rc == 0
+    table = {"E": embed(mfcc(load_wav(voice_wav)))}
+    for alpha in range(-2, 3):
+        table[f"T#pitch-freq:{alpha}"] = embed(
+            restore_with(load_wav(probe), float(alpha), "pitch-freq"))
+    sidecar = tmp_path / "emb.txt"
+    write_embeddings(sidecar, table)
+    ghost = str(tmp_path / "ghost1.wav")
+    argv = ["estimate", "--enroll", ghost,
+            "--test", str(tmp_path / "ghost2.wav"), "--grid=-2:2:1",
+            "--scorer", f"external:{sidecar}",
+            "--enroll-id", "E", "--test-id", "T"]
+    rc, got, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert json_line(got) == json_line(want)
+    # the F0 ratio and the restored audio read the samples
+    for flags in (["--method", "f0ratio"],
+                  ["--restored", str(tmp_path / "restored.wav")]):
+        rc, _, stderr = run_cli(capsys, *argv, *flags)
+        assert rc == 1 and ghost in stderr
+
+
 def test_estimate_f0ratio_requires_voiced_audio(tmp_path, capsys):
     noisy = str(tmp_path / "noise.wav")
     save_wav(noisy, white_noise(1.0, seed=4))
