@@ -89,17 +89,17 @@ def cmd_estimate(args) -> int:
     test = load_wav(args.test) if reads_audio else None
     family = parse_family(args.family)
     grid = _parse_grid(args.grid, family)
-    enroll_id = args.enroll_id or _utt_id(args.enroll)
-    test_id = args.test_id or _utt_id(args.test)
+    # the ids name sidecar rows; builtin embeddings need none
+    ids = {} if external is None else {
+        "enroll_id": args.enroll_id or _utt_id(args.enroll),
+        "test_id": args.test_id or _utt_id(args.test)}
     t0 = time.perf_counter()
     if args.method == "grid":
         result = grid_search_restore(
-            enroll, test, grid=grid, family=family, external=external,
-            enroll_id=enroll_id, test_id=test_id)
+            enroll, test, grid=grid, family=family, external=external, **ids)
     else:
         result = f0_ratio_restore(
-            enroll, test, family=family, grid=grid, external=external,
-            enroll_id=enroll_id, test_id=test_id)
+            enroll, test, family=family, grid=grid, external=external, **ids)
     if args.restored is not None:
         spec = DisguiseSpec(result.family, result.alpha_hat)
         save_wav(args.restored,

@@ -12,8 +12,9 @@ from .audio import AudioBuffer
 from .disguise import (VTLN_FAMILIES, DisguiseFamily, DisguiseSpec,
                        IDENTITY_PARAMS, disguise, parse_family)
 from .pitch import UnvoicedUtteranceError, estimate_f0, f0_ratio_alpha, mean_f0
-from .restore import _search, default_grid, embedding_table, nearest_grid_value
-from .speaker import Embedding, distance
+from .restore import (NO_OP, _search, default_grid, embedding_table,
+                      nearest_grid_value)
+from .speaker import Embedding
 
 log = logging.getLogger("voxrestore")
 
@@ -397,9 +398,6 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
     if not methods:
         raise ValueError("no restoration methods requested")
 
-    grids = {family: default_grid(family)
-             for _, kind, family in methods if kind != "none"}
-
     # 1. F0-ratio estimates, from each side's mean F0
     f0_alpha: Dict[Tuple[str, str], float] = {}
     if any(kind == "f0ratio" for _, kind, _ in methods):
@@ -414,7 +412,7 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
                 f0_mean[utt] = None
             except ValueError as exc:
                 raise ValueError(f"{utt}: {exc}") from None
-        grid = grids[DisguiseFamily.PITCH_FREQ]
+        grid = default_grid(DisguiseFamily.PITCH_FREQ)
         fallbacks = 0
         for t in trials:
             fe, ft = f0_mean[t.enroll_id], f0_mean[t.test_id]
@@ -426,26 +424,28 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
         log.info("f0ratio: %d of %d trials fell back to the no-op "
                  "parameter (a side is unvoiced)", fallbacks, len(trials))
 
-    def values(kind: str, family: DisguiseFamily, t: Trial):
-        """The candidate parameters a method scores on one trial."""
-        return (grids[family].values if kind == "grid"
-                else (f0_alpha[t.enroll_id, t.test_id],))
+    grid_candidates = {fam: [(fam, a) for a in default_grid(fam).values]
+                       for _, kind, fam in methods if kind == "grid"}
+
+    def candidates(kind: str, family: DisguiseFamily, t: Trial):
+        """The (family, alpha) candidates a method scores on one trial."""
+        if kind == "grid":
+            return grid_candidates[family]
+        if kind == "f0ratio":
+            return [(family, f0_alpha[t.enroll_id, t.test_id])]
+        return [NO_OP]
 
     # 2. one table of every embedding any method needs; a builtin one
-    # holds every plain row, the no-op inversion each grid computes anyway
-    plain_tests = external is None or any(kind == "none"
-                                          for _, kind, _ in methods)
-    needs: Dict[str, list] = {}       # utt -> [plain, {(family, alpha)}]
+    # holds every test utterance's plain row (the dump copies it) too
+    needs: Dict[str, dict] = {}       # utt -> {(family, alpha): None}
     for t in trials:
-        needs.setdefault(t.enroll_id, [False, {}])[0] = True
-        need = needs.setdefault(t.test_id, [plain_tests, {}])
+        needs.setdefault(t.enroll_id, {})[NO_OP] = None
+        need = needs.setdefault(t.test_id, {} if external is not None
+                               else {NO_OP: None})
         for _, kind, family in methods:
-            if kind != "none":
-                need[1].update(dict.fromkeys(
-                    (family, a) for a in values(kind, family, t)))
+            need.update(dict.fromkeys(candidates(kind, family, t)))
     table = embedding_table(
-        ((u, audio.get(u), plain, cands)
-         for u, (plain, cands) in needs.items()), external)
+        ((u, audio.get(u), cands) for u, cands in needs.items()), external)
 
     # 3. scores per method
     trial_summary: Dict[str, int] = {}
@@ -460,22 +460,15 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
 
     rows: List[MatrixRow] = []
     for name, kind, family in methods:
-        results = []
-        for t in trials:
-            ref = table[t.enroll_id]
-            if kind == "none":
-                results.append((distance(ref, table[t.test_id]), None))
-                continue
-            a_hat, d_hat, _ = _search(ref, table, t.test_id, family,
-                                      values(kind, family, t))
-            results.append((d_hat, a_hat))
-        scores = np.array([r[0] for r in results])
+        results = [_search(table[t.enroll_id], table, t.test_id,
+                           candidates(kind, family, t))[0] for t in trials]
+        scores = np.array([d for _, _, d in results])
         eer = compute_eer(scores[labels], scores[~labels])
 
         bias = None
         if kind in ("grid", "f0ratio"):
-            pairs = [(t.disguise_meta.param, r[1])
-                     for t, r in zip(trials, results)
+            pairs = [(t.disguise_meta.param, a)
+                     for t, (_, a, _) in zip(trials, results)
                      if t.label and t.disguise_meta is not None
                      and _same_units(t.disguise_meta.family, family)]
             if pairs:

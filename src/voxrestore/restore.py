@@ -6,11 +6,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .audio import AudioBuffer, stft, vad
+from .audio import AudioBuffer
 from .disguise import (DisguiseFamily, DisguiseSpec, IDENTITY_PARAMS,
                        PARAM_RANGES, parse_family, warp_indices)
 from .pitch import estimate_f0, f0_ratio_alpha, mean_f0
-from .speaker import (Embedding, FeatureMatrix, MIN_ACTIVE_FRAMES, distance,
+from .speaker import (Embedding, FeatureMatrix, active_magnitudes, distance,
                       embed, features_from_magnitudes)
 
 _GRID_DEFS = {
@@ -101,22 +101,21 @@ class RestorationResult:
         }
 
 
-def _candidate_token(test_id: str, family: DisguiseFamily,
-                     alpha: float) -> str:
-    return f"{test_id}#{family.value}:{alpha:g}"
+def _candidate_token(utt: str, family: DisguiseFamily, alpha: float) -> str:
+    """Sidecar token of one candidate: `utt` itself, the plain row, for
+    the family's no-op, else `utt#family:alpha`."""
+    if alpha == IDENTITY_PARAMS[family]:
+        return utt
+    return f"{utt}#{family.value}:{alpha:g}"
 
 
 class _RestorationContext:
     """VAD-active STFT magnitudes and geometry of one utterance,
-    computed once and shared by its plain row and every candidate."""
+    computed once and shared by all its candidates."""
 
     def __init__(self, disguised: AudioBuffer):
         self.sample_rate = disguised.sample_rate
-        spectrum = stft(disguised)
-        mask = vad(disguised)
-        if int(mask.sum()) < MIN_ACTIVE_FRAMES:
-            raise ValueError("insufficient voiced content for features")
-        self.active = spectrum.magnitudes[mask]
+        self.active = active_magnitudes(disguised)
 
     def features(self, alpha: float, family: DisguiseFamily) -> FeatureMatrix:
         # the inverse `apply_spectral_warp`, on the active rows only
@@ -142,37 +141,35 @@ def restore_with(disguised: AudioBuffer, alpha: float,
     return _RestorationContext(disguised).features(alpha, family)
 
 
+NO_OP = (DisguiseFamily.PITCH_FREQ, 0.0)    # the candidate of no restoration
+
+
 def embedding_table(utterances,
                     external: Optional[Dict[str, Embedding]] = None
                     ) -> Dict[str, Embedding]:
     """Every embedding a restoration needs, keyed by sidecar token.
 
-    `utterances` holds (utt_id, audio, plain, candidates) entries.
-    `plain` asks for the utterance's own embedding (token `utt_id`);
-    `candidates`, a collection of (family, alpha) pairs, asks for one
-    embedding per inversion (token `utt_id#family:alpha`). Given an
-    `external` table, each token is looked up there (a missing one is a
-    KeyError) and audio may be None. Otherwise each utterance is
-    analyzed once and each distinct inversion is derived from that
-    analysis once; the plain row and every family's no-op parameter are
-    one inversion. Raises ValueError when the audio mixes sample rates
-    or an utterance cannot be analyzed (naming the utterance).
+    `utterances` holds (utt_id, audio, candidates) entries; each
+    (family, alpha) candidate asks for the embedding of one inversion,
+    keyed by `_candidate_token`, so every family's no-op asks for the
+    plain row `utt_id`. Given an `external` table, each token is looked
+    up there (a missing one is a KeyError) and audio may be None.
+    Otherwise each utterance is analyzed once and each distinct token
+    is derived from that analysis once, by the first candidate that
+    asks for it. Raises ValueError when the audio mixes sample rates or
+    an utterance cannot be analyzed (naming the utterance).
     """
     utterances = list(utterances)
-    rates = sorted({buf.sample_rate for _, buf, _, _ in utterances
+    rates = sorted({buf.sample_rate for _, buf, _ in utterances
                     if buf is not None})
     if len(rates) > 1:
         raise ValueError("audio mixes sample rates: "
                          + " and ".join(f"{r} Hz" for r in rates))
     table: Dict[str, Embedding] = {}
-    for utt, buf, plain, candidates in utterances:
-        # token -> (family, alpha) of its inversion; the plain row and
-        # every no-op share one
-        no_op = (DisguiseFamily.PITCH_FREQ, 0.0)
-        wanted = {utt: no_op} if plain else {}
-        wanted.update((_candidate_token(utt, fam, a),
-                       no_op if a == IDENTITY_PARAMS[fam] else (fam, a))
-                      for fam, a in candidates)
+    for utt, buf, candidates in utterances:
+        wanted: Dict[str, Tuple[DisguiseFamily, float]] = {}
+        for fam, a in candidates:
+            wanted.setdefault(_candidate_token(utt, fam, a), (fam, a))
         if external is not None:
             for tok in wanted:
                 if tok not in external:
@@ -184,46 +181,48 @@ def embedding_table(utterances,
             raise KeyError(f"no audio for utterance {utt!r}")
         try:
             ctx = _RestorationContext(buf)
-            rows = {(fam, a): embed(ctx.features(a, fam))
-                    for fam, a in dict.fromkeys(wanted.values())}
+            table.update((tok, embed(ctx.features(a, fam)))
+                         for tok, (fam, a) in wanted.items())
         except ValueError as exc:
-            raise ValueError(f"{utt}: {exc}" if utt else str(exc)) from None
-        table.update((tok, rows[key]) for tok, key in wanted.items())
+            raise ValueError(f"{utt}: {exc}") from None
     return table
 
 
 def _search(reference: Embedding, table: Dict[str, Embedding],
-            test_id: str, family: DisguiseFamily, values):
-    """Argmin of the distance from `reference` over the candidate
-    embeddings of `test_id` at `values`; ties prefer the candidate
-    nearest the no-op parameter, then the smaller value."""
-    ident = IDENTITY_PARAMS[family]
-    per_candidate = [
-        (float(alpha), distance(reference, table[
-            _candidate_token(test_id, family, alpha)]))
-        for alpha in values]
-    best = min(per_candidate,
-               key=lambda ad: (ad[1], abs(ad[0] - ident), ad[0]))
-    return best[0], best[1], per_candidate
+            test_id: str, candidates):
+    """Argmin of the distance from `reference` over the embeddings of
+    `test_id`'s (family, alpha) `candidates`; ties prefer the candidate
+    nearest its family's no-op parameter, then the smaller alpha.
+    Returns the best (family, alpha, distance) and every one scored."""
+    scored = [(fam, float(a),
+               distance(reference, table[_candidate_token(test_id, fam, a)]))
+              for fam, a in candidates]
+    best = min(scored, key=lambda c: (c[2], abs(c[1] - IDENTITY_PARAMS[c[0]]),
+                                      c[1]))
+    return best, scored
 
 
 def _restore(enrolled, disguised, family, values, method, external,
              enroll_id, test_id) -> RestorationResult:
     """The best inversion of `disguised` at `values` (see `_search`)."""
-    table = embedding_table(
-        [(enroll_id, enrolled, True, ()),
-         (test_id, disguised, False, [(family, a) for a in values])],
-        external)
-    alpha_hat, d_hat, per_candidate = _search(table[enroll_id], table,
-                                              test_id, family, values)
-    return RestorationResult(alpha_hat, d_hat, family, method, per_candidate)
+    if enroll_id == test_id:
+        # the test's no-op row would replace the enrollment's
+        raise ValueError(f"utterance id {enroll_id!r} names both the "
+                         f"enrolled and the disguised audio")
+    candidates = [(family, a) for a in values]
+    table = embedding_table([(enroll_id, enrolled, [NO_OP]),
+                             (test_id, disguised, candidates)], external)
+    (_, alpha_hat, d_hat), scored = _search(table[enroll_id], table,
+                                            test_id, candidates)
+    return RestorationResult(alpha_hat, d_hat, family, method,
+                             [(a, d) for _, a, d in scored])
 
 
 def grid_search_restore(enrolled: AudioBuffer, disguised: AudioBuffer,
                         grid: Optional[GridSpec] = None,
                         family=DisguiseFamily.PITCH_FREQ,
                         external: Optional[Dict[str, Embedding]] = None,
-                        enroll_id: str = "", test_id: str = ""
+                        enroll_id: str = "enroll", test_id: str = "test"
                         ) -> RestorationResult:
     """Estimate the disguise parameter by trying every grid value,
     inverting with it, and keeping the candidate whose restored
@@ -233,7 +232,7 @@ def grid_search_restore(enrolled: AudioBuffer, disguised: AudioBuffer,
     smaller value), so undisguised input maps to "no disguise". The
     analysis of the disguised utterance is computed once and shared by
     all candidates. The ids name the two sides in an `external` table
-    (see `embedding_table`).
+    (see `embedding_table`) and must differ.
     """
     grid = grid or default_grid(family)
     return _restore(enrolled, disguised, grid.family, grid.values, "grid",
@@ -244,7 +243,7 @@ def f0_ratio_restore(enrolled: AudioBuffer, disguised: AudioBuffer,
                      family=DisguiseFamily.PITCH_FREQ,
                      grid: Optional[GridSpec] = None,
                      external: Optional[Dict[str, Embedding]] = None,
-                     enroll_id: str = "", test_id: str = ""
+                     enroll_id: str = "enroll", test_id: str = "test"
                      ) -> RestorationResult:
     """Estimate a pitch disguise from mean F0s alone.
 

@@ -127,17 +127,23 @@ def features_from_magnitudes(magnitudes: np.ndarray,
     return np.concatenate([ceps, d1, d2], axis=1)
 
 
-def mfcc(buf: AudioBuffer) -> FeatureMatrix:
-    """Voice-activity-gated cepstral features for one utterance.
+def active_magnitudes(buf: AudioBuffer) -> np.ndarray:
+    """STFT magnitudes of the frames that pass the energy gate.
 
-    Raises ValueError when fewer than MIN_ACTIVE_FRAMES frames pass the
-    energy gate (e.g. silence).
+    Raises ValueError when fewer than MIN_ACTIVE_FRAMES frames pass
+    (e.g. silence).
     """
     spectrum = stft(buf)
     mask = vad(buf)
     if int(mask.sum()) < MIN_ACTIVE_FRAMES:
         raise ValueError("insufficient voiced content for features")
-    return FeatureMatrix(features_from_magnitudes(spectrum.magnitudes[mask],
+    return spectrum.magnitudes[mask]
+
+
+def mfcc(buf: AudioBuffer) -> FeatureMatrix:
+    """Voice-activity-gated cepstral features for one utterance (see
+    `active_magnitudes`)."""
+    return FeatureMatrix(features_from_magnitudes(active_magnitudes(buf),
                                                   buf.sample_rate))
 
 

@@ -166,8 +166,9 @@ def test_estimate_external_scorer_matches_builtin(tmp_path, capsys,
             ("E", "T", ["--enroll-id", "E", "--test-id", "T"]),
             ("voice", "probe", [])):
         table = {enroll_id: embed(mfcc(enroll))}
-        for alpha in range(-4, 5):
-            table[f"{test_id}#pitch-freq:{alpha}"] = embed(
+        for alpha in range(-4, 5):   # the no-op reads the plain row
+            token = f"{test_id}#pitch-freq:{alpha}" if alpha else test_id
+            table[token] = embed(
                 restore_with(test, float(alpha), "pitch-freq"))
         sidecar = tmp_path / f"{enroll_id}.txt"
         write_embeddings(sidecar, table)
@@ -185,8 +186,8 @@ def test_estimate_external_grid_reads_no_audio(tmp_path, capsys, voice_wav):
                           "--test", probe, "--grid=-2:2:1")
     assert rc == 0
     table = {"E": embed(mfcc(load_wav(voice_wav)))}
-    for alpha in range(-2, 3):
-        table[f"T#pitch-freq:{alpha}"] = embed(
+    for alpha in range(-2, 3):       # the no-op reads the plain row
+        table[f"T#pitch-freq:{alpha}" if alpha else "T"] = embed(
             restore_with(load_wav(probe), float(alpha), "pitch-freq"))
     sidecar = tmp_path / "emb.txt"
     write_embeddings(sidecar, table)
@@ -203,6 +204,32 @@ def test_estimate_external_grid_reads_no_audio(tmp_path, capsys, voice_wav):
                   ["--restored", str(tmp_path / "restored.wav")]):
         rc, _, stderr = run_cli(capsys, *argv, *flags)
         assert rc == 1 and ghost in stderr
+
+
+def test_estimate_ids_name_only_sidecar_rows(tmp_path, capsys, voice_wav):
+    hidden = disguise(speechy(1.0, seed=5), DisguiseSpec("pitch-freq", 2.0))
+    probe = str(tmp_path / "probe.wav")
+    save_wav(probe, hidden)
+    for side in ("a", "b"):
+        os.makedirs(tmp_path / side)
+    same_enroll = str(tmp_path / "a" / "x.wav")
+    same_test = str(tmp_path / "b" / "x.wav")
+    save_wav(same_enroll, load_wav(voice_wav))
+    save_wav(same_test, hidden)
+    rc, want, _ = run_cli(capsys, "estimate", "--enroll", voice_wav,
+                          "--test", probe, "--grid=-2:2:1")
+    assert rc == 0
+    rc, got, _ = run_cli(capsys, "estimate", "--enroll", same_enroll,
+                         "--test", same_test, "--grid=-2:2:1")
+    assert rc == 0
+    assert json_line(got) == json_line(want)
+    # a sidecar cannot tell the two sides apart by one id
+    sidecar = tmp_path / "emb.txt"
+    write_embeddings(sidecar, {"x": embed(mfcc(hidden))})
+    rc, _, stderr = run_cli(capsys, "estimate", "--enroll", same_enroll,
+                            "--test", same_test, "--grid=-2:2:1",
+                            "--scorer", f"external:{sidecar}")
+    assert rc == 1 and "'x' names both" in stderr
 
 
 def test_estimate_f0ratio_requires_voiced_audio(tmp_path, capsys):
@@ -388,6 +415,37 @@ def test_eval_dump_embeddings_round_trip(trial_dir, tmp_path, capsys):
     b = json.load(open(second, encoding="utf-8"))
     assert (a["matrix"][0]["eer"], a["matrix"][0]["threshold"]) \
         == (b["matrix"][0]["eer"], b["matrix"][0]["threshold"])
+
+
+def test_eval_external_no_op_candidates_read_the_plain_rows(
+        trial_dir, tmp_path, capsys):
+    trials = os.path.join(trial_dir, "trials.txt")
+    methods = ["--restore", "none", "--restore", "pitch-freq"]
+    builtin, dump = tmp_path / "builtin", tmp_path / "emb.txt"
+    external = tmp_path / "external"
+    for out in (builtin, external):
+        os.makedirs(out)
+    assert run_cli(capsys, "eval", "--trials", trials, "--out",
+                   str(builtin / "report.json"), *methods,
+                   "--dump-embeddings", str(dump))[0] == 0
+    # the dumped plain rows plus every candidate that is not a no-op
+    table = load_external_embeddings(dump)
+    tests = {line.split()[2] for line in open(trials, encoding="utf-8")}
+    for token in tests:
+        test = load_wav(os.path.join(trial_dir, token))
+        for alpha in range(-11, 12):
+            if alpha:
+                table[f"{token}#pitch-freq:{alpha}"] = embed(
+                    restore_with(test, float(alpha), "pitch-freq"))
+    sidecar = tmp_path / "sidecar.txt"
+    write_embeddings(sidecar, table)
+    assert run_cli(capsys, "eval", "--trials", trials, "--out",
+                   str(external / "report.json"), *methods,
+                   "--scorer", f"external:{sidecar}")[0] == 0
+    names = sorted(os.listdir(builtin))
+    assert names == sorted(os.listdir(external)) and len(names) == 4
+    for name in names:
+        assert (builtin / name).read_bytes() == (external / name).read_bytes()
 
 
 def _count_analyses(monkeypatch) -> dict:
@@ -591,9 +649,9 @@ def test_eval_logs_embeddings_and_warp_maps(trial_dir, tmp_path, capsys,
                             "vtln-power", "--log-level", "info")
     assert rc == 0
     n_grid = 21     # the default vtln-power grid
-    # every utterance has a plain row; it and the grid's no-op share one
-    # inversion, whose map is the pitch-freq:0 one
-    assert (f"; {len(enrolls) + (n_grid + 1) * len(tests)} embeddings, "
+    # every utterance has a plain row; it is the grid's no-op candidate,
+    # computed first by the pitch-freq:0 inversion
+    assert (f"; {len(enrolls) + n_grid * len(tests)} embeddings, "
             f"{n_grid} warp maps "
             f"({n_grid * (len(tests) - 1) + len(enrolls)} reused)"
             in caplog.text)

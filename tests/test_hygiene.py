@@ -1,9 +1,12 @@
 """Hygiene of the package sources, checked with `ast` since no linter
 is a dependency: no module imports a name it never uses, every name in
-an `__all__` resolves, and every function reads all its parameters."""
+an `__all__` resolves, every function reads all its parameters, and the
+package stays within its size ceilings."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -37,7 +40,7 @@ def _unused_imports(tree: ast.Module) -> list:
 # parameters kept unread on purpose: (module, function, parameter) -> reason
 UNREAD_PARAMETERS = {
     ("evaluate.py", "run_matrix", "jobs"):
-        "a no-op the benchmark still passes as jobs=1; ROADMAP item 2 "
+        "a no-op the benchmark still passes as jobs=1; ROADMAP item 3 "
         "makes it real or deletes it",
 }
 
@@ -57,6 +60,28 @@ def _unread_parameters(tree: ast.Module) -> list:
         found += [(getattr(node, "name", "<lambda>"), p.arg)
                   for p in params if p.arg not in read]
     return found
+
+
+# ceilings on the package's size; raising either needs a reason in
+# CHANGES.md
+MAX_SOURCE_LINES = 2164
+MAX_SETTINGS = 24
+
+
+def _settings_count() -> int:
+    """Keyword defaults of the exported functions and of
+    `restore.embedding_table`, plus the fields of the two settings
+    dataclasses."""
+    package = importlib.import_module("voxrestore")
+    restore = importlib.import_module("voxrestore.restore")
+    functions = [getattr(package, name) for name in package.__all__]
+    functions = [f for f in functions
+                 if callable(f) and not inspect.isclass(f)]
+    defaults = sum(p.default is not inspect.Parameter.empty
+                   for f in functions + [restore.embedding_table]
+                   for p in inspect.signature(f).parameters.values())
+    return defaults + sum(len(dataclasses.fields(cls)) for cls in
+                          (package.FrameParams, package.CorpusConfig))
 
 
 def test_sources_are_found():
@@ -88,6 +113,13 @@ def test_all_names_resolve(path):
     module = importlib.import_module(
         "voxrestore" if path.stem == "__init__" else f"voxrestore.{path.stem}")
     assert [n for n in names if not hasattr(module, n)] == []
+
+
+def test_size_stays_under_its_ceilings():
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines())
+                for path in MODULES)
+    assert lines <= MAX_SOURCE_LINES
+    assert _settings_count() <= MAX_SETTINGS
 
 
 def test_checks_catch_leftovers():

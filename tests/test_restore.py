@@ -14,8 +14,8 @@ from voxrestore import (IDENTITY_PARAMS, AudioBuffer,
                         nearest_grid_value, resample, restore_with,
                         semitone_to_scale, stft, vad)
 from voxrestore.disguise import warp_indices
-from voxrestore.restore import (_RestorationContext, _candidate_token,
-                                embedding_table)
+from voxrestore.restore import (NO_OP, _RestorationContext,
+                                _candidate_token, embedding_table)
 from voxrestore.speaker import features_from_magnitudes
 
 
@@ -301,14 +301,21 @@ def test_external_scorer_agrees_with_builtin(pair):
 
 def test_embedding_table_reports_missing_external_token():
     table = {"u1": Embedding(np.ones(3))}
-    got = embedding_table([("u1", None, True, ())], external=table)
+    got = embedding_table([("u1", None, [NO_OP])], external=table)
     assert got["u1"] is table["u1"]
     with pytest.raises(KeyError,
                        match="'u2' missing from external embedding table"):
-        embedding_table([("u2", None, True, ())], external=table)
+        embedding_table([("u2", None, [NO_OP])], external=table)
     # an empty table is still external: it never falls back to audio
     with pytest.raises(KeyError, match="'u1' missing"):
-        embedding_table([("u1", None, True, ())], external={})
+        embedding_table([("u1", None, [NO_OP])], external={})
+
+
+def test_restoration_rejects_one_id_for_both_sides(pair):
+    # the test's no-op row would replace the enrollment's
+    x, y = pair
+    with pytest.raises(ValueError, match="'x' names both"):
+        grid_search_restore(x, y, enroll_id="x", test_id="x")
 
 
 def test_grid_search_rejects_mixed_sample_rates(pair):
