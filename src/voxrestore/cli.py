@@ -15,8 +15,7 @@ import time
 from typing import Dict, Optional
 
 from .audio import istft, load_wav, save_wav, stft
-from .disguise import (DisguiseSpec, apply_spectral_warp, disguise,
-                       parse_family, warp_indices)
+from .disguise import DisguiseSpec, apply_spectral_warp, disguise, warp_indices
 from .evaluate import (Corpus, CorpusConfig, Trial, gen_trials, run_matrix,
                        synth_corpus)
 from .restore import (GridSpec, default_grid, f0_ratio_restore,
@@ -87,19 +86,15 @@ def cmd_estimate(args) -> int:
                    or args.restored is not None)
     enroll = load_wav(args.enroll) if reads_audio else None
     test = load_wav(args.test) if reads_audio else None
-    family = parse_family(args.family)
-    grid = _parse_grid(args.grid, family)
+    grid = _parse_grid(args.grid, args.family)
     # the ids name sidecar rows; builtin embeddings need none
     ids = {} if external is None else {
         "enroll_id": args.enroll_id or _utt_id(args.enroll),
         "test_id": args.test_id or _utt_id(args.test)}
     t0 = time.perf_counter()
-    if args.method == "grid":
-        result = grid_search_restore(
-            enroll, test, grid=grid, family=family, external=external, **ids)
-    else:
-        result = f0_ratio_restore(
-            enroll, test, family=family, grid=grid, external=external, **ids)
+    restore = (grid_search_restore if args.method == "grid"
+               else f0_ratio_restore)
+    result = restore(enroll, test, grid=grid, external=external, **ids)
     if args.restored is not None:
         spec = DisguiseSpec(result.family, result.alpha_hat)
         save_wav(args.restored,
@@ -138,12 +133,15 @@ def cmd_corpus(args) -> int:
     return 0
 
 
-def _load_corpus_dir(path: str) -> Corpus:
+def _load_corpus_dir(path: str):
+    """The corpus a `corpus.tsv` indexes, and each utterance's WAV path
+    relative to `path`."""
     index_path = os.path.join(path, "corpus.tsv")
     if not os.path.isfile(index_path):
         raise FileNotFoundError(f"no corpus index at {index_path}")
     utterances = {}
     speaker_of = {}
+    file_of = {}
     with open(index_path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -155,13 +153,14 @@ def _load_corpus_dir(path: str) -> Corpus:
             utt, spk, filename = parts
             utterances[utt] = load_wav(os.path.join(path, filename))
             speaker_of[utt] = spk
+            file_of[utt] = filename
     if not utterances:
         raise ValueError(f"corpus index {index_path} is empty")
-    return Corpus(utterances, speaker_of)
+    return Corpus(utterances, speaker_of), file_of
 
 
 def cmd_trials(args) -> int:
-    corpus = _load_corpus_dir(args.corpus)
+    corpus, file_of = _load_corpus_dir(args.corpus)
     t0 = time.perf_counter()
     trials, extra = gen_trials(corpus, args.n, policy=args.disguise,
                                seed=args.seed)
@@ -169,11 +168,9 @@ def cmd_trials(args) -> int:
     disg_dir = os.path.join(args.out, "disguised")
     if extra:
         os.makedirs(disg_dir, exist_ok=True)
-    token_of = {}
-    for utt in corpus.utterances:
-        rel = os.path.relpath(os.path.join(args.corpus, f"{utt}.wav"),
-                              args.out)
-        token_of[utt] = rel
+    token_of = {utt: os.path.relpath(os.path.join(args.corpus, filename),
+                                     args.out)
+                for utt, filename in file_of.items()}
     for test_id, buf in extra.items():
         filename = os.path.join("disguised", f"{test_id}.wav")
         save_wav(os.path.join(args.out, filename), buf)

@@ -10,10 +10,8 @@ from scipy.signal import lfilter
 
 from .audio import AudioBuffer
 from .disguise import (VTLN_FAMILIES, DisguiseFamily, DisguiseSpec,
-                       IDENTITY_PARAMS, disguise, parse_family)
-from .pitch import UnvoicedUtteranceError, estimate_f0, f0_ratio_alpha, mean_f0
-from .restore import (NO_OP, _search, default_grid, embedding_table,
-                      nearest_grid_value)
+                       disguise, parse_family)
+from .restore import default_grid, parse_restoration, search_pairs
 from .speaker import Embedding
 
 log = logging.getLogger("voxrestore")
@@ -224,12 +222,6 @@ class EerReport:
     n_same: int
     n_diff: int
 
-    def to_dict(self) -> dict:
-        return {"eer_percent": self.eer_percent,
-                "threshold": self.threshold,
-                "n_same": self.n_same,
-                "n_diff": self.n_diff}
-
 
 def compute_eer(same_scores, diff_scores) -> EerReport:
     """Equal error rate for a distance-like score (accept iff score <=
@@ -356,19 +348,6 @@ def _disguise_label(trial_summary: Dict[str, int]) -> str:
     return "mixed"
 
 
-def _parse_restoration(name: str):
-    """Restoration method id -> (kind, family). Accepted: "none",
-    "f0ratio", a family name (grid search over its default grid), or
-    "grid:<family>"."""
-    if name == "none":
-        return "none", None
-    if name == "f0ratio":
-        return "f0ratio", DisguiseFamily.PITCH_FREQ
-    if name.startswith("grid:"):
-        return "grid", parse_family(name[len("grid:"):])
-    return "grid", parse_family(name)
-
-
 def _same_units(a: DisguiseFamily, b: DisguiseFamily) -> bool:
     semitones = (DisguiseFamily.PITCH_FREQ, DisguiseFamily.PITCH_TIME)
     return a is b or (a in semitones and b in semitones)
@@ -383,10 +362,11 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
     EER breakdowns.
 
     Restoration methods are blind: they never read a trial's
-    disguise_meta, which is used only to organize the report. Every
-    embedding any method needs is computed once, in one table, however
-    often a test utterance repeats, from the `external` table when one
-    is given (see `embedding_table`). `jobs` is accepted for
+    disguise_meta, which is used only to organize the report. The
+    trials are scored by `restore.search_pairs`, from one table that
+    holds every embedding once, however often a test utterance repeats,
+    read from the `external` table when one is given; an unvoiced side
+    makes the F0 ratio fall back to the no-op. `jobs` is accepted for
     compatibility and has no effect; the work runs in one thread.
     """
     trials = list(trials)
@@ -394,60 +374,17 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
         raise ValueError("no trials to evaluate")
     if any(t.label is None for t in trials):
         raise ValueError("every trial needs a ground-truth label")
-    methods = [(name, *_parse_restoration(name)) for name in restorations]
+    names = list(restorations)
+    methods = [parse_restoration(name) for name in names]
     if not methods:
         raise ValueError("no restoration methods requested")
-
-    # 1. F0-ratio estimates, from each side's mean F0
-    f0_alpha: Dict[Tuple[str, str], float] = {}
-    if any(kind == "f0ratio" for _, kind, _ in methods):
-        f0_mean: Dict[str, Optional[float]] = {}
-        for utt in dict.fromkeys(u for t in trials
-                                 for u in (t.enroll_id, t.test_id)):
-            if utt not in audio:
-                raise KeyError(f"no audio for utterance {utt!r}")
-            try:
-                f0_mean[utt] = mean_f0(estimate_f0(audio[utt]))
-            except UnvoicedUtteranceError:
-                f0_mean[utt] = None
-            except ValueError as exc:
-                raise ValueError(f"{utt}: {exc}") from None
-        grid = default_grid(DisguiseFamily.PITCH_FREQ)
-        fallbacks = 0
-        for t in trials:
-            fe, ft = f0_mean[t.enroll_id], f0_mean[t.test_id]
-            fallbacks += fe is None or ft is None
-            f0_alpha[t.enroll_id, t.test_id] = (
-                IDENTITY_PARAMS[grid.family]   # no pitch to compare
-                if fe is None or ft is None
-                else nearest_grid_value(grid, f0_ratio_alpha(fe, ft)))
+    table, results, fallbacks = search_pairs(
+        audio, [(t.enroll_id, t.test_id) for t in trials], methods, external,
+        f0_fallback=True)
+    if fallbacks is not None:
         log.info("f0ratio: %d of %d trials fell back to the no-op "
                  "parameter (a side is unvoiced)", fallbacks, len(trials))
 
-    grid_candidates = {fam: [(fam, a) for a in default_grid(fam).values]
-                       for _, kind, fam in methods if kind == "grid"}
-
-    def candidates(kind: str, family: DisguiseFamily, t: Trial):
-        """The (family, alpha) candidates a method scores on one trial."""
-        if kind == "grid":
-            return grid_candidates[family]
-        if kind == "f0ratio":
-            return [(family, f0_alpha[t.enroll_id, t.test_id])]
-        return [NO_OP]
-
-    # 2. one table of every embedding any method needs; a builtin one
-    # holds every test utterance's plain row (the dump copies it) too
-    needs: Dict[str, dict] = {}       # utt -> {(family, alpha): None}
-    for t in trials:
-        needs.setdefault(t.enroll_id, {})[NO_OP] = None
-        need = needs.setdefault(t.test_id, {} if external is not None
-                               else {NO_OP: None})
-        for _, kind, family in methods:
-            need.update(dict.fromkeys(candidates(kind, family, t)))
-    table = embedding_table(
-        ((u, audio.get(u), cands) for u, cands in needs.items()), external)
-
-    # 3. scores per method
     trial_summary: Dict[str, int] = {}
     groups: Dict[Tuple[str, float], List[int]] = {}   # per-alpha trials
     for i, t in enumerate(trials):
@@ -459,18 +396,17 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
     labels = np.array([t.label for t in trials], dtype=bool)
 
     rows: List[MatrixRow] = []
-    for name, kind, family in methods:
-        results = [_search(table[t.enroll_id], table, t.test_id,
-                           candidates(kind, family, t))[0] for t in trials]
-        scores = np.array([d for _, _, d in results])
+    for name, (kind, grid), searched in zip(names, methods, results):
+        best = [b for b, _ in searched]
+        scores = np.array([d for _, _, d in best])
         eer = compute_eer(scores[labels], scores[~labels])
 
         bias = None
-        if kind in ("grid", "f0ratio"):
+        if kind != "none":
             pairs = [(t.disguise_meta.param, a)
-                     for t, (_, a, _) in zip(trials, results)
+                     for t, (_, a, _) in zip(trials, best)
                      if t.label and t.disguise_meta is not None
-                     and _same_units(t.disguise_meta.family, family)]
+                     and _same_units(t.disguise_meta.family, grid.family)]
             if pairs:
                 bias = alpha_bias(pairs)
 

@@ -9,7 +9,8 @@ import numpy as np
 from .audio import AudioBuffer
 from .disguise import (DisguiseFamily, DisguiseSpec, IDENTITY_PARAMS,
                        PARAM_RANGES, parse_family, warp_indices)
-from .pitch import estimate_f0, f0_ratio_alpha, mean_f0
+from .pitch import (UnvoicedUtteranceError, estimate_f0, f0_ratio_alpha,
+                    mean_f0)
 from .speaker import (Embedding, FeatureMatrix, active_magnitudes, distance,
                       embed, features_from_magnitudes)
 
@@ -202,25 +203,98 @@ def _search(reference: Embedding, table: Dict[str, Embedding],
     return best, scored
 
 
-def _restore(enrolled, disguised, family, values, method, external,
-             enroll_id, test_id) -> RestorationResult:
-    """The best inversion of `disguised` at `values` (see `_search`)."""
+def parse_restoration(name: str) -> Tuple[str, GridSpec]:
+    """Restoration method id -> (kind, grid). Accepted: "none" (the one
+    candidate `NO_OP`), "f0ratio" (the default pitch-freq grid, snapped
+    to by the F0 ratio), a family name or "grid:<family>" (a search
+    over the family's default grid)."""
+    if name == "none":
+        return "none", GridSpec(NO_OP[0], (NO_OP[1],))
+    if name == "f0ratio":
+        return "f0ratio", default_grid(DisguiseFamily.PITCH_FREQ)
+    return "grid", default_grid(name[len("grid:"):]
+                                if name.startswith("grid:") else name)
+
+
+def search_pairs(audio: Dict[str, Optional[AudioBuffer]], pairs, methods,
+                 external: Optional[Dict[str, Embedding]], f0_fallback: bool):
+    """Score each (enroll_id, test_id) pair under each (kind, grid)
+    method, from one `embedding_table`.
+
+    A grid scores all its values; "f0ratio" scores the grid value
+    nearest the F0 ratio of the pair's mean F0s. With `f0_fallback` an
+    unvoiced side makes that the grid's no-op; without, it raises
+    UnvoicedUtteranceError. F0 and analysis errors name the utterance.
+    A builtin table also holds every pair's plain rows. Returns the
+    table, per method the `_search` result of each pair, and how many
+    pairs fell back (None when no method reads the F0).
+    """
+    reads_f0 = any(kind == "f0ratio" for kind, _ in methods)
+    f0: Dict[str, Optional[float]] = {}
+    if reads_f0:
+        for utt in dict.fromkeys(u for pair in pairs for u in pair):
+            if audio.get(utt) is None:
+                raise KeyError(f"no audio for utterance {utt!r}")
+            try:
+                f0[utt] = mean_f0(estimate_f0(audio[utt]))
+            except ValueError as exc:
+                if not (f0_fallback
+                        and isinstance(exc, UnvoicedUtteranceError)):
+                    raise type(exc)(f"{utt}: {exc}") from None
+                f0[utt] = None
+    unvoiced = [reads_f0 and (f0[e] is None or f0[t] is None)
+                for e, t in pairs]
+
+    def candidates(kind: str, grid: GridSpec):
+        """The (family, alpha) candidates of one method, per pair."""
+        if kind != "f0ratio":
+            return [[(grid.family, a) for a in grid.values]] * len(pairs)
+        return [[(grid.family, IDENTITY_PARAMS[grid.family] if fell_back
+                  else nearest_grid_value(grid, f0_ratio_alpha(f0[e], f0[t])))]
+                for (e, t), fell_back in zip(pairs, unvoiced)]
+
+    plan = [candidates(kind, grid) for kind, grid in methods]
+    needs: Dict[str, dict] = {}       # utt -> {(family, alpha): None}
+    for i, (e, t) in enumerate(pairs):
+        needs.setdefault(e, {})[NO_OP] = None
+        need = needs.setdefault(t, {} if external is not None
+                               else {NO_OP: None})
+        for per_pair in plan:
+            need.update(dict.fromkeys(per_pair[i]))
+    table = embedding_table(
+        ((u, audio.get(u), cands) for u, cands in needs.items()), external)
+    results = [[_search(table[e], table, t, cands)
+                for (e, t), cands in zip(pairs, per_pair)]
+               for per_pair in plan]
+    return table, results, sum(unvoiced) if reads_f0 else None
+
+
+def _restore(enrolled, disguised, kind, family, grid, external, enroll_id,
+             test_id) -> RestorationResult:
+    """The best candidate of one method on one pair (see `_search`)."""
+    if grid is None:
+        grid = default_grid(family or DisguiseFamily.PITCH_FREQ)
+    elif family is not None and parse_family(family) is not grid.family:
+        raise ValueError(f"family {parse_family(family).value} contradicts "
+                         f"the grid's family {grid.family.value}")
+    if kind == "f0ratio" and grid.family not in (DisguiseFamily.PITCH_FREQ,
+                                                 DisguiseFamily.PITCH_TIME):
+        raise ValueError("F0-ratio restoration estimates semitones; family "
+                         "must be pitch-freq or pitch-time")
     if enroll_id == test_id:
         # the test's no-op row would replace the enrollment's
         raise ValueError(f"utterance id {enroll_id!r} names both the "
                          f"enrolled and the disguised audio")
-    candidates = [(family, a) for a in values]
-    table = embedding_table([(enroll_id, enrolled, [NO_OP]),
-                             (test_id, disguised, candidates)], external)
-    (_, alpha_hat, d_hat), scored = _search(table[enroll_id], table,
-                                            test_id, candidates)
-    return RestorationResult(alpha_hat, d_hat, family, method,
+    _, [[((_, alpha_hat, d_hat), scored)]], _ = search_pairs(
+        {enroll_id: enrolled, test_id: disguised}, [(enroll_id, test_id)],
+        [(kind, grid)], external, f0_fallback=False)
+    return RestorationResult(alpha_hat, d_hat, grid.family,
+                             "f0-ratio" if kind == "f0ratio" else kind,
                              [(a, d) for _, a, d in scored])
 
 
 def grid_search_restore(enrolled: AudioBuffer, disguised: AudioBuffer,
-                        grid: Optional[GridSpec] = None,
-                        family=DisguiseFamily.PITCH_FREQ,
+                        grid: Optional[GridSpec] = None, family=None,
                         external: Optional[Dict[str, Embedding]] = None,
                         enroll_id: str = "enroll", test_id: str = "test"
                         ) -> RestorationResult:
@@ -228,39 +302,28 @@ def grid_search_restore(enrolled: AudioBuffer, disguised: AudioBuffer,
     inverting with it, and keeping the candidate whose restored
     embedding lands closest to the enrolled speaker.
 
-    Ties prefer the candidate nearest the no-op parameter (then the
-    smaller value), so undisguised input maps to "no disguise". The
-    analysis of the disguised utterance is computed once and shared by
-    all candidates. The ids name the two sides in an `external` table
-    (see `embedding_table`) and must differ.
+    The grid defaults to `family`'s (pitch-freq's when None); a
+    `family` that contradicts a given grid is a ValueError. Ties prefer
+    the candidate nearest the no-op parameter (then the smaller value),
+    so undisguised input maps to "no disguise". The ids name the two
+    sides in an `external` table (see `embedding_table`) and must
+    differ.
     """
-    grid = grid or default_grid(family)
-    return _restore(enrolled, disguised, grid.family, grid.values, "grid",
-                    external, enroll_id, test_id)
+    return _restore(enrolled, disguised, "grid", family, grid, external,
+                    enroll_id, test_id)
 
 
 def f0_ratio_restore(enrolled: AudioBuffer, disguised: AudioBuffer,
-                     family=DisguiseFamily.PITCH_FREQ,
-                     grid: Optional[GridSpec] = None,
+                     family=None, grid: Optional[GridSpec] = None,
                      external: Optional[Dict[str, Embedding]] = None,
                      enroll_id: str = "enroll", test_id: str = "test"
                      ) -> RestorationResult:
-    """Estimate a pitch disguise from mean F0s alone.
-
-    The semitone offset implied by the two utterances' mean F0 is
-    snapped to the family grid and a single inversion is scored. Only
-    the pitch families carry semitone parameters, so others are
-    rejected. Raises UnvoicedUtteranceError when either side has no
-    voiced frames.
+    """Estimate a pitch disguise from mean F0s alone: the semitone
+    offset implied by the two utterances' mean F0 is snapped to the
+    grid (chosen as in `grid_search_restore`, and only a pitch family's)
+    and that one inversion is scored. Unlike `run_matrix`, which falls
+    back to the no-op, raises UnvoicedUtteranceError naming a side that
+    has no voiced frames.
     """
-    fam = parse_family(family)
-    if fam not in (DisguiseFamily.PITCH_FREQ, DisguiseFamily.PITCH_TIME):
-        raise ValueError(
-            "F0-ratio restoration estimates semitones; family must be "
-            "pitch-freq or pitch-time")
-    grid = grid or default_grid(fam)
-    f_x = mean_f0(estimate_f0(enrolled))
-    f_y = mean_f0(estimate_f0(disguised))
-    alpha_hat = nearest_grid_value(grid, f0_ratio_alpha(f_x, f_y))
-    return _restore(enrolled, disguised, fam, (alpha_hat,), "f0-ratio",
-                    external, enroll_id, test_id)
+    return _restore(enrolled, disguised, "f0ratio", family, grid, external,
+                    enroll_id, test_id)

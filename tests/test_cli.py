@@ -243,6 +243,16 @@ def test_estimate_f0ratio_requires_voiced_audio(tmp_path, capsys):
     assert "unvoiced" in stderr
 
 
+def test_estimate_f0ratio_names_the_side_it_cannot_analyze(tmp_path, capsys,
+                                                           voice_wav):
+    short = str(tmp_path / "short.wav")
+    save_wav(short, AudioBuffer(tone(200.0).samples[:100], SR))
+    rc, _, stderr = run_cli(capsys, "estimate", "--enroll", voice_wav,
+                            "--test", short, "--method", "f0ratio")
+    assert rc == 1
+    assert "error: test: signal of 100 samples is shorter" in stderr
+
+
 def test_estimate_f0ratio_rejects_warp_family(capsys, voice_wav):
     rc, _, stderr = run_cli(capsys, "estimate", "--enroll", voice_wav,
                             "--test", voice_wav, "--method", "f0ratio",
@@ -336,6 +346,30 @@ def test_trials_undisguised_lines_have_three_tokens(tmp_path_factory,
     lines = open(out / "trials.txt", encoding="utf-8").read().splitlines()
     assert all(len(line.split()) == 3 for line in lines)
     assert not os.path.isdir(out / "disguised")
+
+
+def test_trials_reads_the_corpus_filename_column(tmp_path, capsys,
+                                                 corpus_dir):
+    moved = tmp_path / "c"
+    os.makedirs(moved / "wav")
+    index = open(os.path.join(corpus_dir, "corpus.tsv"),
+                 encoding="utf-8").read().splitlines()
+    with open(moved / "corpus.tsv", "w", encoding="utf-8") as fh:
+        for line in index:
+            utt, spk, filename = line.split("\t")
+            save_wav(moved / "wav" / filename,
+                     load_wav(os.path.join(corpus_dir, filename)))
+            fh.write(f"{utt}\t{spk}\twav/{filename}\n")
+    rc, _, _ = run_cli(capsys, "trials", "--corpus", str(moved),
+                       "--out", str(tmp_path / "t"), "--n", "4")
+    assert rc == 0
+    for line in open(tmp_path / "t" / "trials.txt", encoding="utf-8"):
+        assert all(token.startswith("../c/wav/")
+                   for token in line.split()[1:3])
+    rc, _, stderr = run_cli(capsys, "eval", "--trials",
+                            str(tmp_path / "t" / "trials.txt"),
+                            "--out", str(tmp_path / "r.json"))
+    assert rc == 0, stderr
 
 
 def test_trials_requires_corpus_index(tmp_path, capsys):

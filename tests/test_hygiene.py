@@ -64,7 +64,7 @@ def _unread_parameters(tree: ast.Module) -> list:
 
 # ceilings on the package's size; raising either needs a reason in
 # CHANGES.md
-MAX_SOURCE_LINES = 2164
+MAX_SOURCE_LINES = 2160
 MAX_SETTINGS = 24
 
 

@@ -362,14 +362,54 @@ def test_f0_ratio_recovers_interior_offsets():
 def test_f0_ratio_requires_voiced_audio():
     noise = white_noise(1.0, seed=9)
     voiced = bl_sawtooth(150.0, 1.0)
-    with pytest.raises(UnvoicedUtteranceError):
+    with pytest.raises(UnvoicedUtteranceError, match="^enroll: "):
         f0_ratio_restore(noise, voiced)
+    silent = AudioBuffer(np.zeros(len(voiced)), voiced.sample_rate)
+    with pytest.raises(UnvoicedUtteranceError, match="^test: "):
+        f0_ratio_restore(voiced, silent)
+
+
+def test_f0_ratio_analysis_error_names_its_side():
+    voiced = bl_sawtooth(150.0, 1.0)
+    short = AudioBuffer(voiced.samples[:100], voiced.sample_rate)
+    with pytest.raises(ValueError, match="^test: signal of 100 samples"):
+        f0_ratio_restore(voiced, short)
 
 
 def test_f0_ratio_rejects_warp_families():
     x = bl_sawtooth(150.0, 1.0)
     with pytest.raises(ValueError):
         f0_ratio_restore(x, x, family="vtln-power")
+
+
+def test_grid_and_family_must_agree(pair):
+    x, clean = pair
+    power = default_grid("vtln-power")
+    for restore in (grid_search_restore, f0_ratio_restore):
+        with pytest.raises(ValueError,
+                           match="pitch-freq contradicts .* vtln-power"):
+            restore(x, x, grid=power, family="pitch-freq")
+    # a grid alone names the family
+    y = disguise(clean, DisguiseSpec("vtln-power", 0.2))
+    result = grid_search_restore(x, y, grid=power)
+    assert result.family is DisguiseFamily.VTLN_POWER
+    assert [a for a, _ in result.per_candidate] == list(power.values)
+    assert grid_search_restore(x, y, grid=power,
+                               family="vtln-power").to_dict() \
+        == result.to_dict()
+
+
+def test_f0_ratio_takes_its_family_from_the_grid():
+    x = bl_sawtooth(150.0, 1.0)
+    y = resample(x, semitone_to_scale(4.0))
+    result = f0_ratio_restore(x, y, grid=default_grid("pitch-time"))
+    assert result.family is DisguiseFamily.PITCH_TIME
+    assert result.alpha_hat == 4.0
+    # a warp grid is rejected like a warp family
+    for kwargs in ({"grid": default_grid("vtln-power")},
+                   {"family": "vtln-power"}):
+        with pytest.raises(ValueError, match="estimates semitones"):
+            f0_ratio_restore(x, y, **kwargs)
 
 
 def test_result_serialization(pair):
