@@ -10,9 +10,8 @@ skips the search and reads the offset straight off the two
 fundamentals.
 """
 
-from voxrestore import (CorpusConfig, DisguiseSpec, disguise,
-                        f0_ratio_restore, grid_search_restore,
-                        synth_corpus)
+from voxrestore import (CorpusConfig, DisguiseSpec, default_grid, disguise,
+                        restore_pair, synth_corpus)
 
 # a tiny synthetic corpus: enrollment and probe are different
 # utterances of the same voice, as they would be in practice
@@ -29,7 +28,8 @@ print(f"probe disguised with {truth.spec_string()}")
 
 # a resampling disguise looks like a frequency-axis scale to the
 # features, so the search runs over semitone offsets in that family
-result = grid_search_restore(enroll, disguised, family="pitch-freq")
+# (the default grid: pitch-freq, -11 to +11)
+result = restore_pair(enroll, disguised, "grid")
 print()
 print("distance profile over the candidate grid")
 dmax = max(d for _, d in result.per_candidate)
@@ -41,13 +41,13 @@ print(f"estimate {result.alpha_hat:+.0f} semitones (truth "
       f"{truth.param:+.0f}), restored distance {result.d_hat:.4f}")
 
 # the shortcut: one F0 track per side, no search
-quick = f0_ratio_restore(enroll, disguised)
+quick = restore_pair(enroll, disguised, "f0ratio")
 print(f"F0-ratio shortcut lands on {quick.alpha_hat:+.0f} semitones")
 
 # against the wrong speaker the same search still picks some candidate,
 # but the minimized distance stays high; that number doubles as the
 # verification score downstream
-wrong = grid_search_restore(imposter, disguised, family="pitch-freq")
+wrong = restore_pair(imposter, disguised, "grid")
 print()
 print(f"searched against the wrong speaker: best distance "
       f"{wrong.d_hat:.4f} vs {result.d_hat:.4f} for the right one")
@@ -55,8 +55,8 @@ print(f"searched against the wrong speaker: best distance "
 # nothing in the machinery is pitch-specific: disguise with a spectral
 # warp instead and search that family's parameter grid
 truth = DisguiseSpec("vtln-power", 0.3)
-result = grid_search_restore(enroll, disguise(probe, truth),
-                             family="vtln-power")
+result = restore_pair(enroll, disguise(probe, truth), "grid",
+                      default_grid("vtln-power"))
 print()
 print(f"warp disguise {truth.spec_string()}: grid search estimates "
       f"{result.alpha_hat:+.2f} (truth {truth.param:+.2f})")

@@ -18,13 +18,19 @@ from .evaluate import (BiasStats, Corpus, CorpusConfig, EerReport,
 from .pitch import (F0Track, UnvoicedUtteranceError, estimate_f0,
                     f0_ratio_alpha, mean_f0)
 from .restore import (GridSpec, RestorationResult, default_grid,
-                      f0_ratio_restore, grid_search_restore,
-                      nearest_grid_value, restore_with)
+                      nearest_grid_value, restore_pair, restore_with)
 from .speaker import (Embedding, FeatureMatrix, distance, embed,
                       load_external_embeddings, mel_filterbank, mfcc,
                       write_embeddings)
 
 __version__ = "0.1.0"
+
+
+def grid_search_restore(enrolled, disguised):
+    # the old name of `restore_pair(..., "grid")`, not exported; only
+    # the recovery check in bench/workloads.py still calls it
+    return restore_pair(enrolled, disguised, "grid")
+
 
 __all__ = [
     "AudioBuffer", "FrameParams", "Spectrogram", "DEFAULT_FRAME",
@@ -38,7 +44,7 @@ __all__ = [
     "distance", "mel_filterbank", "load_external_embeddings",
     "write_embeddings",
     "GridSpec", "RestorationResult", "default_grid", "nearest_grid_value",
-    "restore_with", "grid_search_restore", "f0_ratio_restore",
+    "restore_with", "restore_pair",
     "Trial", "EerReport", "CorpusConfig", "Corpus", "BiasStats",
     "MatrixRow", "MatrixReport", "synth_corpus", "gen_trials", "compute_eer",
     "run_matrix", "alpha_bias",

@@ -18,8 +18,7 @@ from .audio import istft, load_wav, save_wav, stft
 from .disguise import DisguiseSpec, apply_spectral_warp, disguise, warp_indices
 from .evaluate import (Corpus, CorpusConfig, Trial, gen_trials, run_matrix,
                        synth_corpus)
-from .restore import (GridSpec, default_grid, f0_ratio_restore,
-                      grid_from_range, grid_search_restore)
+from .restore import GridSpec, default_grid, grid_from_range, restore_pair
 from .speaker import Embedding, load_external_embeddings, write_embeddings
 
 log = logging.getLogger("voxrestore")
@@ -92,9 +91,7 @@ def cmd_estimate(args) -> int:
         "enroll_id": args.enroll_id or _utt_id(args.enroll),
         "test_id": args.test_id or _utt_id(args.test)}
     t0 = time.perf_counter()
-    restore = (grid_search_restore if args.method == "grid"
-               else f0_ratio_restore)
-    result = restore(enroll, test, grid=grid, external=external, **ids)
+    result = restore_pair(enroll, test, args.method, grid, external, **ids)
     if args.restored is not None:
         spec = DisguiseSpec(result.family, result.alpha_hat)
         save_wav(args.restored,

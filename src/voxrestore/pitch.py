@@ -70,15 +70,16 @@ def _levinson(r: np.ndarray) -> np.ndarray:
     return a
 
 
-def _track_frames(frames: np.ndarray, sr: int, min_lag: int,
+def _track_frames(frames: np.ndarray, floor: float, sr: int, min_lag: int,
                   max_lag: int):
-    """F0 and voicing of each row of `frames` (see `estimate_f0`)."""
+    """F0 and voicing of each row of `frames`; a row whose power after
+    DC removal is at most `floor` is unvoiced (see `estimate_f0`)."""
     n_frames, win = frames.shape
     f0 = np.zeros(n_frames)
     voiced = np.zeros(n_frames, dtype=bool)
     x = frames - frames.mean(axis=1, keepdims=True)
     power = np.mean(x * x, axis=1)
-    rows = np.flatnonzero(power >= 1e-18)
+    rows = np.flatnonzero(power > floor)
     if rows.size == 0:
         return f0, voiced
     x, power = x[rows], power[rows]
@@ -87,7 +88,7 @@ def _track_frames(frames: np.ndarray, sr: int, min_lag: int,
     # lag-0 term gets a small ridge so the solve stays stable on
     # near-deterministic input, and the first LPC_ORDER output samples
     # are dropped to skip the filter start-up transient
-    xw = x * (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win))
+    xw = x * PITCH_FRAME.window_array(sr)
     r = np.stack([np.einsum("ij,ij->i", xw[:, :win - k], xw[:, k:])
                   for k in range(LPC_ORDER + 1)], axis=1)
     r[:, 0] *= 1.0 + 1e-4
@@ -163,8 +164,10 @@ def estimate_f0(buf: AudioBuffer) -> F0Track:
     whose height is within PEAK_KEEP of the strongest peak (favoring
     the fundamental over subharmonics), refined by parabolic
     interpolation. Frames whose best peak is below VOICING_THRESHOLD
-    are unvoiced. The decision is invariant to signal gain. Frames are
-    analyzed together, in blocks of _BLOCK_FRAMES.
+    are unvoiced, and so are frames whose power after DC removal is at
+    most 1e-18 of the squared peak sample, so the decision is invariant
+    to signal gain. Frames are analyzed together, in blocks of
+    _BLOCK_FRAMES.
     """
     sr = buf.sample_rate
     win = PITCH_FRAME.window_length(sr)
@@ -176,7 +179,11 @@ def estimate_f0(buf: AudioBuffer) -> F0Track:
             f"window of {win} samples too short to resolve {F0_MIN} Hz "
             f"at {sr} Hz")
     frames = _frame_signal(buf.samples, win, hop)
-    tracks = [_track_frames(frames[i:i + _BLOCK_FRAMES], sr, min_lag, max_lag)
+    # the peak includes any DC, so the floor stays above the rounding
+    # noise that removing a large DC leaves
+    floor = 1e-18 * np.max(np.abs(buf.samples)) ** 2
+    tracks = [_track_frames(frames[i:i + _BLOCK_FRAMES], floor, sr, min_lag,
+                            max_lag)
               for i in range(0, frames.shape[0], _BLOCK_FRAMES)]
     return F0Track(np.concatenate([f for f, _ in tracks]),
                    np.concatenate([v for _, v in tracks]))

@@ -63,6 +63,9 @@ class GridSpec:
 def grid_from_range(family, lo: float, hi: float, step: float) -> GridSpec:
     """Candidates from lo to hi inclusive, `step` apart, rounded to 10
     decimals so that fractional steps land on their nominal values."""
+    for name, bound in (("lo", lo), ("hi", hi), ("step", step)):
+        if not np.isfinite(bound):
+            raise ValueError(f"grid {name} must be finite, got {bound:g}")
     if step <= 0 or hi < lo:
         raise ValueError(f"bad grid bounds {lo:g}:{hi:g}:{step:g}")
     count = int(round((hi - lo) / step)) + 1
@@ -269,14 +272,31 @@ def search_pairs(audio: Dict[str, Optional[AudioBuffer]], pairs, methods,
     return table, results, sum(unvoiced) if reads_f0 else None
 
 
-def _restore(enrolled, disguised, kind, family, grid, external, enroll_id,
-             test_id) -> RestorationResult:
-    """The best candidate of one method on one pair (see `_search`)."""
+def restore_pair(enrolled: Optional[AudioBuffer],
+                 disguised: Optional[AudioBuffer], kind: str,
+                 grid: Optional[GridSpec] = None,
+                 external: Optional[Dict[str, Embedding]] = None,
+                 enroll_id: str = "enroll", test_id: str = "test"
+                 ) -> RestorationResult:
+    """Estimate the disguise of `disguised` against `enrolled`.
+
+    `kind` "grid" inverts with every value of `grid` and keeps the
+    candidate whose restored embedding lands closest to the enrolled
+    speaker; ties prefer the no-op (then the smaller value), so
+    undisguised input maps to "no disguise". `kind` "f0ratio" snaps the
+    semitone offset implied by the two mean F0s to the grid, which must
+    be a pitch family's, and scores that one inversion; unlike
+    `run_matrix`, which falls back to the no-op, it raises
+    UnvoicedUtteranceError naming a side without voiced frames. The
+    grid names the family and defaults to pitch-freq's. The ids name
+    the two sides in an `external` table (see `embedding_table`) and
+    must differ.
+    """
+    if kind not in ("grid", "f0ratio"):
+        raise ValueError(f"restoration kind must be 'grid' or 'f0ratio', "
+                         f"got {kind!r}")
     if grid is None:
-        grid = default_grid(family or DisguiseFamily.PITCH_FREQ)
-    elif family is not None and parse_family(family) is not grid.family:
-        raise ValueError(f"family {parse_family(family).value} contradicts "
-                         f"the grid's family {grid.family.value}")
+        grid = default_grid(DisguiseFamily.PITCH_FREQ)
     if kind == "f0ratio" and grid.family not in (DisguiseFamily.PITCH_FREQ,
                                                  DisguiseFamily.PITCH_TIME):
         raise ValueError("F0-ratio restoration estimates semitones; family "
@@ -291,39 +311,3 @@ def _restore(enrolled, disguised, kind, family, grid, external, enroll_id,
     return RestorationResult(alpha_hat, d_hat, grid.family,
                              "f0-ratio" if kind == "f0ratio" else kind,
                              [(a, d) for _, a, d in scored])
-
-
-def grid_search_restore(enrolled: AudioBuffer, disguised: AudioBuffer,
-                        grid: Optional[GridSpec] = None, family=None,
-                        external: Optional[Dict[str, Embedding]] = None,
-                        enroll_id: str = "enroll", test_id: str = "test"
-                        ) -> RestorationResult:
-    """Estimate the disguise parameter by trying every grid value,
-    inverting with it, and keeping the candidate whose restored
-    embedding lands closest to the enrolled speaker.
-
-    The grid defaults to `family`'s (pitch-freq's when None); a
-    `family` that contradicts a given grid is a ValueError. Ties prefer
-    the candidate nearest the no-op parameter (then the smaller value),
-    so undisguised input maps to "no disguise". The ids name the two
-    sides in an `external` table (see `embedding_table`) and must
-    differ.
-    """
-    return _restore(enrolled, disguised, "grid", family, grid, external,
-                    enroll_id, test_id)
-
-
-def f0_ratio_restore(enrolled: AudioBuffer, disguised: AudioBuffer,
-                     family=None, grid: Optional[GridSpec] = None,
-                     external: Optional[Dict[str, Embedding]] = None,
-                     enroll_id: str = "enroll", test_id: str = "test"
-                     ) -> RestorationResult:
-    """Estimate a pitch disguise from mean F0s alone: the semitone
-    offset implied by the two utterances' mean F0 is snapped to the
-    grid (chosen as in `grid_search_restore`, and only a pitch family's)
-    and that one inversion is scored. Unlike `run_matrix`, which falls
-    back to the no-op, raises UnvoicedUtteranceError naming a side that
-    has no voiced frames.
-    """
-    return _restore(enrolled, disguised, "f0ratio", family, grid, external,
-                    enroll_id, test_id)

@@ -12,7 +12,7 @@ import pytest
 from voxrestore import (AudioBuffer, DisguiseFamily, DisguiseSpec,
                         alpha_bias, build_warp, compute_eer, default_grid,
                         disguise, estimate_f0, f0_ratio_alpha, gen_trials,
-                        grid_search_restore, mean_f0, resample, run_matrix,
+                        mean_f0, resample, restore_pair, run_matrix,
                         scale_to_semitone, semitone_to_scale, synth_corpus)
 from voxrestore.cli import main as cli_main
 from voxrestore.disguise import VTLN_FAMILIES
@@ -42,8 +42,7 @@ def recovery_run(corpus):
         alpha = int(rng.choice([a for a in range(-8, 9) if a]))
         y = disguise(corpus.utterances[utts[j]],
                      DisguiseSpec("pitch-time", alpha))
-        r = grid_search_restore(corpus.utterances[utts[i]], y,
-                                family="pitch-freq")
+        r = restore_pair(corpus.utterances[utts[i]], y, "grid")
         pairs.append((float(alpha), r.alpha_hat))
     return pairs, time.perf_counter() - t0
 

@@ -272,6 +272,17 @@ def test_estimate_grid_argument_validation(capsys, voice_wav):
     assert rc == 1 and "scorer" in stderr
 
 
+@pytest.mark.parametrize("grid, bound", [("0:inf:1", "hi"),
+                                         ("nan:1:1", "lo"),
+                                         ("0:1:inf", "step")])
+def test_estimate_rejects_non_finite_grid_bounds(capsys, voice_wav, grid,
+                                                 bound):
+    rc, _, stderr = run_cli(capsys, "estimate", "--enroll", voice_wav,
+                            "--test", voice_wav, "--grid", grid)
+    assert rc == 1
+    assert stderr.startswith(f"error: grid {bound} must be finite")
+
+
 def test_estimate_rejects_unknown_method(capsys, voice_wav):
     with pytest.raises(SystemExit):
         main(["estimate", "--enroll", voice_wav, "--test", voice_wav,

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from helpers import SMALL_CORPUS, SR, bl_sawtooth, white_noise
 from voxrestore import (AudioBuffer, Corpus, CorpusConfig, Trial, alpha_bias,
                         compute_eer, default_grid, distance, embed,
-                        f0_ratio_restore, gen_trials, grid_search_restore,
-                        mfcc, run_matrix, synth_corpus)
+                        gen_trials, mfcc, restore_pair, run_matrix,
+                        synth_corpus)
 from voxrestore.disguise import DisguiseFamily
 from voxrestore.evaluate import _disguise_label
 from voxrestore.restore import _RestorationContext, _candidate_token
@@ -404,12 +404,10 @@ def test_matrix_agrees_with_single_pair_restoration(corpus_small):
     trials, extra = gen_trials(corpus_small, 8, policy="pitch-time", seed=4)
     audio = dict(corpus_small.utterances, **extra)
     report = run_matrix(audio, trials, ["pitch-time", "f0ratio"])
-    for name, restore, family in (("pitch-time", grid_search_restore,
-                                   "pitch-time"),
-                                  ("f0ratio", f0_ratio_restore,
-                                   "pitch-freq")):
-        results = [restore(audio[t.enroll_id], audio[t.test_id],
-                           family=family) for t in trials]
+    for name, kind, family in (("pitch-time", "grid", "pitch-time"),
+                               ("f0ratio", "f0ratio", "pitch-freq")):
+        results = [restore_pair(audio[t.enroll_id], audio[t.test_id], kind,
+                                default_grid(family)) for t in trials]
         d_hat = np.array([r.d_hat for r in results])
         labels = np.array([t.label for t in trials])
         row = report.row(name)

@@ -17,10 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from voxrestore import (CorpusConfig, Embedding, default_grid,
-                        embed, f0_ratio_restore, gen_trials,
-                        grid_search_restore, mfcc, restore_with, run_matrix,
-                        synth_corpus)
+from voxrestore import (CorpusConfig, Embedding, default_grid, embed,
+                        gen_trials, mfcc, restore_pair, restore_with,
+                        run_matrix, synth_corpus)
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 
@@ -73,10 +72,11 @@ def compute_reports() -> dict:
         if policy == "pitch-time":
             t = next(t for t in trials if t.label)
             enrolled, disguised = audio[t.enroll_id], audio[t.test_id]
-            out["grid_search_restore"] = grid_search_restore(
-                enrolled, disguised, family="pitch-time").to_dict()
-            out["f0_ratio_restore"] = f0_ratio_restore(
-                enrolled, disguised, family="pitch-time").to_dict()
+            grid = default_grid("pitch-time")
+            out["grid_search_restore"] = restore_pair(
+                enrolled, disguised, "grid", grid).to_dict()
+            out["f0_ratio_restore"] = restore_pair(
+                enrolled, disguised, "f0ratio", grid).to_dict()
     return out
 
 

@@ -64,8 +64,8 @@ def _unread_parameters(tree: ast.Module) -> list:
 
 # ceilings on the package's size; raising either needs a reason in
 # CHANGES.md
-MAX_SOURCE_LINES = 2160
-MAX_SETTINGS = 24
+MAX_SOURCE_LINES = 2154
+MAX_SETTINGS = 18
 
 
 def _settings_count() -> int:

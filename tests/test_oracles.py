@@ -114,9 +114,13 @@ def test_tracker_matches_oracle(make):
 def test_tracker_raises_no_numerical_warnings(corpus_small):
     inputs = [AudioBuffer(np.zeros(SR), SR),
               _gapped(_first_utterance(corpus_small)),
-              tone(200.0, amp=1e-12),
               tone(200.0, amp=1e-8)]
     for buf in inputs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _assert_same_track(buf)
+    # below the oracle's absolute floor of 1e-18 the tracker analyzes
+    # the frames, so no oracle track to compare with
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimate_f0(tone(200.0, amp=1e-12))

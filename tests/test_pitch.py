@@ -64,13 +64,21 @@ def test_silence_yields_no_voiced_frames():
         mean_f0(track)
 
 
-@pytest.mark.parametrize("gain", [0.01, 0.5, 8.0])
+# the amplitude 0.4 scaled down to 1e-6, 1e-9 and 1e-12 too: the skip
+# floor follows the signal's peak, not an absolute power
+@pytest.mark.parametrize("gain", [0.01, 0.5, 8.0, 2.5e-6, 2.5e-9, 2.5e-12])
 def test_tracking_is_gain_invariant(gain):
     x = bl_sawtooth(150.0, 0.8)
     a = estimate_f0(x)
     b = estimate_f0(AudioBuffer(x.samples * gain, SR))
     assert np.array_equal(a.voiced, b.voiced)
     assert np.max(np.abs(a.f0_hz - b.f0_hz)) <= 1e-6
+
+
+def test_a_constant_offset_is_not_voiced():
+    # removing a large DC leaves rounding noise, which the floor skips
+    track = estimate_f0(AudioBuffer(np.full(SR, 0.1), SR))
+    assert not track.voiced.any()
 
 
 # ---------------------------------------------------------------------------

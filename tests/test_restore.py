@@ -9,9 +9,8 @@ from voxrestore import (IDENTITY_PARAMS, AudioBuffer,
                         GridSpec, UnvoicedUtteranceError,
                         apply_spectral_warp, build_warp,
                         default_grid, disguise, distance, embed,
-                        f0_ratio_restore,
-                        grid_search_restore, istft, mel_filterbank, mfcc,
-                        nearest_grid_value, resample, restore_with,
+                        istft, mel_filterbank, mfcc, nearest_grid_value,
+                        resample, restore_pair, restore_with,
                         semitone_to_scale, stft, vad)
 from voxrestore.disguise import warp_indices
 from voxrestore.restore import (NO_OP, _RestorationContext,
@@ -222,7 +221,7 @@ def test_out_of_range_alpha_fails_on_every_call(pair):
 
 def test_grid_search_on_identical_audio_picks_no_disguise(pair):
     x = pair[0]
-    result = grid_search_restore(x, x, family="pitch-freq")
+    result = restore_pair(x, x, "grid")
     assert result.alpha_hat == 0.0
     assert result.d_hat <= 1e-12
     assert result.method == "grid"
@@ -231,7 +230,7 @@ def test_grid_search_on_identical_audio_picks_no_disguise(pair):
 def test_grid_search_recovers_a_known_pitch_disguise(pair):
     x, clean = pair
     y = disguise(clean, DisguiseSpec("pitch-freq", 4.0))
-    result = grid_search_restore(x, y, family="pitch-freq")
+    result = restore_pair(x, y, "grid")
     assert abs(result.alpha_hat - 4.0) <= 1.0
 
 
@@ -239,7 +238,7 @@ def test_grid_search_result_invariants(pair):
     x, clean = pair
     y = disguise(clean, DisguiseSpec("pitch-freq", -3.0))
     grid = default_grid("pitch-freq")
-    result = grid_search_restore(x, y, grid=grid)
+    result = restore_pair(x, y, "grid", grid)
     alphas = [a for a, _ in result.per_candidate]
     dists = [d for _, d in result.per_candidate]
     assert tuple(alphas) == grid.values
@@ -248,7 +247,7 @@ def test_grid_search_result_invariants(pair):
     # identity is always on the grid, so searching can never lose to it
     assert result.d_hat <= dict(result.per_candidate)[0.0]
     # and the search is repeatable
-    again = grid_search_restore(x, y, grid=grid)
+    again = restore_pair(x, y, "grid", grid)
     assert again.alpha_hat == result.alpha_hat
     assert again.per_candidate == result.per_candidate
 
@@ -260,8 +259,8 @@ def test_grid_search_tie_breaks_toward_identity(pair):
     table = {"ref": same}
     for a in grid.values:
         table[_candidate_token("probe", DisguiseFamily.PITCH_FREQ, a)] = same
-    result = grid_search_restore(y, y, grid=grid, external=table,
-                                 enroll_id="ref", test_id="probe")
+    result = restore_pair(y, y, "grid", grid, external=table,
+                          enroll_id="ref", test_id="probe")
     assert result.alpha_hat == 0.0          # all distances equal
 
 
@@ -276,8 +275,8 @@ def test_grid_search_tie_breaks_toward_smaller_alpha(pair):
         _candidate_token("probe", DisguiseFamily.PITCH_FREQ, 0.0): far,
         _candidate_token("probe", DisguiseFamily.PITCH_FREQ, 1.0): near,
     }
-    result = grid_search_restore(y, y, grid=grid, external=table,
-                                 enroll_id="ref", test_id="probe")
+    result = restore_pair(y, y, "grid", grid, external=table,
+                          enroll_id="ref", test_id="probe")
     assert result.alpha_hat == -1.0         # equal distance, equal |a|
 
 
@@ -290,9 +289,10 @@ def test_external_scorer_agrees_with_builtin(pair):
     for a in grid.values:
         token = _candidate_token("test", DisguiseFamily.PITCH_FREQ, a)
         table[token] = embed(ctx.features(a, DisguiseFamily.PITCH_FREQ))
-    builtin = grid_search_restore(x, y, grid=grid)
-    external = grid_search_restore(
-        x, y, grid=grid, external=table, enroll_id="enroll", test_id="test")
+    builtin = restore_pair(x, y, "grid", grid)
+    external = restore_pair(
+        x, y, "grid", grid, external=table, enroll_id="enroll",
+        test_id="test")
     assert external.alpha_hat == builtin.alpha_hat
     for (_, d_ext), (_, d_blt) in zip(external.per_candidate,
                                       builtin.per_candidate):
@@ -315,21 +315,21 @@ def test_restoration_rejects_one_id_for_both_sides(pair):
     # the test's no-op row would replace the enrollment's
     x, y = pair
     with pytest.raises(ValueError, match="'x' names both"):
-        grid_search_restore(x, y, enroll_id="x", test_id="x")
+        restore_pair(x, y, "grid", enroll_id="x", test_id="x")
 
 
 def test_grid_search_rejects_mixed_sample_rates(pair):
     x, y = pair
     narrow = AudioBuffer(y.samples[::2], 8000)
     with pytest.raises(ValueError, match="8000 Hz and 16000 Hz"):
-        grid_search_restore(x, narrow)
+        restore_pair(x, narrow, "grid")
 
 
 def test_grid_search_rejects_silence(pair):
     silent = resample(pair[0], 1.0)
     silent.samples[:] = 0.0
     with pytest.raises(ValueError):
-        grid_search_restore(pair[0], silent)
+        restore_pair(pair[0], silent, "grid")
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +338,7 @@ def test_grid_search_rejects_silence(pair):
 
 def test_f0_ratio_on_identical_audio():
     x = bl_sawtooth(150.0, 1.0)
-    result = f0_ratio_restore(x, x)
+    result = restore_pair(x, x, "f0ratio")
     assert result.alpha_hat == 0.0
     assert result.method == "f0-ratio"
     assert len(result.per_candidate) == 1
@@ -347,7 +347,7 @@ def test_f0_ratio_on_identical_audio():
 def test_f0_ratio_recovers_an_octave():
     x = bl_sawtooth(150.0, 1.0)
     y = resample(x, semitone_to_scale(12.0))
-    result = f0_ratio_restore(x, y)
+    result = restore_pair(x, y, "f0ratio")
     assert result.alpha_hat == 11.0      # snapped to the grid edge
 
 
@@ -355,7 +355,7 @@ def test_f0_ratio_recovers_interior_offsets():
     x = bl_sawtooth(150.0, 1.0)
     for alpha in (-5.0, 3.0):
         y = resample(x, semitone_to_scale(alpha))
-        result = f0_ratio_restore(x, y)
+        result = restore_pair(x, y, "f0ratio")
         assert result.alpha_hat == alpha
 
 
@@ -363,59 +363,52 @@ def test_f0_ratio_requires_voiced_audio():
     noise = white_noise(1.0, seed=9)
     voiced = bl_sawtooth(150.0, 1.0)
     with pytest.raises(UnvoicedUtteranceError, match="^enroll: "):
-        f0_ratio_restore(noise, voiced)
+        restore_pair(noise, voiced, "f0ratio")
     silent = AudioBuffer(np.zeros(len(voiced)), voiced.sample_rate)
     with pytest.raises(UnvoicedUtteranceError, match="^test: "):
-        f0_ratio_restore(voiced, silent)
+        restore_pair(voiced, silent, "f0ratio")
 
 
 def test_f0_ratio_analysis_error_names_its_side():
     voiced = bl_sawtooth(150.0, 1.0)
     short = AudioBuffer(voiced.samples[:100], voiced.sample_rate)
     with pytest.raises(ValueError, match="^test: signal of 100 samples"):
-        f0_ratio_restore(voiced, short)
+        restore_pair(voiced, short, "f0ratio")
 
 
 def test_f0_ratio_rejects_warp_families():
     x = bl_sawtooth(150.0, 1.0)
-    with pytest.raises(ValueError):
-        f0_ratio_restore(x, x, family="vtln-power")
+    with pytest.raises(ValueError, match="estimates semitones"):
+        restore_pair(x, x, "f0ratio", default_grid("vtln-power"))
 
 
-def test_grid_and_family_must_agree(pair):
-    x, clean = pair
-    power = default_grid("vtln-power")
-    for restore in (grid_search_restore, f0_ratio_restore):
-        with pytest.raises(ValueError,
-                           match="pitch-freq contradicts .* vtln-power"):
-            restore(x, x, grid=power, family="pitch-freq")
-    # a grid alone names the family
-    y = disguise(clean, DisguiseSpec("vtln-power", 0.2))
-    result = grid_search_restore(x, y, grid=power)
-    assert result.family is DisguiseFamily.VTLN_POWER
-    assert [a for a, _ in result.per_candidate] == list(power.values)
-    assert grid_search_restore(x, y, grid=power,
-                               family="vtln-power").to_dict() \
-        == result.to_dict()
+def test_unknown_kind_is_rejected(pair):
+    # search_pairs reads every kind but "f0ratio" as a grid
+    x, y = pair
+    with pytest.raises(ValueError,
+                       match="'grid' or 'f0ratio', got 'f0-ratio'"):
+        restore_pair(x, y, "f0-ratio")
 
 
-def test_f0_ratio_takes_its_family_from_the_grid():
+def test_f0_ratio_takes_its_family_from_the_grid(pair):
     x = bl_sawtooth(150.0, 1.0)
     y = resample(x, semitone_to_scale(4.0))
-    result = f0_ratio_restore(x, y, grid=default_grid("pitch-time"))
+    result = restore_pair(x, y, "f0ratio", default_grid("pitch-time"))
     assert result.family is DisguiseFamily.PITCH_TIME
     assert result.alpha_hat == 4.0
-    # a warp grid is rejected like a warp family
-    for kwargs in ({"grid": default_grid("vtln-power")},
-                   {"family": "vtln-power"}):
-        with pytest.raises(ValueError, match="estimates semitones"):
-            f0_ratio_restore(x, y, **kwargs)
+    # so does the grid search's
+    enrolled, clean = pair
+    power = default_grid("vtln-power")
+    result = restore_pair(enrolled, disguise(clean, DisguiseSpec(
+        "vtln-power", 0.2)), "grid", power)
+    assert result.family is DisguiseFamily.VTLN_POWER
+    assert [a for a, _ in result.per_candidate] == list(power.values)
 
 
 def test_result_serialization(pair):
     x = pair[0]
-    result = grid_search_restore(x, x, grid=GridSpec("pitch-freq",
-                                                     (-1.0, 0.0, 1.0)))
+    result = restore_pair(x, x, "grid", GridSpec("pitch-freq",
+                                                 (-1.0, 0.0, 1.0)))
     blob = result.to_dict()
     assert blob["family"] == "pitch-freq"
     assert blob["alpha_hat"] == 0.0
