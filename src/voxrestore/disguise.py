@@ -52,6 +52,9 @@ VTLN_FAMILIES = (
     DisguiseFamily.VTLN_PIECEWISE,
 )
 
+# the families whose parameter is a semitone offset
+SEMITONE_FAMILIES = (DisguiseFamily.PITCH_FREQ, DisguiseFamily.PITCH_TIME)
+
 
 def parse_family(name) -> DisguiseFamily:
     if isinstance(name, DisguiseFamily):
@@ -194,7 +197,9 @@ def build_warp(spec: DisguiseSpec) -> WarpFunction:
 @functools.lru_cache(maxsize=1024)
 def warp_indices(spec: DisguiseSpec, n_bins: int, direction: str):
     """Source bin `lo` and weight `frac` of bin `lo + 1` for each of
-    `n_bins` bins warped by `spec`, read-only, or None for a no-op.
+    `n_bins` bins warped by `spec`, read-only. A no-op gives the
+    identity table, built without a warp: every bin reads itself at
+    weight 1 (the last one as bin `lo + 1`).
 
     "forward" reads output bin w from warp^-1(w) and "inverse" from
     warp(w), both clipped to [0, pi]. Pitch-time has the same spectral
@@ -203,13 +208,14 @@ def warp_indices(spec: DisguiseSpec, n_bins: int, direction: str):
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be forward or inverse, got {direction!r}")
     if spec.is_identity:
-        return None
-    if spec.family is DisguiseFamily.PITCH_TIME:
-        spec = DisguiseSpec(DisguiseFamily.PITCH_FREQ, spec.param)
-    warp = build_warp(spec)
-    omega = np.linspace(0.0, np.pi, n_bins)
-    src = warp.inverse(omega) if direction == "forward" else warp(omega)
-    coord = np.clip(src / np.pi * (n_bins - 1), 0.0, n_bins - 1.0)
+        coord = np.arange(n_bins, dtype=np.float64)
+    else:
+        if spec.family is DisguiseFamily.PITCH_TIME:
+            spec = DisguiseSpec(DisguiseFamily.PITCH_FREQ, spec.param)
+        warp = build_warp(spec)
+        omega = np.linspace(0.0, np.pi, n_bins)
+        src = warp.inverse(omega) if direction == "forward" else warp(omega)
+        coord = np.clip(src / np.pi * (n_bins - 1), 0.0, n_bins - 1.0)
     lo = np.minimum(coord.astype(np.int64), n_bins - 2)
     frac = coord - lo
     lo.flags.writeable = frac.flags.writeable = False
@@ -217,16 +223,12 @@ def warp_indices(spec: DisguiseSpec, n_bins: int, direction: str):
 
 
 def apply_spectral_warp(spectrogram: Spectrogram, spec: DisguiseSpec,
-                        direction: str = "forward") -> Spectrogram:
+                        direction: str) -> Spectrogram:
     """Resample every spectral frame along the frequency axis warped by
     `spec` (see `warp_indices`); phases move with the magnitudes and a
-    no-op copies the input bit for bit."""
+    no-op's identity table returns copies equal to the input."""
     mags, phases = spectrogram.magnitudes, spectrogram.phases
-    index = warp_indices(spec, spectrogram.n_bins, direction)
-    if index is None:
-        return Spectrogram(mags.copy(), phases.copy(),
-                           spectrogram.sample_rate)
-    lo, frac = index
+    lo, frac = warp_indices(spec, spectrogram.n_bins, direction)
     return Spectrogram(mags[:, lo] * (1.0 - frac) + mags[:, lo + 1] * frac,
                        phases[:, lo] * (1.0 - frac) + phases[:, lo + 1] * frac,
                        spectrogram.sample_rate)

@@ -6,11 +6,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .audio import AudioBuffer
-from .disguise import (VTLN_FAMILIES, DisguiseFamily, DisguiseSpec,
-                       disguise, parse_family)
+from .disguise import (SEMITONE_FAMILIES, VTLN_FAMILIES, DisguiseFamily,
+                       DisguiseSpec, disguise, parse_family)
 from .restore import default_grid, parse_restoration, search_pairs
 from .speaker import Embedding
 
@@ -54,6 +53,7 @@ class Corpus:
 
 def _resonator(x: np.ndarray, freq: float, bandwidth: float,
                sample_rate: int) -> np.ndarray:
+    from scipy.signal import lfilter
     freq = min(freq, 0.45 * sample_rate)   # keep poles below Nyquist
     r = np.exp(-np.pi * bandwidth / sample_rate)
     theta = 2.0 * np.pi * freq / sample_rate
@@ -77,6 +77,9 @@ def _synth_utterance(rng: np.random.Generator, base_f0: float,
     phase = np.cumsum(f0_t / sample_rate)
     excitation = np.zeros(n)
     excitation[np.diff(np.floor(phase), prepend=0.0) >= 1.0] = 1.0
+    # imported here, not at the top: scipy.signal takes over a second to
+    # import and only the corpus synthesizer needs it
+    from scipy.signal import lfilter
     x = lfilter([1.0], [1.0, -0.95], excitation)   # glottal spectral tilt
     for freq, bw in zip(formants, bandwidths):
         drift = 2.0 ** rng.uniform(-0.02, 0.02)
@@ -349,8 +352,7 @@ def _disguise_label(trial_summary: Dict[str, int]) -> str:
 
 
 def _same_units(a: DisguiseFamily, b: DisguiseFamily) -> bool:
-    semitones = (DisguiseFamily.PITCH_FREQ, DisguiseFamily.PITCH_TIME)
-    return a is b or (a in semitones and b in semitones)
+    return a is b or (a in SEMITONE_FAMILIES and b in SEMITONE_FAMILIES)
 
 
 def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
@@ -396,13 +398,13 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
     labels = np.array([t.label for t in trials], dtype=bool)
 
     rows: List[MatrixRow] = []
-    for name, (kind, grid), searched in zip(names, methods, results):
+    for name, (_, grid), searched in zip(names, methods, results):
         best = [b for b, _ in searched]
         scores = np.array([d for _, _, d in best])
         eer = compute_eer(scores[labels], scores[~labels])
 
         bias = None
-        if kind != "none":
+        if len(grid) > 1:
             pairs = [(t.disguise_meta.param, a)
                      for t, (_, a, _) in zip(trials, best)
                      if t.label and t.disguise_meta is not None

@@ -165,9 +165,10 @@ def estimate_f0(buf: AudioBuffer) -> F0Track:
     the fundamental over subharmonics), refined by parabolic
     interpolation. Frames whose best peak is below VOICING_THRESHOLD
     are unvoiced, and so are frames whose power after DC removal is at
-    most 1e-18 of the squared peak sample, so the decision is invariant
-    to signal gain. Frames are analyzed together, in blocks of
-    _BLOCK_FRAMES.
+    most 1e-18 of the squared peak sample. The samples are first scaled
+    by the power of two that brings the peak into [0.5, 1), which is
+    exact, so the track is invariant to signal gain down to subnormal
+    levels. Frames are analyzed together, in blocks of _BLOCK_FRAMES.
     """
     sr = buf.sample_rate
     win = PITCH_FRAME.window_length(sr)
@@ -178,10 +179,11 @@ def estimate_f0(buf: AudioBuffer) -> F0Track:
         raise ValueError(
             f"window of {win} samples too short to resolve {F0_MIN} Hz "
             f"at {sr} Hz")
-    frames = _frame_signal(buf.samples, win, hop)
-    # the peak includes any DC, so the floor stays above the rounding
-    # noise that removing a large DC leaves
-    floor = 1e-18 * np.max(np.abs(buf.samples)) ** 2
+    # `peak` is the scaled peak sample; it includes any DC, so the floor
+    # stays above the rounding noise that removing a large DC leaves
+    peak, exponent = np.frexp(np.max(np.abs(buf.samples)))
+    frames = _frame_signal(np.ldexp(buf.samples, -exponent), win, hop)
+    floor = 1e-18 * peak ** 2
     tracks = [_track_frames(frames[i:i + _BLOCK_FRAMES], floor, sr, min_lag,
                             max_lag)
               for i in range(0, frames.shape[0], _BLOCK_FRAMES)]

@@ -7,8 +7,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .audio import AudioBuffer
-from .disguise import (DisguiseFamily, DisguiseSpec, IDENTITY_PARAMS,
-                       PARAM_RANGES, parse_family, warp_indices)
+from .disguise import (SEMITONE_FAMILIES, DisguiseFamily, DisguiseSpec,
+                       IDENTITY_PARAMS, parse_family, warp_indices)
 from .pitch import (UnvoicedUtteranceError, estimate_f0, f0_ratio_alpha,
                     mean_f0)
 from .speaker import (Embedding, FeatureMatrix, active_magnitudes, distance,
@@ -28,9 +28,10 @@ _GRID_DEFS = {
 class GridSpec:
     """Candidate parameter values for one disguise family.
 
-    Values must be strictly increasing, lie inside the family's
-    parameter range, and include the family's no-op parameter so a
-    search over undisguised audio can settle on "no disguise".
+    Each value must make a valid `DisguiseSpec` of the family; values
+    must be strictly increasing and include the family's no-op
+    parameter so a search over undisguised audio can settle on "no
+    disguise".
     """
 
     family: DisguiseFamily
@@ -39,17 +40,11 @@ class GridSpec:
     def __post_init__(self):
         fam = parse_family(self.family)
         object.__setattr__(self, "family", fam)
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(DisguiseSpec(fam, v).param for v in self.values)
         if not vals:
             raise ValueError("grid has no candidate values")
-        if any(not np.isfinite(v) for v in vals):
-            raise ValueError("grid values must be finite")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("grid values must be strictly increasing")
-        lo, hi = PARAM_RANGES[fam]
-        if vals[0] < lo or vals[-1] > hi:
-            raise ValueError(
-                f"grid values outside [{lo}, {hi}] for {fam.value}")
         ident = IDENTITY_PARAMS[fam]
         if not any(v == ident for v in vals):
             raise ValueError(
@@ -124,11 +119,9 @@ class _RestorationContext:
     def features(self, alpha: float, family: DisguiseFamily) -> FeatureMatrix:
         # the inverse `apply_spectral_warp`, on the active rows only
         mags = self.active
-        index = warp_indices(DisguiseSpec(family, alpha), mags.shape[1],
-                             "inverse")
-        if index is not None:
-            lo, frac = index
-            mags = mags[:, lo] * (1.0 - frac) + mags[:, lo + 1] * frac
+        lo, frac = warp_indices(DisguiseSpec(family, alpha), mags.shape[1],
+                                "inverse")
+        mags = mags[:, lo] * (1.0 - frac) + mags[:, lo + 1] * frac
         return FeatureMatrix(features_from_magnitudes(mags, self.sample_rate))
 
 
@@ -148,8 +141,7 @@ def restore_with(disguised: AudioBuffer, alpha: float,
 NO_OP = (DisguiseFamily.PITCH_FREQ, 0.0)    # the candidate of no restoration
 
 
-def embedding_table(utterances,
-                    external: Optional[Dict[str, Embedding]] = None
+def embedding_table(utterances, external: Optional[Dict[str, Embedding]]
                     ) -> Dict[str, Embedding]:
     """Every embedding a restoration needs, keyed by sidecar token.
 
@@ -207,12 +199,12 @@ def _search(reference: Embedding, table: Dict[str, Embedding],
 
 
 def parse_restoration(name: str) -> Tuple[str, GridSpec]:
-    """Restoration method id -> (kind, grid). Accepted: "none" (the one
-    candidate `NO_OP`), "f0ratio" (the default pitch-freq grid, snapped
-    to by the F0 ratio), a family name or "grid:<family>" (a search
-    over the family's default grid)."""
+    """Restoration method id -> (kind, grid). Accepted: "none" (a search
+    over the one candidate `NO_OP`), "f0ratio" (the default pitch-freq
+    grid, snapped to by the F0 ratio), a family name or "grid:<family>"
+    (a search over the family's default grid)."""
     if name == "none":
-        return "none", GridSpec(NO_OP[0], (NO_OP[1],))
+        return "grid", GridSpec(NO_OP[0], (NO_OP[1],))
     if name == "f0ratio":
         return "f0ratio", default_grid(DisguiseFamily.PITCH_FREQ)
     return "grid", default_grid(name[len("grid:"):]
@@ -297,8 +289,7 @@ def restore_pair(enrolled: Optional[AudioBuffer],
                          f"got {kind!r}")
     if grid is None:
         grid = default_grid(DisguiseFamily.PITCH_FREQ)
-    if kind == "f0ratio" and grid.family not in (DisguiseFamily.PITCH_FREQ,
-                                                 DisguiseFamily.PITCH_TIME):
+    if kind == "f0ratio" and grid.family not in SEMITONE_FAMILIES:
         raise ValueError("F0-ratio restoration estimates semitones; family "
                          "must be pitch-freq or pitch-time")
     if enroll_id == test_id:

@@ -170,7 +170,7 @@ def load_external_embeddings(path) -> Dict[str, Embedding]:
     """Read an embedding sidecar: one utterance per line, the id then
     whitespace-separated float components. All lines must agree on the
     dimension; duplicate ids and unparsable values are rejected with
-    the offending line number."""
+    the file and the offending line number."""
     table: Dict[str, Embedding] = {}
     dim = None
     with open(os.fspath(path), "r", encoding="utf-8") as fh:
@@ -180,24 +180,25 @@ def load_external_embeddings(path) -> Dict[str, Embedding]:
                 continue
             utt, comps = parts[0], parts[1:]
             if not comps:
-                raise ValueError(f"line {lineno}: no embedding components")
+                raise ValueError(f"{path}:{lineno}: no embedding components")
             if utt in table:
-                raise ValueError(f"line {lineno}: duplicate utterance id {utt!r}")
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate utterance id {utt!r}")
             try:
                 vec = np.array([float(c) for c in comps])
             except ValueError:
                 raise ValueError(
-                    f"line {lineno}: non-numeric embedding component")
+                    f"{path}:{lineno}: non-numeric embedding component")
             if dim is None:
                 dim = vec.size
             elif vec.size != dim:
                 raise ValueError(
-                    f"line {lineno}: dimension {vec.size} differs from "
+                    f"{path}:{lineno}: dimension {vec.size} differs from "
                     f"{dim} seen earlier")
             try:
                 table[utt] = Embedding(vec)
             except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not table:
         raise ValueError(f"no embeddings found in {path}")
     return table

@@ -2,6 +2,8 @@ import hashlib
 import json
 import logging
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +34,21 @@ def voice_wav(tmp_path):
 
 # ---------------------------------------------------------------------------
 # disguise
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal takes over a second to import; only the corpus
+    # synthesizer needs it, and it imports it when called
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, voxrestore.cli; "
+         "print('scipy.signal' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_disguise_identity_round_trip(tmp_path, capsys, voice_wav):

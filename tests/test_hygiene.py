@@ -64,8 +64,8 @@ def _unread_parameters(tree: ast.Module) -> list:
 
 # ceilings on the package's size; raising either needs a reason in
 # CHANGES.md
-MAX_SOURCE_LINES = 2154
-MAX_SETTINGS = 18
+MAX_SOURCE_LINES = 2152
+MAX_SETTINGS = 16
 
 
 def _settings_count() -> int:

@@ -64,9 +64,12 @@ def test_silence_yields_no_voiced_frames():
         mean_f0(track)
 
 
-# the amplitude 0.4 scaled down to 1e-6, 1e-9 and 1e-12 too: the skip
-# floor follows the signal's peak, not an absolute power
-@pytest.mark.parametrize("gain", [0.01, 0.5, 8.0, 2.5e-6, 2.5e-9, 2.5e-12])
+# the amplitude 0.4 scaled down to 1e-6 ... 1e-300 too: the skip floor
+# follows the signal's peak, not an absolute power, and the samples are
+# scaled to a unit peak before the NCCF's 1e-300 guard can outweigh
+# their energies
+@pytest.mark.parametrize("gain", [0.01, 0.5, 8.0, 2.5e-6, 2.5e-9, 2.5e-12,
+                                  2.5e-80, 2.5e-200, 2.5e-300])
 def test_tracking_is_gain_invariant(gain):
     x = bl_sawtooth(150.0, 0.8)
     a = estimate_f0(x)

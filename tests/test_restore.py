@@ -14,7 +14,8 @@ from voxrestore import (IDENTITY_PARAMS, AudioBuffer,
                         semitone_to_scale, stft, vad)
 from voxrestore.disguise import warp_indices
 from voxrestore.restore import (NO_OP, _RestorationContext,
-                                _candidate_token, embedding_table)
+                                _candidate_token, embedding_table,
+                                parse_restoration)
 from voxrestore.speaker import features_from_magnitudes
 
 
@@ -57,10 +58,12 @@ def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec("pitch-freq", (0.0, 0.0, 1.0))          # not increasing
     with pytest.raises(ValueError):
-        GridSpec("vtln-power", (-0.6, 0.0, 0.5))         # out of range
-    with pytest.raises(ValueError):
         GridSpec("vtln-piecewise", (0.5, 0.9, 1.1))      # no identity value
-    with pytest.raises(ValueError):
+    # each value is checked as a DisguiseSpec of the family
+    with pytest.raises(ValueError, match=r"-0.6 outside \[-0.5, 0.5\] for "
+                       r"family vtln-power"):
+        GridSpec("vtln-power", (-0.6, 0.0, 0.5))
+    with pytest.raises(ValueError, match="disguise parameter must be finite"):
         GridSpec("pitch-freq", (0.0, np.inf))
 
 
@@ -182,7 +185,8 @@ def test_inverse_warp_is_built_once_per_family_and_alpha(pair, monkeypatch):
         ctx = _RestorationContext(utterance)
         for alpha in grid.values:
             ctx.features(alpha, grid.family)
-    # the no-op needs no map, but its None is cached like the others
+    # the no-op needs no map, but its identity table is cached like the
+    # others
     ident = IDENTITY_PARAMS[grid.family]
     assert built == [(grid.family, a) for a in grid.values if a != ident]
     assert warp_indices.cache_info().misses == len(grid)
@@ -201,8 +205,13 @@ def test_cached_tables_are_read_only():
             lo[0] = 1
         with pytest.raises(ValueError):
             frac[0] = 0.5
+        # a no-op reads each bin from itself at weight 1
         spec = DisguiseSpec(DisguiseFamily.VTLN_POWER, 0.0)
-        assert warp_indices(spec, 257, direction) is None
+        lo, frac = warp_indices(spec, 257, direction)
+        assert lo.tolist() == list(range(256)) + [255]
+        assert frac.tolist() == [0.0] * 256 + [1.0]
+        with pytest.raises(ValueError):
+            frac[0] = 0.5
 
 
 def test_out_of_range_alpha_fails_on_every_call(pair):
@@ -380,6 +389,16 @@ def test_f0_ratio_rejects_warp_families():
     x = bl_sawtooth(150.0, 1.0)
     with pytest.raises(ValueError, match="estimates semitones"):
         restore_pair(x, x, "f0ratio", default_grid("vtln-power"))
+
+
+def test_every_method_is_a_grid_or_the_f0_ratio():
+    # "none" is the one-candidate grid of the no-op
+    assert parse_restoration("none") == ("grid", GridSpec(NO_OP[0],
+                                                          (NO_OP[1],)))
+    assert parse_restoration("f0ratio") == ("f0ratio",
+                                            default_grid("pitch-freq"))
+    for name in ("vtln-power", "grid:vtln-power"):
+        assert parse_restoration(name) == ("grid", default_grid("vtln-power"))
 
 
 def test_unknown_kind_is_rejected(pair):
