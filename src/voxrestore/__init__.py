@@ -6,8 +6,8 @@ recovery of the disguise parameter against an enrolled speaker, and the
 effect of restoration on verification error rates.
 """
 
-from .audio import (AudioBuffer, DEFAULT_FRAME, FrameParams, Spectrogram,
-                    istft, load_wav, resample, save_wav, stft, vad)
+from .audio import (AudioBuffer, Spectrogram, istft, load_wav, resample,
+                    save_wav, stft, vad)
 from .disguise import (DisguiseFamily, DisguiseSpec, IDENTITY_PARAMS,
                        PARAM_RANGES, VTLN_FAMILIES, apply_spectral_warp,
                        build_warp, disguise, parse_family, scale_to_semitone,
@@ -33,7 +33,7 @@ def grid_search_restore(enrolled, disguised):
 
 
 __all__ = [
-    "AudioBuffer", "FrameParams", "Spectrogram", "DEFAULT_FRAME",
+    "AudioBuffer", "Spectrogram",
     "load_wav", "save_wav", "stft", "istft", "resample", "vad",
     "DisguiseFamily", "DisguiseSpec", "PARAM_RANGES", "IDENTITY_PARAMS",
     "VTLN_FAMILIES", "parse_family", "semitone_to_scale",

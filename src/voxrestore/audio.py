@@ -40,47 +40,31 @@ class AudioBuffer:
         return self.samples.size
 
 
-@dataclass(frozen=True)
-class FrameParams:
-    """Short-time analysis geometry, stored in milliseconds so a single
-    value works across sample rates. Frames are Hann-windowed and the
-    FFT size is the next power of two at or above the window length."""
-
-    window_ms: float = 25.0
-    hop_ms: float = 15.0
-
-    def __post_init__(self):
-        if self.window_ms <= 0 or self.hop_ms <= 0:
-            raise ValueError("window_ms and hop_ms must be positive")
-        if self.hop_ms > self.window_ms:
-            raise ValueError("hop must not exceed window")
-
-    def window_length(self, sample_rate: int) -> int:
-        return int(round(self.window_ms * sample_rate / 1000.0))
-
-    def hop_length(self, sample_rate: int) -> int:
-        return int(round(self.hop_ms * sample_rate / 1000.0))
-
-    def fft_length(self, sample_rate: int) -> int:
-        n = 1
-        while n < self.window_length(sample_rate):
-            n *= 2
-        return n
-
-    def window_array(self, sample_rate: int) -> np.ndarray:
-        n = self.window_length(sample_rate)
-        return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)   # periodic
-
-
 # the spectral analysis frame of every STFT, VAD decision and feature
-DEFAULT_FRAME = FrameParams()
+WINDOW_MS = 25.0
+HOP_MS = 15.0
 VAD_THRESHOLD_DB = 40.0
+
+
+@functools.lru_cache(maxsize=8)
+def frame_geometry(sample_rate: int, window_ms: float, hop_ms: float):
+    """(window, hop, fft size, Hann window) of a frame at `sample_rate`:
+    the window and hop in samples, the next power of two at or above
+    the window, and the read-only periodic Hann window, built once."""
+    win = int(round(window_ms * sample_rate / 1000.0))
+    hop = int(round(hop_ms * sample_rate / 1000.0))
+    nfft = 1
+    while nfft < win:
+        nfft *= 2
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)
+    hann.flags.writeable = False
+    return win, hop, nfft, hann
 
 
 @dataclass
 class Spectrogram:
     """Magnitudes and phases of a short-time Fourier analysis with
-    DEFAULT_FRAME.
+    WINDOW_MS frames every HOP_MS.
 
     magnitudes: (n_frames, n_bins) non-negative float64
     phases: same shape in radians
@@ -96,7 +80,8 @@ class Spectrogram:
             raise ValueError("magnitudes must be 2-D (frames x bins)")
         if not np.all(np.isfinite(m)) or np.any(m < 0):
             raise ValueError("magnitudes must be finite and non-negative")
-        expected = DEFAULT_FRAME.fft_length(self.sample_rate) // 2 + 1
+        expected = frame_geometry(self.sample_rate, WINDOW_MS,
+                                  HOP_MS)[2] // 2 + 1
         if m.shape[1] != expected:
             raise ValueError(
                 f"bin count {m.shape[1]} inconsistent with fft size "
@@ -175,18 +160,16 @@ def _frame_signal(x: np.ndarray, win: int, hop: int) -> np.ndarray:
 
 
 def stft(buf: AudioBuffer) -> Spectrogram:
-    """Windowed short-time Fourier analysis with DEFAULT_FRAME.
+    """Windowed short-time Fourier analysis with WINDOW_MS Hann frames
+    every HOP_MS.
 
     Frames start at multiples of the hop; a trailing partial window is
     dropped rather than padded, so n_frames = 1 + (len - win) // hop.
     """
     sr = buf.sample_rate
-    win = DEFAULT_FRAME.window_length(sr)
-    hop = DEFAULT_FRAME.hop_length(sr)
-    nfft = DEFAULT_FRAME.fft_length(sr)
-    frames = (_frame_signal(buf.samples, win, hop)
-              * DEFAULT_FRAME.window_array(sr))
-    spec = np.fft.rfft(frames, n=nfft, axis=1)
+    win, hop, nfft, w = frame_geometry(sr, WINDOW_MS, HOP_MS)
+    spec = np.fft.rfft(_frame_signal(buf.samples, win, hop) * w, n=nfft,
+                       axis=1)
     return Spectrogram(np.abs(spec), np.angle(spec), sr)
 
 
@@ -198,10 +181,7 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     for any window/hop combination.
     """
     sr = spec.sample_rate
-    win = DEFAULT_FRAME.window_length(sr)
-    hop = DEFAULT_FRAME.hop_length(sr)
-    nfft = DEFAULT_FRAME.fft_length(sr)
-    w = DEFAULT_FRAME.window_array(sr)
+    win, hop, nfft, w = frame_geometry(sr, WINDOW_MS, HOP_MS)
     frames = np.fft.irfft(spec.magnitudes * np.exp(1j * spec.phases),
                           n=nfft, axis=1)[:, :win]
     n_out = (spec.n_frames - 1) * hop + win
@@ -302,9 +282,8 @@ def vad(buf: AudioBuffer) -> np.ndarray:
     the decision invariant to overall gain. All-silent input yields an
     all-False mask. The framing matches `stft` exactly.
     """
-    sr = buf.sample_rate
-    frames = _frame_signal(buf.samples, DEFAULT_FRAME.window_length(sr),
-                           DEFAULT_FRAME.hop_length(sr))
+    win, hop, _, _ = frame_geometry(buf.sample_rate, WINDOW_MS, HOP_MS)
+    frames = _frame_signal(buf.samples, win, hop)
     energy = np.mean(frames * frames, axis=1)
     peak = energy.max()
     if peak <= 0.0:

@@ -158,6 +158,12 @@ def _load_corpus_dir(path: str):
 
 def cmd_trials(args) -> int:
     corpus, file_of = _load_corpus_dir(args.corpus)
+    token_of = {utt: os.path.relpath(os.path.join(args.corpus, filename),
+                                     args.out)
+                for utt, filename in file_of.items()}
+    for token in token_of.values():
+        if len(token.split()) != 1:     # trials.txt splits on whitespace
+            raise ValueError(f"trial path {token!r} holds whitespace")
     t0 = time.perf_counter()
     trials, extra = gen_trials(corpus, args.n, policy=args.disguise,
                                seed=args.seed)
@@ -165,9 +171,6 @@ def cmd_trials(args) -> int:
     disg_dir = os.path.join(args.out, "disguised")
     if extra:
         os.makedirs(disg_dir, exist_ok=True)
-    token_of = {utt: os.path.relpath(os.path.join(args.corpus, filename),
-                                     args.out)
-                for utt, filename in file_of.items()}
     for test_id, buf in extra.items():
         filename = os.path.join("disguised", f"{test_id}.wav")
         save_wav(os.path.join(args.out, filename), buf)
@@ -218,16 +221,25 @@ def _read_trials(path: str):
     return trials, list(dict.fromkeys(tokens)), base
 
 
-def _restoration_slug(name: str) -> str:
-    return name.replace(":", "-")
+def _per_alpha_path(stem: str, restoration: str) -> str:
+    return f"{stem}_per_alpha_{restoration.replace(':', '-')}.csv"
 
 
 def cmd_eval(args) -> int:
+    restorations = args.restore or ["none"]
+    dump = args.dump_embeddings
+    out_json = os.fspath(args.out)
+    stem, _ = os.path.splitext(out_json)
+    reports = [os.path.realpath(p) for p in [out_json, stem + ".csv"] + [
+        _per_alpha_path(stem, r) for r in restorations]]
+    if reports[0] == reports[1]:
+        raise ValueError(f"--out {out_json} is also the CSV summary's path")
+    if dump and os.path.realpath(dump) in reports:
+        raise ValueError(f"--dump-embeddings {dump} is also a report's path")
     trials, tokens, base = _read_trials(args.trials)
     external = _parse_scorer(args.scorer)
-    if external is not None and args.dump_embeddings:
+    if external is not None and dump:
         raise ValueError("--dump-embeddings needs the builtin scorer")
-    restorations = args.restore or ["none"]
     t0 = time.perf_counter()
     audio = {}
     for token in tokens:
@@ -239,8 +251,6 @@ def cmd_eval(args) -> int:
     elapsed = time.perf_counter() - t0
 
     payload = report.to_dict()
-    out_json = os.fspath(args.out)
-    stem, _ = os.path.splitext(out_json)
     with open(out_json, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -256,8 +266,8 @@ def cmd_eval(args) -> int:
     for row in report.rows:
         if not row.per_alpha:
             continue
-        path = f"{stem}_per_alpha_{_restoration_slug(row.restoration)}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(_per_alpha_path(stem, row.restoration), "w",
+                  encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["alpha", "eer"])
             single_family = len({e["family"] for e in row.per_alpha}) == 1
@@ -266,8 +276,8 @@ def cmd_eval(args) -> int:
                        else f"{entry['family']}:{entry['param']:g}")
                 writer.writerow([key, repr(entry["eer_percent"])])
 
-    if args.dump_embeddings:
-        write_embeddings(args.dump_embeddings,
+    if dump:
+        write_embeddings(dump,
                          {token: report.embeddings[token] for token in tokens})
 
     maps = warp_indices.cache_info()

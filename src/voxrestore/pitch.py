@@ -5,15 +5,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, FrameParams, _frame_signal
+from .audio import HOP_MS, AudioBuffer, _frame_signal, frame_geometry
 
 F0_MIN = 50.0
 F0_MAX = 500.0
 LPC_ORDER = 12
 VOICING_THRESHOLD = 0.3
 PEAK_KEEP = 0.85        # keep peaks within this fraction of the best one
-
-PITCH_FRAME = FrameParams(window_ms=40.0, hop_ms=15.0)
+PITCH_WINDOW_MS = 40.0  # F0 frames, every audio.HOP_MS
 
 
 class UnvoicedUtteranceError(ValueError):
@@ -88,7 +87,7 @@ def _track_frames(frames: np.ndarray, floor: float, sr: int, min_lag: int,
     # lag-0 term gets a small ridge so the solve stays stable on
     # near-deterministic input, and the first LPC_ORDER output samples
     # are dropped to skip the filter start-up transient
-    xw = x * PITCH_FRAME.window_array(sr)
+    xw = x * frame_geometry(sr, PITCH_WINDOW_MS, HOP_MS)[3]
     r = np.stack([np.einsum("ij,ij->i", xw[:, :win - k], xw[:, k:])
                   for k in range(LPC_ORDER + 1)], axis=1)
     r[:, 0] *= 1.0 + 1e-4
@@ -157,7 +156,7 @@ def _track_frames(frames: np.ndarray, floor: float, sr: int, min_lag: int,
 
 
 def estimate_f0(buf: AudioBuffer) -> F0Track:
-    """Track F0 between F0_MIN and F0_MAX Hz on PITCH_FRAME frames.
+    """Track F0 between F0_MIN and F0_MAX Hz on PITCH_WINDOW_MS frames.
 
     Per frame: remove DC, whiten with an order-12 LPC inverse filter,
     then pick the shortest-lag autocorrelation peak of the residual
@@ -171,8 +170,7 @@ def estimate_f0(buf: AudioBuffer) -> F0Track:
     levels. Frames are analyzed together, in blocks of _BLOCK_FRAMES.
     """
     sr = buf.sample_rate
-    win = PITCH_FRAME.window_length(sr)
-    hop = PITCH_FRAME.hop_length(sr)
+    win, hop, _, _ = frame_geometry(sr, PITCH_WINDOW_MS, HOP_MS)
     min_lag = max(2, int(np.floor(sr / F0_MAX)))
     max_lag = int(np.ceil(sr / F0_MIN))
     if win - LPC_ORDER <= max_lag + 2:

@@ -64,7 +64,7 @@ def grid_from_range(family, lo: float, hi: float, step: float) -> GridSpec:
     if step <= 0 or hi < lo:
         raise ValueError(f"bad grid bounds {lo:g}:{hi:g}:{step:g}")
     count = int(round((hi - lo) / step)) + 1
-    vals = np.round(lo + step * np.arange(count), 10)
+    vals = np.round(lo + step * np.arange(count), 10) + 0.0   # no -0.0
     return GridSpec(parse_family(family), tuple(float(v) for v in vals))
 
 

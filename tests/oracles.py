@@ -13,9 +13,9 @@ from scipy.linalg import solve_toeplitz
 from scipy.signal import lfilter
 
 from voxrestore import AudioBuffer, F0Track
-from voxrestore.audio import _frame_signal
+from voxrestore.audio import HOP_MS, _frame_signal
 from voxrestore.pitch import (F0_MAX, F0_MIN, LPC_ORDER, PEAK_KEEP,
-                              PITCH_FRAME, VOICING_THRESHOLD)
+                              PITCH_WINDOW_MS, VOICING_THRESHOLD)
 
 
 def resample(buf: AudioBuffer, ratio: float) -> AudioBuffer:
@@ -112,7 +112,7 @@ def _nccf(x: np.ndarray, max_lag: int) -> np.ndarray:
 
 
 def estimate_f0(buf: AudioBuffer) -> F0Track:
-    """Track F0 between F0_MIN and F0_MAX Hz on PITCH_FRAME frames.
+    """Track F0 between F0_MIN and F0_MAX Hz on PITCH_WINDOW_MS frames.
 
     Per frame: remove DC, whiten with an order-12 LPC inverse filter,
     then pick the shortest-lag autocorrelation peak of the residual
@@ -122,8 +122,8 @@ def estimate_f0(buf: AudioBuffer) -> F0Track:
     are unvoiced. The decision is invariant to signal gain.
     """
     sr = buf.sample_rate
-    win = PITCH_FRAME.window_length(sr)
-    hop = PITCH_FRAME.hop_length(sr)
+    win = int(round(PITCH_WINDOW_MS * sr / 1000.0))
+    hop = int(round(HOP_MS * sr / 1000.0))
     min_lag = max(2, int(np.floor(sr / F0_MAX)))
     max_lag = int(np.ceil(sr / F0_MIN))
     if win - LPC_ORDER <= max_lag + 2:

@@ -4,8 +4,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
 from helpers import dominant_freq, rel_rms, speechy, tone, white_noise
-from voxrestore import (AudioBuffer, DEFAULT_FRAME, FrameParams, Spectrogram,
-                        istft, load_wav, resample, save_wav, stft, vad)
+from voxrestore import (AudioBuffer, Spectrogram, istft, load_wav, resample,
+                        save_wav, stft, vad)
+from voxrestore.audio import HOP_MS, WINDOW_MS, frame_geometry
+from voxrestore.pitch import PITCH_WINDOW_MS
 
 SR = 16000
 
@@ -45,14 +47,17 @@ def test_spectrogram_validation():
         Spectrogram(mags, np.full((4, 257), np.inf), SR)
 
 
-def test_frame_params_validation():
+def test_frame_geometry():
+    win, hop, nfft, hann = frame_geometry(SR, WINDOW_MS, HOP_MS)
+    assert (win, hop, nfft) == (400, 240, 512)
+    assert frame_geometry(SR, PITCH_WINDOW_MS, HOP_MS)[:3] == (640, 240, 1024)
+    # periodic Hann: zero at n = 0, one at n = win / 2, symmetric about it
+    assert hann.shape == (win,)
+    assert hann[0] == 0.0 and hann[win // 2] == 1.0
+    np.testing.assert_allclose(hann[1:], hann[1:][::-1], atol=1e-15)
+    assert frame_geometry(SR, WINDOW_MS, HOP_MS)[3] is hann   # built once
     with pytest.raises(ValueError):
-        FrameParams(window_ms=0)
-    with pytest.raises(ValueError):
-        FrameParams(window_ms=10, hop_ms=20)
-    assert DEFAULT_FRAME.window_length(SR) == 400
-    assert DEFAULT_FRAME.hop_length(SR) == 240
-    assert DEFAULT_FRAME.fft_length(SR) == 512
+        hann[0] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +165,7 @@ def test_stft_too_short():
 def test_istft_round_trip_interior():
     x = white_noise(1.0, seed=11)
     y = istft(stft(x))
-    half = DEFAULT_FRAME.window_length(SR) // 2
+    half = frame_geometry(SR, WINDOW_MS, HOP_MS)[0] // 2
     assert rel_rms(x.samples, y.samples, trim=half) <= 1e-6
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from voxrestore import (IDENTITY_PARAMS, AudioBuffer, DisguiseSpec, disguise,
                         embed, load_wav, load_external_embeddings, mfcc,
                         restore_with, save_wav, write_embeddings)
 from voxrestore.cli import main
+from voxrestore.restore import grid_from_range
 
 
 def run_cli(capsys, *argv):
@@ -300,6 +302,18 @@ def test_estimate_rejects_non_finite_grid_bounds(capsys, voice_wav, grid,
     assert stderr.startswith(f"error: grid {bound} must be finite")
 
 
+def test_custom_grid_holds_no_negative_zero(capsys, voice_wav):
+    grid = grid_from_range("pitch-freq", -0.9, 0.9, 0.3)
+    assert [repr(v) for v in grid.values] == [
+        "-0.9", "-0.6", "-0.3", "0.0", "0.3", "0.6", "0.9"]
+    rc, stdout, stderr = run_cli(capsys, "estimate", "--enroll", voice_wav,
+                                 "--test", voice_wav, "--grid=-0.9:0.9:0.3")
+    assert rc == 0
+    assert '"alpha_hat": 0.0,' in stdout and "[0.0, " in stdout
+    assert "-0.0" not in stdout
+    assert "estimated pitch-freq:0 " in stderr
+
+
 def test_estimate_rejects_unknown_method(capsys, voice_wav):
     with pytest.raises(SystemExit):
         main(["estimate", "--enroll", voice_wav, "--test", voice_wav,
@@ -407,6 +421,20 @@ def test_trials_requires_corpus_index(tmp_path, capsys):
     assert rc == 1 and "no corpus index" in stderr
 
 
+def test_trials_rejects_whitespace_in_trial_paths(tmp_path, capsys,
+                                                  corpus_dir):
+    spaced = tmp_path / "my corpus"
+    shutil.copytree(corpus_dir, spaced)
+    out = tmp_path / "tr"
+    rc, _, stderr = run_cli(capsys, "trials", "--corpus", str(spaced),
+                            "--out", str(out), "--n", "8",
+                            "--disguise", "vtln-power")
+    assert rc == 1
+    assert "../my corpus/" in stderr and "whitespace" in stderr
+    assert not os.path.exists(out / "trials.txt")
+    assert not os.path.exists(out / "disguised")
+
+
 def test_eval_report_artifacts(trial_dir, tmp_path, capsys):
     report_path = str(tmp_path / "report.json")
     rc, stdout, stderr = run_cli(
@@ -440,6 +468,27 @@ def test_eval_report_artifacts(trial_dir, tmp_path, capsys):
     assert len(lines) > 1
     alphas = [float(line.split(",")[0]) for line in lines[1:]]
     assert alphas == sorted(alphas)
+
+
+def test_eval_per_alpha_keys_name_the_family_of_mixed_trials(
+        tmp_path, capsys, corpus_dir):
+    trials = tmp_path / "t"
+    assert main(["trials", "--corpus", corpus_dir, "--out", str(trials),
+                 "--n", "24", "--disguise", "vtln-all", "--seed", "5"]) == 0
+    report_path = tmp_path / "report.json"
+    rc, _, _ = run_cli(capsys, "eval", "--trials", str(trials / "trials.txt"),
+                       "--out", str(report_path), "--restore", "none")
+    assert rc == 0
+    payload = json.load(open(report_path, encoding="utf-8"))
+    expected = {f"{e['family']}:{e['param']:g}": e["eer_percent"]
+                for e in payload["per_alpha"]}
+    assert len({e["family"] for e in payload["per_alpha"]}) > 1
+    lines = open(tmp_path / "report_per_alpha_none.csv",
+                 encoding="utf-8").read().splitlines()
+    assert lines[0] == "alpha,eer"
+    got = {key: float(eer) for key, eer in
+           (line.split(",") for line in lines[1:])}
+    assert got == expected
 
 
 def test_eval_is_deterministic_across_workers(trial_dir, tmp_path, capsys):
@@ -658,6 +707,27 @@ def test_seed_and_jobs_only_where_they_act(tmp_path, capsys, voice_wav):
             main(argv)
     assert list(tmp_path.iterdir()) == [tmp_path / "voice.wav"]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("out, dump", [("r.csv", None),
+                                       ("r.json", "r.json"),
+                                       ("r.json", "r.csv"),
+                                       ("r.json", "r_per_alpha_none.csv")])
+def test_eval_rejects_clashing_output_paths(trial_dir, tmp_path, capsys,
+                                            monkeypatch, out, dump):
+    from voxrestore import cli
+    loaded = []
+    monkeypatch.setattr(cli, "load_wav",
+                        lambda path: loaded.append(path) or load_wav(path))
+    argv = ["eval", "--trials", os.path.join(trial_dir, "trials.txt"),
+            "--out", str(tmp_path / out)]
+    if dump is not None:
+        argv += ["--dump-embeddings", str(tmp_path / dump)]
+    rc, _, stderr = run_cli(capsys, *argv)
+    assert rc == 1
+    assert str(tmp_path / (dump or out)) in stderr
+    assert loaded == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_dump_embeddings_needs_builtin(trial_dir, tmp_path, capsys):
