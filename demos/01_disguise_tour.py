@@ -12,7 +12,8 @@ import numpy as np
 from scipy.signal import lfilter
 
 from voxrestore import (DisguiseSpec, disguise, distance, embed,
-                        estimate_f0, mean_f0, mfcc, restore_with)
+                        estimate_f0, mean_f0, mfcc, restore_with,
+                        semitone_to_scale)
 from voxrestore.audio import AudioBuffer
 
 SR = 16000
@@ -55,7 +56,7 @@ for alpha in (-6, -3, 3, 6):
     y = disguise(x, DisguiseSpec("pitch-time", float(alpha)))
     ratio = mean_f0(estimate_f0(y)) / f0_ref
     print(f"  alpha {alpha:+d}: measured F0 ratio {ratio:.4f}, "
-          f"ideal {2 ** (alpha / 12):.4f}")
+          f"ideal {semitone_to_scale(alpha):.4f}")
 
 # Resampling is also exactly invertible in the waveform domain: negate
 # the offset and the samples line up again.

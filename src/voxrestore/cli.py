@@ -12,13 +12,13 @@ import logging
 import os
 import sys
 import time
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .audio import istft, load_wav, save_wav, stft
 from .disguise import DisguiseSpec, apply_spectral_warp, disguise, warp_indices
 from .evaluate import (Corpus, CorpusConfig, Trial, gen_trials, run_matrix,
                        synth_corpus)
-from .restore import GridSpec, default_grid, grid_from_range, restore_pair
+from .restore import default_grid, grid_from_range, restore_pair
 from .speaker import Embedding, load_external_embeddings, write_embeddings
 
 log = logging.getLogger("voxrestore")
@@ -48,7 +48,7 @@ def _parse_scorer(text: str) -> Optional[Dict[str, Embedding]]:
         f"scorer must be 'builtin' or 'external:<path>', got {text!r}")
 
 
-def _parse_grid(text: str, family) -> GridSpec:
+def _parse_grid(text: str, family) -> Tuple[DisguiseSpec, ...]:
     if text == "default":
         return default_grid(family)
     parts = text.split(":")
@@ -236,6 +236,10 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--out {out_json} is also the CSV summary's path")
     if dump and os.path.realpath(dump) in reports:
         raise ValueError(f"--dump-embeddings {dump} is also a report's path")
+    for path in [out_json] + ([dump] if dump else []):
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(f"directory does not exist: {parent}")
     trials, tokens, base = _read_trials(args.trials)
     external = _parse_scorer(args.scorer)
     if external is not None and dump:

@@ -201,12 +201,9 @@ def gen_trials(corpus: Corpus, n_trials: int, policy: str = "none",
         meta = None
         test_id = probe
         if policy != "none":
-            if policy == "vtln-all":
-                family = VTLN_FAMILIES[rng.integers(len(VTLN_FAMILIES))]
-            else:
-                family = parse_family(policy)
-            grid = default_grid(family)
-            meta = DisguiseSpec(family, grid.values[rng.integers(len(grid))])
+            grid = default_grid(VTLN_FAMILIES[rng.integers(len(VTLN_FAMILIES))]
+                                if policy == "vtln-all" else policy)
+            meta = grid[rng.integers(len(grid))]
             test_id = f"{probe}~{meta.spec_string()}"
             if test_id not in extra:
                 extra[test_id] = disguise(corpus.utterances[probe], meta)
@@ -359,9 +356,9 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
                restorations: Sequence[str],
                external: Optional[Dict[str, Embedding]] = None,
                jobs: int = 1) -> MatrixReport:
-    """Score every trial under every requested restoration method and
-    report per-method EER, parameter-recovery bias and per-parameter
-    EER breakdowns.
+    """Score every trial under every requested restoration method (each
+    named once) and report per-method EER, parameter-recovery bias and
+    per-parameter EER breakdowns.
 
     Restoration methods are blind: they never read a trial's
     disguise_meta, which is used only to organize the report. The
@@ -380,6 +377,9 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
     methods = [parse_restoration(name) for name in names]
     if not methods:
         raise ValueError("no restoration methods requested")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"restoration {name!r} requested twice")
     table, results, fallbacks = search_pairs(
         audio, [(t.enroll_id, t.test_id) for t in trials], methods, external,
         f0_fallback=True)
@@ -398,17 +398,17 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
     labels = np.array([t.label for t in trials], dtype=bool)
 
     rows: List[MatrixRow] = []
-    for name, (_, grid), searched in zip(names, methods, results):
+    for name, (_, candidates), searched in zip(names, methods, results):
         best = [b for b, _ in searched]
-        scores = np.array([d for _, _, d in best])
+        scores = np.array([d for _, d in best])
         eer = compute_eer(scores[labels], scores[~labels])
 
         bias = None
-        if len(grid) > 1:
-            pairs = [(t.disguise_meta.param, a)
-                     for t, (_, a, _) in zip(trials, best)
+        if len(candidates) > 1:
+            pairs = [(t.disguise_meta.param, spec.param)
+                     for t, (spec, _) in zip(trials, best)
                      if t.label and t.disguise_meta is not None
-                     and _same_units(t.disguise_meta.family, grid.family)]
+                     and _same_units(t.disguise_meta.family, spec.family)]
             if pairs:
                 bias = alpha_bias(pairs)
 

@@ -24,60 +24,32 @@ _GRID_DEFS = {
 }
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Candidate parameter values for one disguise family.
-
-    Each value must make a valid `DisguiseSpec` of the family; values
-    must be strictly increasing and include the family's no-op
-    parameter so a search over undisguised audio can settle on "no
-    disguise".
-    """
-
-    family: DisguiseFamily
-    values: Tuple[float, ...]
-
-    def __post_init__(self):
-        fam = parse_family(self.family)
-        object.__setattr__(self, "family", fam)
-        vals = tuple(DisguiseSpec(fam, v).param for v in self.values)
-        if not vals:
-            raise ValueError("grid has no candidate values")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ValueError("grid values must be strictly increasing")
-        ident = IDENTITY_PARAMS[fam]
-        if not any(v == ident for v in vals):
-            raise ValueError(
-                f"grid for {fam.value} must include the no-op value {ident}")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def grid_from_range(family, lo: float, hi: float, step: float) -> GridSpec:
-    """Candidates from lo to hi inclusive, `step` apart, rounded to 10
-    decimals so that fractional steps land on their nominal values."""
+def grid_from_range(family, lo: float, hi: float,
+                    step: float) -> Tuple[DisguiseSpec, ...]:
+    """Candidates of one family from lo to hi inclusive, `step` apart,
+    rounded to 10 decimals so that fractional steps land on their
+    nominal values. The bounds are checked as parameters of the family
+    before any value is made."""
     for name, bound in (("lo", lo), ("hi", hi), ("step", step)):
         if not np.isfinite(bound):
             raise ValueError(f"grid {name} must be finite, got {bound:g}")
     if step <= 0 or hi < lo:
         raise ValueError(f"bad grid bounds {lo:g}:{hi:g}:{step:g}")
+    fam = DisguiseSpec(family, lo).family
+    DisguiseSpec(fam, hi)
+    if lo < hi and step < 1e-10:
+        raise ValueError(f"grid step {step:g} is below 1e-10, the rounding "
+                         f"unit of grid values")
     count = int(round((hi - lo) / step)) + 1
     vals = np.round(lo + step * np.arange(count), 10) + 0.0   # no -0.0
-    return GridSpec(parse_family(family), tuple(float(v) for v in vals))
+    return tuple(DisguiseSpec(fam, float(v)) for v in vals)
 
 
-def default_grid(family) -> GridSpec:
+def default_grid(family) -> Tuple[DisguiseSpec, ...]:
     """The stock search grid for a family (integer semitones for the
     pitch families, fixed-step sweeps for the warp families)."""
     fam = parse_family(family)
     return grid_from_range(fam, *_GRID_DEFS[fam])
-
-
-def nearest_grid_value(grid: GridSpec, alpha: float) -> float:
-    vals = np.asarray(grid.values)
-    return float(vals[int(np.argmin(np.abs(vals - alpha)))])
 
 
 @dataclass
@@ -100,12 +72,10 @@ class RestorationResult:
         }
 
 
-def _candidate_token(utt: str, family: DisguiseFamily, alpha: float) -> str:
+def _candidate_token(utt: str, spec: DisguiseSpec) -> str:
     """Sidecar token of one candidate: `utt` itself, the plain row, for
-    the family's no-op, else `utt#family:alpha`."""
-    if alpha == IDENTITY_PARAMS[family]:
-        return utt
-    return f"{utt}#{family.value}:{alpha:g}"
+    a no-op, else `utt#family:alpha`."""
+    return utt if spec.is_identity else f"{utt}#{spec.spec_string()}"
 
 
 class _RestorationContext:
@@ -138,7 +108,7 @@ def restore_with(disguised: AudioBuffer, alpha: float,
     return _RestorationContext(disguised).features(alpha, family)
 
 
-NO_OP = (DisguiseFamily.PITCH_FREQ, 0.0)    # the candidate of no restoration
+NO_OP = DisguiseSpec(DisguiseFamily.PITCH_FREQ, 0.0)   # no restoration
 
 
 def embedding_table(utterances, external: Optional[Dict[str, Embedding]]
@@ -146,7 +116,7 @@ def embedding_table(utterances, external: Optional[Dict[str, Embedding]]
     """Every embedding a restoration needs, keyed by sidecar token.
 
     `utterances` holds (utt_id, audio, candidates) entries; each
-    (family, alpha) candidate asks for the embedding of one inversion,
+    `DisguiseSpec` candidate asks for the embedding of its inversion,
     keyed by `_candidate_token`, so every family's no-op asks for the
     plain row `utt_id`. Given an `external` table, each token is looked
     up there (a missing one is a KeyError) and audio may be None.
@@ -163,9 +133,9 @@ def embedding_table(utterances, external: Optional[Dict[str, Embedding]]
                          + " and ".join(f"{r} Hz" for r in rates))
     table: Dict[str, Embedding] = {}
     for utt, buf, candidates in utterances:
-        wanted: Dict[str, Tuple[DisguiseFamily, float]] = {}
-        for fam, a in candidates:
-            wanted.setdefault(_candidate_token(utt, fam, a), (fam, a))
+        wanted: Dict[str, DisguiseSpec] = {}
+        for spec in candidates:
+            wanted.setdefault(_candidate_token(utt, spec), spec)
         if external is not None:
             for tok in wanted:
                 if tok not in external:
@@ -177,8 +147,8 @@ def embedding_table(utterances, external: Optional[Dict[str, Embedding]]
             raise KeyError(f"no audio for utterance {utt!r}")
         try:
             ctx = _RestorationContext(buf)
-            table.update((tok, embed(ctx.features(a, fam)))
-                         for tok, (fam, a) in wanted.items())
+            table.update((tok, embed(ctx.features(spec.param, spec.family)))
+                         for tok, spec in wanted.items())
         except ValueError as exc:
             raise ValueError(f"{utt}: {exc}") from None
     return table
@@ -187,24 +157,23 @@ def embedding_table(utterances, external: Optional[Dict[str, Embedding]]
 def _search(reference: Embedding, table: Dict[str, Embedding],
             test_id: str, candidates):
     """Argmin of the distance from `reference` over the embeddings of
-    `test_id`'s (family, alpha) `candidates`; ties prefer the candidate
-    nearest its family's no-op parameter, then the smaller alpha.
-    Returns the best (family, alpha, distance) and every one scored."""
-    scored = [(fam, float(a),
-               distance(reference, table[_candidate_token(test_id, fam, a)]))
-              for fam, a in candidates]
-    best = min(scored, key=lambda c: (c[2], abs(c[1] - IDENTITY_PARAMS[c[0]]),
-                                      c[1]))
+    `test_id`'s `candidates`; ties prefer the candidate nearest its
+    family's no-op parameter, then the smaller parameter. Returns the
+    best (spec, distance) and every one scored."""
+    scored = [(s, distance(reference, table[_candidate_token(test_id, s)]))
+              for s in candidates]
+    best = min(scored, key=lambda c: (
+        c[1], abs(c[0].param - IDENTITY_PARAMS[c[0].family]), c[0].param))
     return best, scored
 
 
-def parse_restoration(name: str) -> Tuple[str, GridSpec]:
-    """Restoration method id -> (kind, grid). Accepted: "none" (a search
-    over the one candidate `NO_OP`), "f0ratio" (the default pitch-freq
-    grid, snapped to by the F0 ratio), a family name or "grid:<family>"
-    (a search over the family's default grid)."""
+def parse_restoration(name: str) -> Tuple[str, Tuple[DisguiseSpec, ...]]:
+    """Restoration method id -> (kind, candidates). Accepted: "none" (a
+    search over the one candidate `NO_OP`), "f0ratio" (the default
+    pitch-freq grid, snapped to by the F0 ratio), a family name or
+    "grid:<family>" (a search over the family's default grid)."""
     if name == "none":
-        return "grid", GridSpec(NO_OP[0], (NO_OP[1],))
+        return "grid", (NO_OP,)
     if name == "f0ratio":
         return "f0ratio", default_grid(DisguiseFamily.PITCH_FREQ)
     return "grid", default_grid(name[len("grid:"):]
@@ -216,9 +185,9 @@ def search_pairs(audio: Dict[str, Optional[AudioBuffer]], pairs, methods,
     """Score each (enroll_id, test_id) pair under each (kind, grid)
     method, from one `embedding_table`.
 
-    A grid scores all its values; "f0ratio" scores the grid value
-    nearest the F0 ratio of the pair's mean F0s. With `f0_fallback` an
-    unvoiced side makes that the grid's no-op; without, it raises
+    A grid scores all its candidates; "f0ratio" scores the one whose
+    parameter is nearest the F0 ratio of the pair's mean F0s. With
+    `f0_fallback` an unvoiced side makes that ratio 0; without, it raises
     UnvoicedUtteranceError. F0 and analysis errors name the utterance.
     A builtin table also holds every pair's plain rows. Returns the
     table, per method the `_search` result of each pair, and how many
@@ -240,16 +209,16 @@ def search_pairs(audio: Dict[str, Optional[AudioBuffer]], pairs, methods,
     unvoiced = [reads_f0 and (f0[e] is None or f0[t] is None)
                 for e, t in pairs]
 
-    def candidates(kind: str, grid: GridSpec):
-        """The (family, alpha) candidates of one method, per pair."""
+    def candidates(kind: str, grid):
+        """The candidates of one method, per pair."""
         if kind != "f0ratio":
-            return [[(grid.family, a) for a in grid.values]] * len(pairs)
-        return [[(grid.family, IDENTITY_PARAMS[grid.family] if fell_back
-                  else nearest_grid_value(grid, f0_ratio_alpha(f0[e], f0[t])))]
-                for (e, t), fell_back in zip(pairs, unvoiced)]
+            return [grid] * len(pairs)
+        ratios = [0.0 if fell_back else f0_ratio_alpha(f0[e], f0[t])
+                  for (e, t), fell_back in zip(pairs, unvoiced)]
+        return [(min(grid, key=lambda s: abs(s.param - r)),) for r in ratios]
 
     plan = [candidates(kind, grid) for kind, grid in methods]
-    needs: Dict[str, dict] = {}       # utt -> {(family, alpha): None}
+    needs: Dict[str, dict] = {}       # utt -> {spec: None}
     for i, (e, t) in enumerate(pairs):
         needs.setdefault(e, {})[NO_OP] = None
         need = needs.setdefault(t, {} if external is not None
@@ -266,39 +235,47 @@ def search_pairs(audio: Dict[str, Optional[AudioBuffer]], pairs, methods,
 
 def restore_pair(enrolled: Optional[AudioBuffer],
                  disguised: Optional[AudioBuffer], kind: str,
-                 grid: Optional[GridSpec] = None,
+                 grid: Optional[Tuple[DisguiseSpec, ...]] = None,
                  external: Optional[Dict[str, Embedding]] = None,
                  enroll_id: str = "enroll", test_id: str = "test"
                  ) -> RestorationResult:
     """Estimate the disguise of `disguised` against `enrolled`.
 
-    `kind` "grid" inverts with every value of `grid` and keeps the
-    candidate whose restored embedding lands closest to the enrolled
-    speaker; ties prefer the no-op (then the smaller value), so
-    undisguised input maps to "no disguise". `kind` "f0ratio" snaps the
-    semitone offset implied by the two mean F0s to the grid, which must
-    be a pitch family's, and scores that one inversion; unlike
+    `kind` "grid" inverts with every candidate of `grid` and keeps the
+    one whose restored embedding lands closest to the enrolled speaker;
+    ties prefer the no-op (then the smaller parameter), so undisguised
+    input maps to "no disguise". `kind` "f0ratio" snaps the semitone
+    offset implied by the two mean F0s to the grid, which must hold
+    pitch families only, and scores that one inversion; unlike
     `run_matrix`, which falls back to the no-op, it raises
     UnvoicedUtteranceError naming a side without voiced frames. The
-    grid names the family and defaults to pitch-freq's. The ids name
-    the two sides in an `external` table (see `embedding_table`) and
-    must differ.
+    grid is a tuple of `DisguiseSpec`s that must include a no-op, and
+    defaults to pitch-freq's; the chosen candidate names the family.
+    The ids name the two sides in an `external` table (see
+    `embedding_table`) and must differ.
     """
     if kind not in ("grid", "f0ratio"):
         raise ValueError(f"restoration kind must be 'grid' or 'f0ratio', "
                          f"got {kind!r}")
     if grid is None:
         grid = default_grid(DisguiseFamily.PITCH_FREQ)
-    if kind == "f0ratio" and grid.family not in SEMITONE_FAMILIES:
+    if not any(spec.is_identity for spec in grid):
+        # else a search over undisguised audio cannot settle on "none"
+        noops = dict.fromkeys(
+            f"{s.family.value}:{IDENTITY_PARAMS[s.family]:g}" for s in grid)
+        raise ValueError("grid must include a no-op candidate: "
+                         + (" or ".join(noops) or "it is empty"))
+    if kind == "f0ratio" and any(spec.family not in SEMITONE_FAMILIES
+                                 for spec in grid):
         raise ValueError("F0-ratio restoration estimates semitones; family "
                          "must be pitch-freq or pitch-time")
     if enroll_id == test_id:
         # the test's no-op row would replace the enrollment's
         raise ValueError(f"utterance id {enroll_id!r} names both the "
                          f"enrolled and the disguised audio")
-    _, [[((_, alpha_hat, d_hat), scored)]], _ = search_pairs(
+    _, [[((best, d_hat), scored)]], _ = search_pairs(
         {enroll_id: enrolled, test_id: disguised}, [(enroll_id, test_id)],
         [(kind, grid)], external, f0_fallback=False)
-    return RestorationResult(alpha_hat, d_hat, grid.family,
+    return RestorationResult(best.param, d_hat, best.family,
                              "f0-ratio" if kind == "f0ratio" else kind,
-                             [(a, d) for _, a, d in scored])
+                             [(spec.param, d) for spec, d in scored])

@@ -12,10 +12,10 @@ import numpy as np
 from scipy.linalg import solve_toeplitz
 from scipy.signal import lfilter
 
-from voxrestore import AudioBuffer, F0Track
+from voxrestore import AudioBuffer
 from voxrestore.audio import HOP_MS, _frame_signal
 from voxrestore.pitch import (F0_MAX, F0_MIN, LPC_ORDER, PEAK_KEEP,
-                              PITCH_WINDOW_MS, VOICING_THRESHOLD)
+                              PITCH_WINDOW_MS, VOICING_THRESHOLD, F0Track)
 
 
 def resample(buf: AudioBuffer, ratio: float) -> AudioBuffer:

@@ -76,8 +76,9 @@ def test_criterion_01_warp_function_suite():
     for family in DisguiseFamily:
         if family is DisguiseFamily.PITCH_TIME:
             continue
-        for alpha in default_grid(family).values:
-            w = build_warp(DisguiseSpec(family, alpha))
+        for spec in default_grid(family):
+            alpha = spec.param
+            w = build_warp(spec)
             y = w(x)
             assert y[0] == 0.0
             assert np.all(np.diff(y) > 0.0)

@@ -304,7 +304,7 @@ def test_estimate_rejects_non_finite_grid_bounds(capsys, voice_wav, grid,
 
 def test_custom_grid_holds_no_negative_zero(capsys, voice_wav):
     grid = grid_from_range("pitch-freq", -0.9, 0.9, 0.3)
-    assert [repr(v) for v in grid.values] == [
+    assert [repr(spec.param) for spec in grid] == [
         "-0.9", "-0.6", "-0.3", "0.0", "0.3", "0.6", "0.9"]
     rc, stdout, stderr = run_cli(capsys, "estimate", "--enroll", voice_wav,
                                  "--test", voice_wav, "--grid=-0.9:0.9:0.3")
@@ -727,6 +727,36 @@ def test_eval_rejects_clashing_output_paths(trial_dir, tmp_path, capsys,
     assert rc == 1
     assert str(tmp_path / (dump or out)) in stderr
     assert loaded == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-embeddings"])
+def test_eval_rejects_a_missing_output_directory_before_any_work(
+        trial_dir, tmp_path, capsys, monkeypatch, flag):
+    from voxrestore import cli
+    loaded = []
+    monkeypatch.setattr(cli, "load_wav",
+                        lambda path: loaded.append(path) or load_wav(path))
+    paths = {"--out": str(tmp_path / "r.json"),
+             "--dump-embeddings": str(tmp_path / "emb.txt")}
+    paths[flag] = str(tmp_path / "nodir" / "x.txt")
+    rc, _, stderr = run_cli(capsys, "eval", "--trials",
+                            os.path.join(trial_dir, "trials.txt"),
+                            *(a for kv in paths.items() for a in kv))
+    assert rc == 1
+    assert stderr == f"error: directory does not exist: {tmp_path / 'nodir'}\n"
+    assert loaded == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_rejects_a_repeated_restoration(trial_dir, tmp_path, capsys):
+    rc, _, stderr = run_cli(capsys, "eval", "--trials",
+                            os.path.join(trial_dir, "trials.txt"),
+                            "--out", str(tmp_path / "dup.json"),
+                            "--restore", "none", "--restore", "pitch-freq",
+                            "--restore", "none")
+    assert rc == 1
+    assert stderr == "error: restoration 'none' requested twice\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -7,13 +7,13 @@ from scipy.signal import lfilter
 
 from helpers import dominant_freq, rel_rms, tone, white_noise
 from voxrestore import (AudioBuffer, DisguiseFamily,
-                        DisguiseSpec, IDENTITY_PARAMS, PARAM_RANGES,
+                        DisguiseSpec, IDENTITY_PARAMS,
                         Spectrogram, VTLN_FAMILIES, apply_spectral_warp,
                         build_warp, default_grid, disguise, estimate_f0,
                         mean_f0, parse_family, scale_to_semitone,
                         semitone_to_scale, stft)
 from voxrestore.audio import HOP_MS, WINDOW_MS, frame_geometry
-from voxrestore.disguise import WarpFunction
+from voxrestore.disguise import PARAM_RANGES, WarpFunction
 
 SR = 16000
 PI = np.pi
@@ -337,6 +337,6 @@ def test_disguise_grid_params_all_runnable():
     x = white_noise(0.3, seed=5)
     for family in ("pitch-freq", "vtln-piecewise"):
         grid = default_grid(family)
-        for param in (grid.values[0], grid.values[-1]):
-            out = disguise(x, DisguiseSpec(family, param))
+        for spec in (grid[0], grid[-1]):
+            out = disguise(x, spec)
             assert np.all(np.isfinite(out.samples))

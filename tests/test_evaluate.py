@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import logging
 
 import numpy as np
@@ -99,11 +100,11 @@ def test_gen_trials_deterministic(corpus_small):
 
 def test_gen_trials_single_family_policy(corpus_small):
     trials, extra = gen_trials(corpus_small, 20, policy="pitch-freq", seed=2)
-    grid = set(default_grid("pitch-freq").values)
+    grid = set(default_grid("pitch-freq"))
     for t in trials:
         meta = t.disguise_meta
         assert meta.family is DisguiseFamily.PITCH_FREQ
-        assert meta.param in grid
+        assert meta in grid
         probe = t.test_id.split("~")[0]
         assert t.test_id == f"{probe}~{meta.spec_string()}"
         assert t.test_id in extra
@@ -367,11 +368,9 @@ def test_matrix_external_scorer_matches_builtin(corpus_small):
             ctx = _RestorationContext(audio[t.test_id])
             table[t.test_id] = embed(
                 ctx.features(0.0, DisguiseFamily.PITCH_FREQ))
-            for a in default_grid("pitch-freq").values:
-                token = _candidate_token(t.test_id,
-                                         DisguiseFamily.PITCH_FREQ, a)
-                table[token] = embed(
-                    ctx.features(a, DisguiseFamily.PITCH_FREQ))
+            for spec in default_grid("pitch-freq"):
+                table[_candidate_token(t.test_id, spec)] = embed(
+                    ctx.features(spec.param, spec.family))
     methods = ["none", "pitch-freq"]
     builtin = run_matrix(audio, trials, methods)
     external = run_matrix(audio, trials, methods, external=table)
@@ -426,6 +425,19 @@ def test_matrix_rejects_mixed_sample_rates(corpus_small):
         run_matrix(audio, trials, ["none"])
     with pytest.raises(ValueError, match="8000 Hz and 16000 Hz"):
         run_matrix(audio, trials, ["pitch-freq"])
+
+
+def test_matrix_rejects_a_repeated_method_before_scoring(
+        corpus_small, plain_trials, monkeypatch):
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("trials were scored")
+
+    monkeypatch.setattr(importlib.import_module("voxrestore.evaluate"),
+                        "search_pairs", no_scoring)
+    with pytest.raises(ValueError, match="^restoration 'f0ratio' requested "
+                       "twice$"):
+        run_matrix(corpus_small.utterances, plain_trials,
+                   ["f0ratio", "none", "f0ratio"])
 
 
 def test_matrix_validation(corpus_small, plain_trials):

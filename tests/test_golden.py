@@ -48,11 +48,11 @@ def _external_table(audio, trials):
         for utt in (t.enroll_id, t.test_id):
             if utt not in table:
                 table[utt] = shifted(mfcc(audio[utt]))
-        for a in default_grid("pitch-freq").values:
-            token = f"{t.test_id}#pitch-freq:{a:g}"
+        for spec in default_grid("pitch-freq"):
+            token = f"{t.test_id}#{spec.spec_string()}"
             if token not in table:
                 table[token] = shifted(
-                    restore_with(audio[t.test_id], a, "pitch-freq"))
+                    restore_with(audio[t.test_id], spec.param, spec.family))
     return table
 
 

@@ -1,7 +1,8 @@
 """Hygiene of the package sources, checked with `ast` since no linter
 is a dependency: no module imports a name it never uses, every name in
-an `__all__` resolves, every function reads all its parameters, and the
-package stays within its size ceilings."""
+an `__all__` resolves, every exported name has a reader outside its
+module, every function reads all its parameters, and the package stays
+within its size ceilings."""
 
 import ast
 import dataclasses
@@ -11,8 +12,11 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "voxrestore"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "voxrestore"
 MODULES = sorted(SRC.glob("*.py"))
+# the package's callers outside it: the demos and the benchmark
+CALLERS = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("bench/**/*.py"))
 
 
 def _exported(tree: ast.Module) -> list:
@@ -37,10 +41,33 @@ def _unused_imports(tree: ast.Module) -> list:
                   if name not in used)
 
 
+def _names_read(tree: ast.Module) -> set:
+    """Loaded names, attribute names and string constants; the
+    benchmark's tracer names the functions it wraps by string."""
+    return ({n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+            | {n.value for n in ast.walk(tree)
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)})
+
+
+def _defined(tree: ast.Module) -> set:
+    names = {n.name for n in tree.body
+             if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    return names | {t.id for n in tree.body if isinstance(n, ast.Assign)
+                    for t in n.targets if isinstance(t, ast.Name)}
+
+
+# exported names that nothing outside their module reads: name -> reason
+UNREAD_EXPORTS = {
+    "scale_to_semitone": "acceptance criterion 02 checks the semitone "
+                         "algebra in both directions",
+}
+
 # parameters kept unread on purpose: (module, function, parameter) -> reason
 UNREAD_PARAMETERS = {
     ("evaluate.py", "run_matrix", "jobs"):
-        "a no-op the benchmark still passes as jobs=1; ROADMAP item 3 "
+        "a no-op the benchmark still passes as jobs=1; ROADMAP item 9 "
         "makes it real or deletes it",
 }
 
@@ -64,7 +91,7 @@ def _unread_parameters(tree: ast.Module) -> list:
 
 # ceilings on the package's size; raising either needs a reason in
 # CHANGES.md
-MAX_SOURCE_LINES = 2139
+MAX_SOURCE_LINES = 2115
 MAX_SETTINGS = 14
 
 
@@ -113,6 +140,23 @@ def test_all_names_resolve(path):
     assert [n for n in names if not hasattr(module, n)] == []
 
 
+def test_every_export_is_read_outside_its_module():
+    package = importlib.import_module("voxrestore")
+    modules = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+               for p in MODULES if p.name != "__init__.py"}
+    callers = set().union(*(_names_read(ast.parse(p.read_text(
+        encoding="utf-8"))) for p in CALLERS))
+    unread = set()
+    for name in package.__all__:
+        homes = {m for m, tree in modules.items() if name in _defined(tree)}
+        assert len(homes) == 1, name
+        if name not in callers and not any(
+                name in _names_read(tree)
+                for m, tree in modules.items() if m not in homes):
+            unread.add(name)
+    assert unread == set(UNREAD_EXPORTS)
+
+
 def test_size_stays_under_its_ceilings():
     lines = sum(len(path.read_text(encoding="utf-8").splitlines())
                 for path in MODULES)
@@ -130,3 +174,7 @@ def test_checks_catch_leftovers():
                      "    return a + c + g(1, 0) + len(kw)\n")
     assert _unread_parameters(tree) == [("f", "b"), ("f", "args"),
                                         ("<lambda>", "y")]
+    tree = ast.parse("X = 1\ndef f(a):\n    a.b = c\n    return 'd'\n"
+                     "class E:\n    pass\n")
+    assert _defined(tree) == {"X", "f", "E"}
+    assert _names_read(tree) == {"a", "b", "c", "d"}

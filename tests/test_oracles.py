@@ -14,8 +14,8 @@ from voxrestore import (AudioBuffer, DisguiseSpec, default_grid, disguise,
 
 audio = importlib.import_module("voxrestore.audio")
 
-PITCH_TIME_RATIOS = [semitone_to_scale(a)
-                     for a in default_grid("pitch-time").values]
+PITCH_TIME_RATIOS = [semitone_to_scale(spec.param)
+                     for spec in default_grid("pitch-time")]
 
 
 def _first_utterance(corpus):

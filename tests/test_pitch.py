@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from helpers import bl_sawtooth, tone, white_noise
-from voxrestore import (AudioBuffer, F0Track, UnvoicedUtteranceError,
-                        estimate_f0, f0_ratio_alpha, mean_f0, resample,
-                        semitone_to_scale)
+from voxrestore import (AudioBuffer, UnvoicedUtteranceError, estimate_f0,
+                        f0_ratio_alpha, mean_f0, resample, semitone_to_scale)
+from voxrestore.pitch import F0Track
 
 SR = 16000
 

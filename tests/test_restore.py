@@ -6,16 +6,16 @@ import pytest
 from helpers import bl_sawtooth, white_noise
 from voxrestore import (IDENTITY_PARAMS, AudioBuffer,
                         DisguiseFamily, DisguiseSpec, Embedding,
-                        GridSpec, UnvoicedUtteranceError,
+                        UnvoicedUtteranceError,
                         apply_spectral_warp, build_warp,
                         default_grid, disguise, distance, embed,
-                        istft, mel_filterbank, mfcc, nearest_grid_value,
+                        istft, mel_filterbank, mfcc,
                         resample, restore_pair, restore_with,
                         semitone_to_scale, stft, vad)
 from voxrestore.disguise import warp_indices
 from voxrestore.restore import (NO_OP, _RestorationContext,
                                 _candidate_token, embedding_table,
-                                parse_restoration)
+                                grid_from_range, parse_restoration)
 from voxrestore.speaker import features_from_magnitudes
 
 
@@ -31,49 +31,102 @@ def pair(corpus_small):
 # grids
 
 
+def _params(grid):
+    return [spec.param for spec in grid]
+
+
 def test_default_grid_sizes_and_contents():
     pitch = default_grid("pitch-freq")
-    assert len(pitch) == 23
-    assert pitch.values == tuple(float(v) for v in range(-11, 12))
+    assert pitch == tuple(DisguiseSpec("pitch-freq", v)
+                          for v in range(-11, 12))
 
-    power = default_grid("vtln-power")
+    power = _params(default_grid("vtln-power"))
     assert len(power) == 21
-    assert power.values[0] == -0.5 and power.values[-1] == 0.5
-    assert 0.0 in power.values
+    assert power[0] == -0.5 and power[-1] == 0.5
+    assert 0.0 in power
 
-    quad = default_grid("vtln-quadratic")
-    assert len(quad) == 21 and 0.0 in quad.values
+    quad = _params(default_grid("vtln-quadratic"))
+    assert len(quad) == 21 and 0.0 in quad
 
-    bilin = default_grid("vtln-bilinear")
-    assert len(bilin) == 31 and 0.0 in bilin.values
+    bilin = _params(default_grid("vtln-bilinear"))
+    assert len(bilin) == 31 and 0.0 in bilin
 
-    pw = default_grid("vtln-piecewise")
-    assert len(pw) == 21 and 1.0 in pw.values
-    assert pw.values[0] == 0.5 and pw.values[-1] == 1.5
+    pw = _params(default_grid("vtln-piecewise"))
+    assert len(pw) == 21 and 1.0 in pw
+    assert pw[0] == 0.5 and pw[-1] == 1.5
+    for family in DisguiseFamily:
+        params = _params(default_grid(family))
+        assert all(a < b for a, b in zip(params, params[1:]))
 
 
-def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec("pitch-freq", ())
-    with pytest.raises(ValueError):
-        GridSpec("pitch-freq", (0.0, 0.0, 1.0))          # not increasing
-    with pytest.raises(ValueError):
-        GridSpec("vtln-piecewise", (0.5, 0.9, 1.1))      # no identity value
-    # each value is checked as a DisguiseSpec of the family
+def test_grid_from_range_validation():
+    assert grid_from_range("vtln-power", 0.2, 0.2, 1e-12) == (
+        DisguiseSpec("vtln-power", 0.2),)
+    with pytest.raises(ValueError, match="bad grid bounds 1:0:1"):
+        grid_from_range("pitch-freq", 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="unknown disguise family"):
+        grid_from_range("pitch", 0.0, 1.0, 1.0)
+    # the bounds are checked as DisguiseSpecs of the family
     with pytest.raises(ValueError, match=r"-0.6 outside \[-0.5, 0.5\] for "
                        r"family vtln-power"):
-        GridSpec("vtln-power", (-0.6, 0.0, 0.5))
-    with pytest.raises(ValueError, match="disguise parameter must be finite"):
-        GridSpec("pitch-freq", (0.0, np.inf))
+        grid_from_range("vtln-power", -0.6, 0.5, 0.1)
+    with pytest.raises(ValueError, match="grid lo must be finite"):
+        grid_from_range("pitch-freq", np.nan, 1.0, 1.0)
+    # a grid that overshoots its upper bound is checked value by value
+    with pytest.raises(ValueError, match="16.0 outside"):
+        grid_from_range("pitch-freq", 0.0, 12.0, 8.0)
 
 
-def test_nearest_grid_value():
-    pitch = default_grid("pitch-freq")
-    assert nearest_grid_value(pitch, 3.4) == 3.0
-    assert nearest_grid_value(pitch, -7.6) == -8.0
-    assert nearest_grid_value(pitch, 25.0) == 11.0
-    power = default_grid("vtln-power")
-    assert nearest_grid_value(power, 0.213) == pytest.approx(0.2)
+def test_grid_from_range_rejects_huge_grids_before_allocating(monkeypatch):
+    # each of these asks for 1e12 values; np.arange must never see them
+    def no_arange(*args, **kwargs):
+        raise AssertionError("grid values were allocated")
+
+    monkeypatch.setattr(np, "arange", no_arange)
+    with pytest.raises(ValueError, match=r"1000000000000.0 outside \[-12"):
+        grid_from_range("pitch-freq", 0.0, 1e12, 1.0)
+    with pytest.raises(ValueError, match="grid step 1e-12 is below 1e-10"):
+        grid_from_range("pitch-freq", 0.0, 1.0, 1e-12)
+
+
+def test_restoration_grid_must_hold_a_no_op(pair):
+    x, y = pair
+    no_identity = grid_from_range("vtln-piecewise", 0.5, 0.9, 0.1)
+    for kind in ("grid", "f0ratio"):
+        with pytest.raises(ValueError, match="must include a no-op candidate"
+                           ": vtln-piecewise:1$"):
+            restore_pair(x, y, kind, no_identity)
+        with pytest.raises(ValueError, match="no-op candidate: it is empty"):
+            restore_pair(x, y, kind, ())
+    mixed = (DisguiseSpec("pitch-freq", 1.0), DisguiseSpec("vtln-power", 0.1))
+    with pytest.raises(ValueError, match=": pitch-freq:0 or vtln-power:0$"):
+        restore_pair(x, y, "grid", mixed)
+    # any family's no-op will do
+    grid = (DisguiseSpec("vtln-power", 0.1), DisguiseSpec("pitch-time", 0.0))
+    result = restore_pair(x, x, "grid", grid)
+    assert result.family is DisguiseFamily.PITCH_TIME
+    assert result.alpha_hat == 0.0
+
+
+@pytest.mark.parametrize("grid, ratio, snapped", [
+    ("pitch-freq", 3.4, 3.0), ("pitch-freq", -7.6, -8.0),
+    ("pitch-freq", 25.0, 11.0), ("vtln-power", 0.213, 0.2)])
+def test_f0_ratio_snaps_to_the_nearest_grid_value(monkeypatch, grid, ratio,
+                                                   snapped):
+    restore = importlib.import_module("voxrestore.restore")
+    monkeypatch.setattr(restore, "f0_ratio_alpha", lambda f_e, f_t: ratio)
+    x = bl_sawtooth(150.0, 1.0)
+    grid = default_grid(grid)
+    # the snap itself reads no family; one the F0 ratio cannot estimate
+    # is rejected only by restore_pair
+    table = {"e": Embedding(np.ones(2))}
+    table.update((_candidate_token("t", s), Embedding(np.ones(2)))
+                 for s in grid)
+    _, [[((best, _), scored)]], _ = restore.search_pairs(
+        {"e": x, "t": x}, [("e", "t")], [("f0ratio", grid)], table,
+        f0_fallback=False)
+    assert best.param == pytest.approx(snapped, abs=1e-12)
+    assert [s for s, _ in scored] == [best] and best.family is grid[0].family
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +206,10 @@ def _whole_spectrogram_features(y: AudioBuffer, alpha: float,
 
 @pytest.mark.parametrize("family", list(DisguiseFamily))
 def test_candidate_features_equal_the_whole_spectrogram_warp(pair, family):
-    grid = default_grid(family)
-    lo, hi = grid.values[0], grid.values[-1]
+    grid = _params(default_grid(family))
+    lo, hi = grid[0], grid[-1]
     ident = IDENTITY_PARAMS[family]
-    interior = grid.values[len(grid) // 4]
+    interior = grid[len(grid) // 4]
     assert lo < interior < ident
     y = disguise(pair[1], DisguiseSpec(family, lo + 0.7 * (hi - lo)))
     # the half-second cut has few enough active frames that the
@@ -183,12 +236,11 @@ def test_inverse_warp_is_built_once_per_family_and_alpha(pair, monkeypatch):
     grid = default_grid("vtln-power")
     for utterance in pair:
         ctx = _RestorationContext(utterance)
-        for alpha in grid.values:
-            ctx.features(alpha, grid.family)
+        for spec in grid:
+            ctx.features(spec.param, spec.family)
     # the no-op needs no map, but its identity table is cached like the
     # others
-    ident = IDENTITY_PARAMS[grid.family]
-    assert built == [(grid.family, a) for a in grid.values if a != ident]
+    assert built == [(s.family, s.param) for s in grid if not s.is_identity]
     assert warp_indices.cache_info().misses == len(grid)
     # pitch-time shares pitch-freq's map but keeps its own entry
     _RestorationContext(pair[0]).features(3.0, DisguiseFamily.PITCH_TIME)
@@ -250,7 +302,7 @@ def test_grid_search_result_invariants(pair):
     result = restore_pair(x, y, "grid", grid)
     alphas = [a for a, _ in result.per_candidate]
     dists = [d for _, d in result.per_candidate]
-    assert tuple(alphas) == grid.values
+    assert alphas == _params(grid)
     assert result.d_hat == min(dists)
     assert dict(result.per_candidate)[result.alpha_hat] == result.d_hat
     # identity is always on the grid, so searching can never lose to it
@@ -263,11 +315,11 @@ def test_grid_search_result_invariants(pair):
 
 def test_grid_search_tie_breaks_toward_identity(pair):
     y = pair[1]
-    grid = GridSpec("pitch-freq", (-1.0, 0.0, 1.0))
+    grid = grid_from_range("pitch-freq", -1.0, 1.0, 1.0)
     same = Embedding(np.ones(4))
     table = {"ref": same}
-    for a in grid.values:
-        table[_candidate_token("probe", DisguiseFamily.PITCH_FREQ, a)] = same
+    for spec in grid:
+        table[_candidate_token("probe", spec)] = same
     result = restore_pair(y, y, "grid", grid, external=table,
                           enroll_id="ref", test_id="probe")
     assert result.alpha_hat == 0.0          # all distances equal
@@ -275,15 +327,11 @@ def test_grid_search_tie_breaks_toward_identity(pair):
 
 def test_grid_search_tie_breaks_toward_smaller_alpha(pair):
     y = pair[1]
-    grid = GridSpec("pitch-freq", (-1.0, 0.0, 1.0))
+    grid = grid_from_range("pitch-freq", -1.0, 1.0, 1.0)
     near = Embedding(np.array([1.0, 0.05]))
     far = Embedding(np.array([0.0, 1.0]))
-    table = {
-        "ref": Embedding(np.array([1.0, 0.0])),
-        _candidate_token("probe", DisguiseFamily.PITCH_FREQ, -1.0): near,
-        _candidate_token("probe", DisguiseFamily.PITCH_FREQ, 0.0): far,
-        _candidate_token("probe", DisguiseFamily.PITCH_FREQ, 1.0): near,
-    }
+    table = {"ref": Embedding(np.array([1.0, 0.0])), "probe": far,
+             "probe#pitch-freq:-1": near, "probe#pitch-freq:1": near}
     result = restore_pair(y, y, "grid", grid, external=table,
                           enroll_id="ref", test_id="probe")
     assert result.alpha_hat == -1.0         # equal distance, equal |a|
@@ -292,12 +340,12 @@ def test_grid_search_tie_breaks_toward_smaller_alpha(pair):
 def test_external_scorer_agrees_with_builtin(pair):
     x, clean = pair
     y = disguise(clean, DisguiseSpec("pitch-freq", 2.0))
-    grid = GridSpec("pitch-freq", (-2.0, 0.0, 2.0))
+    grid = grid_from_range("pitch-freq", -2.0, 2.0, 2.0)
     ctx = _RestorationContext(y)
     table = {"enroll": embed(mfcc(x))}
-    for a in grid.values:
-        token = _candidate_token("test", DisguiseFamily.PITCH_FREQ, a)
-        table[token] = embed(ctx.features(a, DisguiseFamily.PITCH_FREQ))
+    for spec in grid:
+        table[_candidate_token("test", spec)] = embed(
+            ctx.features(spec.param, spec.family))
     builtin = restore_pair(x, y, "grid", grid)
     external = restore_pair(
         x, y, "grid", grid, external=table, enroll_id="enroll",
@@ -393,8 +441,8 @@ def test_f0_ratio_rejects_warp_families():
 
 def test_every_method_is_a_grid_or_the_f0_ratio():
     # "none" is the one-candidate grid of the no-op
-    assert parse_restoration("none") == ("grid", GridSpec(NO_OP[0],
-                                                          (NO_OP[1],)))
+    assert parse_restoration("none") == ("grid", (NO_OP,))
+    assert NO_OP == DisguiseSpec("pitch-freq", 0.0)
     assert parse_restoration("f0ratio") == ("f0ratio",
                                             default_grid("pitch-freq"))
     for name in ("vtln-power", "grid:vtln-power"):
@@ -421,13 +469,13 @@ def test_f0_ratio_takes_its_family_from_the_grid(pair):
     result = restore_pair(enrolled, disguise(clean, DisguiseSpec(
         "vtln-power", 0.2)), "grid", power)
     assert result.family is DisguiseFamily.VTLN_POWER
-    assert [a for a, _ in result.per_candidate] == list(power.values)
+    assert [a for a, _ in result.per_candidate] == _params(power)
 
 
 def test_result_serialization(pair):
     x = pair[0]
-    result = restore_pair(x, x, "grid", GridSpec("pitch-freq",
-                                                 (-1.0, 0.0, 1.0)))
+    result = restore_pair(x, x, "grid",
+                          grid_from_range("pitch-freq", -1.0, 1.0, 1.0))
     blob = result.to_dict()
     assert blob["family"] == "pitch-freq"
     assert blob["alpha_hat"] == 0.0
