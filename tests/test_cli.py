@@ -135,25 +135,32 @@ def test_estimate_recovers_disguise_and_writes_audio(tmp_path, capsys,
         dominant_freq(ref, lo=50.0, hi=1000.0), rel=0.05)
 
 
-# SHA-256 of the `estimate --restored` WAV for `voice_wav` disguised with
-# each family; a refactor of the restoration path must leave them alone
-RESTORED_SHA256 = {
-    "pitch-freq:4": "114ca34535548b091ce05b116e70f273"
-                    "559d0167c4c4f1191dd1302252dad236",
-    "pitch-time:-3": "f521a0605c6de432a994db11b670e091"
-                     "283190b31372e5b7626613ce6683a35e",
-    "vtln-bilinear:0.1": "1e4b4b743f4a47ece4caace6a5a7cdc1"
-                         "a9ec33cc6b8e6550a18118882d142457",
-    "vtln-quadratic:1": "ad5702bd94e1bec703e9eeec4eaa33a0"
-                        "ba011365b7aad09e9551c5a57203f04d",
-    "vtln-power:0.2": "8caa7fd0fba9c16d15d6a3c930829f1a"
-                      "823a867ddb8211f8c523585c9b6f433b",
-    "vtln-piecewise:1.2": "5b485f260f31b7b72cc08c27e4142b49"
-                          "5892aec1e40db197c58916be95041778",
+# SHA-256 of the `disguise` WAV and of the `estimate --restored` WAV for
+# `voice_wav` disguised with each family; a refactor of the disguise or
+# the restoration path must leave them alone
+WAV_SHA256 = {
+    "pitch-freq:4": (
+        "6ed952d4220e74160d1edcac2172e7e2db889eea2add0be673a889f645b3c2df",
+        "114ca34535548b091ce05b116e70f273559d0167c4c4f1191dd1302252dad236"),
+    "pitch-time:-3": (
+        "6c8fec03f32a05fc4ee9a32b7b6141d7d1f0be5517d21796c54efb1289fbd118",
+        "f521a0605c6de432a994db11b670e091283190b31372e5b7626613ce6683a35e"),
+    "vtln-bilinear:0.1": (
+        "9d4773126e5c01fae21fbbbf0d3250878a9c44b6b21d66ddfd06d64dc10e947f",
+        "1e4b4b743f4a47ece4caace6a5a7cdc1a9ec33cc6b8e6550a18118882d142457"),
+    "vtln-quadratic:1": (
+        "bf5fd04d5ab77d7bb7a09b0c50adb3196dadbef7c9f910da4aa524a99353dba1",
+        "ad5702bd94e1bec703e9eeec4eaa33a0ba011365b7aad09e9551c5a57203f04d"),
+    "vtln-power:0.2": (
+        "43348cd487a991c66769ea93ee5479b5a61924f5dcb15085de9195a0da118505",
+        "8caa7fd0fba9c16d15d6a3c930829f1a823a867ddb8211f8c523585c9b6f433b"),
+    "vtln-piecewise:1.2": (
+        "61b1e6d40c2ff42357816e7352b5c468b5a8620cef5fd7ad04ae78358256419c",
+        "5b485f260f31b7b72cc08c27e4142b495892aec1e40db197c58916be95041778"),
 }
 
 
-@pytest.mark.parametrize("spec", sorted(RESTORED_SHA256))
+@pytest.mark.parametrize("spec", sorted(WAV_SHA256))
 def test_estimate_restored_audio_is_pinned(tmp_path, capsys, voice_wav,
                                            spec):
     family = spec.split(":")[0]
@@ -166,8 +173,8 @@ def test_estimate_restored_audio_is_pinned(tmp_path, capsys, voice_wav,
                             "--restored", str(restored))
     assert rc == 0
     assert json_line(stdout)["alpha_hat"] != IDENTITY_PARAMS[family]
-    digest = hashlib.sha256(restored.read_bytes()).hexdigest()
-    assert digest == RESTORED_SHA256[spec]
+    assert tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in (disguised, restored)) == WAV_SHA256[spec]
 
 
 @pytest.mark.parametrize("method", ["grid", "f0ratio"])
