@@ -6,8 +6,8 @@ recovery of the disguise parameter against an enrolled speaker, and the
 effect of restoration on verification error rates.
 """
 
-from .audio import (AudioBuffer, Spectrogram, istft, load_wav, resample,
-                    save_wav, stft, vad)
+from .audio import (AudioBuffer, istft, load_wav, resample, save_wav, stft,
+                    vad)
 from .disguise import (DisguiseFamily, DisguiseSpec, IDENTITY_PARAMS,
                        VTLN_FAMILIES, apply_spectral_warp, build_warp,
                        disguise, parse_family, scale_to_semitone,
@@ -17,9 +17,8 @@ from .evaluate import (Corpus, CorpusConfig, Trial, alpha_bias, compute_eer,
 from .pitch import (UnvoicedUtteranceError, estimate_f0, f0_ratio_alpha,
                     mean_f0)
 from .restore import default_grid, restore_pair, restore_with
-from .speaker import (Embedding, FeatureMatrix, distance, embed,
-                      load_external_embeddings, mel_filterbank, mfcc,
-                      write_embeddings)
+from .speaker import (Embedding, distance, embed, load_external_embeddings,
+                      mel_filterbank, mfcc, write_embeddings)
 
 __version__ = "0.1.0"
 
@@ -31,15 +30,13 @@ def grid_search_restore(enrolled, disguised):
 
 
 __all__ = [
-    "AudioBuffer", "Spectrogram",
-    "load_wav", "save_wav", "stft", "istft", "resample", "vad",
+    "AudioBuffer", "load_wav", "save_wav", "stft", "istft", "resample", "vad",
     "DisguiseFamily", "DisguiseSpec", "IDENTITY_PARAMS", "VTLN_FAMILIES",
     "parse_family", "semitone_to_scale", "scale_to_semitone", "build_warp",
     "apply_spectral_warp", "disguise",
     "UnvoicedUtteranceError", "estimate_f0", "mean_f0", "f0_ratio_alpha",
-    "FeatureMatrix", "Embedding", "mfcc", "embed",
-    "distance", "mel_filterbank", "load_external_embeddings",
-    "write_embeddings",
+    "Embedding", "mfcc", "embed", "distance", "mel_filterbank",
+    "load_external_embeddings", "write_embeddings",
     "default_grid", "restore_with", "restore_pair",
     "Trial", "CorpusConfig", "Corpus", "synth_corpus", "gen_trials",
     "compute_eer", "run_matrix", "alpha_bias",

@@ -61,48 +61,6 @@ def frame_geometry(sample_rate: int, window_ms: float, hop_ms: float):
     return win, hop, nfft, hann
 
 
-@dataclass
-class Spectrogram:
-    """Magnitudes and phases of a short-time Fourier analysis with
-    WINDOW_MS frames every HOP_MS.
-
-    magnitudes: (n_frames, n_bins) non-negative float64
-    phases: same shape in radians
-    """
-
-    magnitudes: np.ndarray
-    phases: np.ndarray
-    sample_rate: int
-
-    def __post_init__(self):
-        m = np.asarray(self.magnitudes, dtype=np.float64)
-        if m.ndim != 2:
-            raise ValueError("magnitudes must be 2-D (frames x bins)")
-        if not np.all(np.isfinite(m)) or np.any(m < 0):
-            raise ValueError("magnitudes must be finite and non-negative")
-        expected = frame_geometry(self.sample_rate, WINDOW_MS,
-                                  HOP_MS)[2] // 2 + 1
-        if m.shape[1] != expected:
-            raise ValueError(
-                f"bin count {m.shape[1]} inconsistent with fft size "
-                f"({expected} expected)")
-        p = np.asarray(self.phases, dtype=np.float64)
-        if p.shape != m.shape:
-            raise ValueError("phases shape differs from magnitudes")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("phases must be finite")
-        self.magnitudes = m
-        self.phases = p
-
-    @property
-    def n_frames(self) -> int:
-        return self.magnitudes.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.magnitudes.shape[1]
-
-
 def load_wav(path) -> AudioBuffer:
     """Read a WAV file as a mono float64 AudioBuffer.
 
@@ -159,43 +117,44 @@ def _frame_signal(x: np.ndarray, win: int, hop: int) -> np.ndarray:
     return view[:n_frames]
 
 
-def stft(buf: AudioBuffer) -> Spectrogram:
+def stft(buf: AudioBuffer) -> np.ndarray:
     """Windowed short-time Fourier analysis with WINDOW_MS Hann frames
-    every HOP_MS.
+    every HOP_MS: the complex (frames, nfft // 2 + 1) spectrum.
 
     Frames start at multiples of the hop; a trailing partial window is
     dropped rather than padded, so n_frames = 1 + (len - win) // hop.
     """
-    sr = buf.sample_rate
-    win, hop, nfft, w = frame_geometry(sr, WINDOW_MS, HOP_MS)
-    spec = np.fft.rfft(_frame_signal(buf.samples, win, hop) * w, n=nfft,
+    win, hop, nfft, w = frame_geometry(buf.sample_rate, WINDOW_MS, HOP_MS)
+    return np.fft.rfft(_frame_signal(buf.samples, win, hop) * w, n=nfft,
                        axis=1)
-    return Spectrogram(np.abs(spec), np.angle(spec), sr)
 
 
-def istft(spec: Spectrogram) -> AudioBuffer:
-    """Weighted overlap-add inverse of `stft`.
+def istft(spectrum: np.ndarray, sample_rate: int) -> AudioBuffer:
+    """Weighted overlap-add inverse of `stft` at `sample_rate`.
 
     Each synthesized frame is re-windowed and the sum is normalized by
     the accumulated squared window, which makes interior samples exact
     for any window/hop combination.
     """
-    sr = spec.sample_rate
-    win, hop, nfft, w = frame_geometry(sr, WINDOW_MS, HOP_MS)
-    frames = np.fft.irfft(spec.magnitudes * np.exp(1j * spec.phases),
-                          n=nfft, axis=1)[:, :win]
-    n_out = (spec.n_frames - 1) * hop + win
+    win, hop, nfft, w = frame_geometry(sample_rate, WINDOW_MS, HOP_MS)
+    if spectrum.ndim != 2 or spectrum.shape[1] != nfft // 2 + 1:
+        raise ValueError(f"spectrum of shape {spectrum.shape} is not (frames, "
+                         f"{nfft // 2 + 1}) as at {sample_rate} Hz")
+    if not np.all(np.isfinite(spectrum)):
+        raise ValueError("spectrum contains non-finite values")
+    frames = np.fft.irfft(spectrum, n=nfft, axis=1)[:, :win]
+    n_out = (len(frames) - 1) * hop + win
     y = np.zeros(n_out)
     den = np.zeros(n_out)
-    for i in range(spec.n_frames):
+    for i, frame in enumerate(frames):
         start = i * hop
-        y[start:start + win] += frames[i] * w
+        y[start:start + win] += frame * w
         den[start:start + win] += w * w
     # normalize only where the window sum carries real weight; at the
     # extreme edges the raw tapered sum is kept, avoiding huge gains
     good = den > 1e-3 * den.max()
     y[good] /= den[good]
-    return AudioBuffer(y, sr)
+    return AudioBuffer(y, sample_rate)
 
 
 # fractional offsets tabulated per kernel; output rows x taps per block

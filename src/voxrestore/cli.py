@@ -94,8 +94,8 @@ def cmd_estimate(args) -> int:
     result = restore_pair(enroll, test, args.method, grid, external, **ids)
     if args.restored is not None:
         spec = DisguiseSpec(result.family, result.alpha_hat)
-        save_wav(args.restored,
-                 istft(apply_spectral_warp(stft(test), spec, "inverse")))
+        save_wav(args.restored, istft(apply_spectral_warp(
+            stft(test), spec, "inverse"), test.sample_rate))
     elapsed = time.perf_counter() - t0
     _emit(result.to_dict())
     print(f"estimated {result.family.value}:{result.alpha_hat:g} "
@@ -236,7 +236,9 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--out {out_json} is also the CSV summary's path")
     if dump and os.path.realpath(dump) in reports:
         raise ValueError(f"--dump-embeddings {dump} is also a report's path")
-    for path in [out_json] + ([dump] if dump else []):
+    for path in [out_json, stem + ".csv"] + ([dump] if dump else []):
+        if os.path.isdir(path):
+            raise ValueError(f"output path {path} is a directory")
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             raise FileNotFoundError(f"directory does not exist: {parent}")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, Spectrogram, istft
+from .audio import AudioBuffer, istft
 from .audio import resample as _resample
 from .audio import stft as _stft
 
@@ -222,16 +222,24 @@ def warp_indices(spec: DisguiseSpec, n_bins: int, direction: str):
     return lo, frac
 
 
-def apply_spectral_warp(spectrogram: Spectrogram, spec: DisguiseSpec,
-                        direction: str) -> Spectrogram:
-    """Resample every spectral frame along the frequency axis warped by
-    `spec` (see `warp_indices`); phases move with the magnitudes and a
-    no-op's identity table returns copies equal to the input."""
-    mags, phases = spectrogram.magnitudes, spectrogram.phases
-    lo, frac = warp_indices(spec, spectrogram.n_bins, direction)
-    return Spectrogram(mags[:, lo] * (1.0 - frac) + mags[:, lo + 1] * frac,
-                       phases[:, lo] * (1.0 - frac) + phases[:, lo + 1] * frac,
-                       spectrogram.sample_rate)
+def warp_bins(values: np.ndarray, spec: DisguiseSpec,
+              direction: str) -> np.ndarray:
+    """Resample each row of a (frames, bins) array along the bin axis
+    warped by `spec` (see `warp_indices`): the one place a warp is
+    applied to spectral values. A no-op gives a copy equal to `values`."""
+    lo, frac = warp_indices(spec, values.shape[1], direction)
+    return values[:, lo] * (1.0 - frac) + values[:, lo + 1] * frac
+
+
+def apply_spectral_warp(spectrum: np.ndarray, spec: DisguiseSpec,
+                        direction: str) -> np.ndarray:
+    """Warp every frame of a complex (frames, bins) spectrum along the
+    frequency axis (see `warp_bins`); phases move with the magnitudes."""
+    if spectrum.ndim != 2 or spectrum.shape[1] < 2:
+        raise ValueError(f"need a (frames, bins) spectrum with bins >= 2, "
+                         f"got shape {spectrum.shape}")
+    return (warp_bins(np.abs(spectrum), spec, direction)
+            * np.exp(1j * warp_bins(np.angle(spectrum), spec, direction)))
 
 
 def disguise(buf: AudioBuffer, spec: DisguiseSpec) -> AudioBuffer:
@@ -244,7 +252,8 @@ def disguise(buf: AudioBuffer, spec: DisguiseSpec) -> AudioBuffer:
     if spec.family is DisguiseFamily.PITCH_TIME:
         out = _resample(buf, semitone_to_scale(spec.param))
     else:
-        out = istft(apply_spectral_warp(_stft(buf), spec, "forward"))
+        out = istft(apply_spectral_warp(_stft(buf), spec, "forward"),
+                    buf.sample_rate)
     peak = np.max(np.abs(out.samples))
     if peak > 0.999:
         return AudioBuffer(out.samples * (0.999 / peak), out.sample_rate)

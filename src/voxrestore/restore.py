@@ -8,11 +8,11 @@ import numpy as np
 
 from .audio import AudioBuffer
 from .disguise import (SEMITONE_FAMILIES, DisguiseFamily, DisguiseSpec,
-                       IDENTITY_PARAMS, parse_family, warp_indices)
+                       IDENTITY_PARAMS, parse_family, warp_bins)
 from .pitch import (UnvoicedUtteranceError, estimate_f0, f0_ratio_alpha,
                     mean_f0)
-from .speaker import (Embedding, FeatureMatrix, active_magnitudes, distance,
-                      embed, features_from_magnitudes)
+from .speaker import (Embedding, active_magnitudes, distance, embed,
+                      features_from_magnitudes)
 
 _GRID_DEFS = {
     DisguiseFamily.PITCH_FREQ: (-11.0, 11.0, 1.0),
@@ -22,14 +22,16 @@ _GRID_DEFS = {
     DisguiseFamily.VTLN_POWER: (-0.5, 0.5, 0.05),
     DisguiseFamily.VTLN_PIECEWISE: (0.5, 1.5, 0.05),
 }
+# over 300 times the largest default grid (31 values), yet quick to build
+MAX_GRID_CANDIDATES = 10_000
 
 
 def grid_from_range(family, lo: float, hi: float,
                     step: float) -> Tuple[DisguiseSpec, ...]:
     """Candidates of one family from lo to hi inclusive, `step` apart,
     rounded to 10 decimals so that fractional steps land on their
-    nominal values. The bounds are checked as parameters of the family
-    before any value is made."""
+    nominal values. The bounds, and a count of at most
+    MAX_GRID_CANDIDATES, are checked before any value is made."""
     for name, bound in (("lo", lo), ("hi", hi), ("step", step)):
         if not np.isfinite(bound):
             raise ValueError(f"grid {name} must be finite, got {bound:g}")
@@ -41,6 +43,9 @@ def grid_from_range(family, lo: float, hi: float,
         raise ValueError(f"grid step {step:g} is below 1e-10, the rounding "
                          f"unit of grid values")
     count = int(round((hi - lo) / step)) + 1
+    if count > MAX_GRID_CANDIDATES:
+        raise ValueError(f"grid {lo:g}:{hi:g}:{step:g} holds {count} "
+                         f"candidates, over the {MAX_GRID_CANDIDATES} allowed")
     vals = np.round(lo + step * np.arange(count), 10) + 0.0   # no -0.0
     return tuple(DisguiseSpec(fam, float(v)) for v in vals)
 
@@ -86,17 +91,13 @@ class _RestorationContext:
         self.sample_rate = disguised.sample_rate
         self.active = active_magnitudes(disguised)
 
-    def features(self, alpha: float, family: DisguiseFamily) -> FeatureMatrix:
-        # the inverse `apply_spectral_warp`, on the active rows only
-        mags = self.active
-        lo, frac = warp_indices(DisguiseSpec(family, alpha), mags.shape[1],
-                                "inverse")
-        mags = mags[:, lo] * (1.0 - frac) + mags[:, lo + 1] * frac
-        return FeatureMatrix(features_from_magnitudes(mags, self.sample_rate))
+    def features(self, alpha: float, family: DisguiseFamily) -> np.ndarray:
+        mags = warp_bins(self.active, DisguiseSpec(family, alpha), "inverse")
+        return features_from_magnitudes(mags, self.sample_rate)
 
 
 def restore_with(disguised: AudioBuffer, alpha: float,
-                 family) -> FeatureMatrix:
+                 family) -> np.ndarray:
     """Undo a disguise of known family and parameter in the spectral
     domain and return features of the restored utterance.
 

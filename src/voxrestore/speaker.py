@@ -21,28 +21,6 @@ MIN_ACTIVE_FRAMES = 3
 
 
 @dataclass
-class FeatureMatrix:
-    """Frame-level features, FEATURE_DIM columns per frame."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
-        if d.ndim != 2 or d.shape[1] != FEATURE_DIM:
-            raise ValueError(
-                f"feature matrix must be (frames, {FEATURE_DIM}), got {d.shape}")
-        if d.shape[0] == 0:
-            raise ValueError("feature matrix has no frames")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("feature matrix contains non-finite values")
-        self.data = d
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[0]
-
-
-@dataclass
 class Embedding:
     """A fixed-length utterance representation."""
 
@@ -133,25 +111,27 @@ def active_magnitudes(buf: AudioBuffer) -> np.ndarray:
     Raises ValueError when fewer than MIN_ACTIVE_FRAMES frames pass
     (e.g. silence).
     """
-    spectrum = stft(buf)
+    magnitudes = np.abs(stft(buf))
     mask = vad(buf)
     if int(mask.sum()) < MIN_ACTIVE_FRAMES:
         raise ValueError("insufficient voiced content for features")
-    return spectrum.magnitudes[mask]
+    return magnitudes[mask]
 
 
-def mfcc(buf: AudioBuffer) -> FeatureMatrix:
-    """Voice-activity-gated cepstral features for one utterance (see
-    `active_magnitudes`)."""
-    return FeatureMatrix(features_from_magnitudes(active_magnitudes(buf),
-                                                  buf.sample_rate))
+def mfcc(buf: AudioBuffer) -> np.ndarray:
+    """Voice-activity-gated (frames, FEATURE_DIM) cepstral features for
+    one utterance (see `active_magnitudes`)."""
+    return features_from_magnitudes(active_magnitudes(buf), buf.sample_rate)
 
 
-def embed(features: FeatureMatrix) -> Embedding:
-    """Mean and standard deviation of each feature column, concatenated."""
-    mu = features.data.mean(axis=0)
-    sigma = features.data.std(axis=0)
-    return Embedding(np.concatenate([mu, sigma]))
+def embed(features: np.ndarray) -> Embedding:
+    """Mean and standard deviation of each column of a (frames,
+    FEATURE_DIM) feature array, concatenated."""
+    if features.shape[1:] != (FEATURE_DIM,) or len(features) == 0:
+        raise ValueError(f"features must be (frames >= 1, {FEATURE_DIM}), "
+                         f"got {features.shape}")
+    return Embedding(np.concatenate([features.mean(axis=0),
+                                     features.std(axis=0)]))
 
 
 def distance(a: Embedding, b: Embedding) -> float:

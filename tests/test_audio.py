@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
 from helpers import dominant_freq, rel_rms, speechy, tone, white_noise
-from voxrestore import (AudioBuffer, Spectrogram, istft, load_wav, resample,
-                        save_wav, stft, vad)
+from voxrestore import (AudioBuffer, istft, load_wav, resample, save_wav,
+                        stft, vad)
 from voxrestore.audio import HOP_MS, WINDOW_MS, frame_geometry
 from voxrestore.pitch import PITCH_WINDOW_MS
 
@@ -33,18 +33,19 @@ def test_audio_buffer_duration():
     assert len(buf) == 8000
 
 
-def test_spectrogram_validation():
-    mags = np.ones((4, 257))
-    phases = np.zeros((4, 257))
-    Spectrogram(mags, phases, SR)   # 512-point fft at 16 kHz
-    with pytest.raises(ValueError):
-        Spectrogram(np.ones((4, 100)), np.zeros((4, 100)), SR)
-    with pytest.raises(ValueError):
-        Spectrogram(-mags, phases, SR)
-    with pytest.raises(ValueError):
-        Spectrogram(mags, np.zeros((4, 99)), SR)
-    with pytest.raises(ValueError):
-        Spectrogram(mags, np.full((4, 257), np.inf), SR)
+def test_istft_validation():
+    spectrum = np.ones((4, 257), dtype=complex)
+    istft(spectrum, SR)   # 512-point fft at 16 kHz
+    with pytest.raises(ValueError, match="not \\(frames, 257\\)"):
+        istft(np.ones((4, 100), dtype=complex), SR)
+    with pytest.raises(ValueError, match="not \\(frames, 129\\)"):
+        istft(spectrum, 8000)
+    with pytest.raises(ValueError, match="not \\(frames, 257\\)"):
+        istft(np.ones(257, dtype=complex), SR)
+    for bad in (np.inf, np.nan, complex(0.0, np.inf)):
+        spectrum[1, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            istft(spectrum, SR)
 
 
 def test_frame_geometry():
@@ -142,19 +143,19 @@ def test_load_wav_rejects_non_wav(tmp_path):
 def test_stft_frame_count_one_second():
     spec = stft(tone(440.0, 1.0))
     # 1 + (16000 - 400) // 240
-    assert spec.n_frames == 66
-    assert spec.n_bins == 257
+    assert spec.shape == (66, 257)
+    assert np.iscomplexobj(spec)
 
 
 def test_stft_tone_peaks_at_expected_bin():
     spec = stft(tone(1000.0))
     expected = round(1000 * 512 / SR)
-    assert np.all(np.argmax(spec.magnitudes, axis=1) == expected)
+    assert np.all(np.argmax(np.abs(spec), axis=1) == expected)
 
 
 def test_stft_zero_signal():
     spec = stft(AudioBuffer(np.zeros(SR), SR))
-    assert np.all(spec.magnitudes == 0.0)
+    assert np.all(spec == 0.0)
 
 
 def test_stft_too_short():
@@ -164,14 +165,14 @@ def test_stft_too_short():
 
 def test_istft_round_trip_interior():
     x = white_noise(1.0, seed=11)
-    y = istft(stft(x))
+    y = istft(stft(x), SR)
     half = frame_geometry(SR, WINDOW_MS, HOP_MS)[0] // 2
     assert rel_rms(x.samples, y.samples, trim=half) <= 1e-6
 
 
 def test_istft_zero_spectrogram():
     spec = stft(AudioBuffer(np.zeros(SR), SR))
-    assert np.all(istft(spec).samples == 0.0)
+    assert np.all(istft(spec, SR).samples == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,15 @@ def test_estimate_grid_argument_validation(capsys, voice_wav):
     assert rc == 1 and "scorer" in stderr
 
 
+@pytest.mark.parametrize("grid", ["-12:12:1e-10", "0:0.01:1e-8"])
+def test_estimate_rejects_a_grid_of_too_many_candidates(capsys, voice_wav,
+                                                        grid):
+    rc, _, stderr = run_cli(capsys, "estimate", "--enroll", voice_wav,
+                            "--test", voice_wav, f"--grid={grid}")
+    assert rc == 1
+    assert stderr.startswith("error: grid ") and " candidates, over " in stderr
+
+
 @pytest.mark.parametrize("grid, bound", [("0:inf:1", "hi"),
                                          ("nan:1:1", "lo"),
                                          ("0:1:inf", "step")])
@@ -735,6 +744,28 @@ def test_eval_rejects_clashing_output_paths(trial_dir, tmp_path, capsys,
     assert str(tmp_path / (dump or out)) in stderr
     assert loaded == []
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("directory, argv", [
+    ("outdir", ["--out", "outdir"]),
+    ("r.csv", ["--out", "r.json"]),
+    ("dumpdir", ["--out", "r.json", "--dump-embeddings", "dumpdir"])])
+def test_eval_rejects_a_directory_as_an_output_before_any_work(
+        trial_dir, tmp_path, capsys, monkeypatch, directory, argv):
+    from voxrestore import cli
+    loaded = []
+    monkeypatch.setattr(cli, "load_wav",
+                        lambda path: loaded.append(path) or load_wav(path))
+    (tmp_path / directory).mkdir()
+    rc, _, stderr = run_cli(capsys, "eval", "--trials",
+                            os.path.join(trial_dir, "trials.txt"),
+                            *(a if a.startswith("--") else str(tmp_path / a)
+                              for a in argv))
+    assert rc == 1
+    assert stderr == (f"error: output path {tmp_path / directory} is a "
+                      f"directory\n")
+    assert loaded == []
+    assert list(tmp_path.iterdir()) == [tmp_path / directory]
 
 
 @pytest.mark.parametrize("flag", ["--out", "--dump-embeddings"])

@@ -13,9 +13,10 @@ from voxrestore import (IDENTITY_PARAMS, AudioBuffer,
                         resample, restore_pair, restore_with,
                         semitone_to_scale, stft, vad)
 from voxrestore.disguise import warp_indices
-from voxrestore.restore import (NO_OP, _RestorationContext,
-                                _candidate_token, embedding_table,
-                                grid_from_range, parse_restoration)
+from voxrestore.restore import (MAX_GRID_CANDIDATES, NO_OP,
+                                _RestorationContext, _candidate_token,
+                                embedding_table, grid_from_range,
+                                parse_restoration)
 from voxrestore.speaker import features_from_magnitudes
 
 
@@ -87,6 +88,19 @@ def test_grid_from_range_rejects_huge_grids_before_allocating(monkeypatch):
         grid_from_range("pitch-freq", 0.0, 1e12, 1.0)
     with pytest.raises(ValueError, match="grid step 1e-12 is below 1e-10"):
         grid_from_range("pitch-freq", 0.0, 1.0, 1e-12)
+    # in range and above the step floor, but far more candidates than
+    # any search needs
+    with pytest.raises(ValueError, match="holds 1000001 candidates, over "
+                       "the 10000 allowed"):
+        grid_from_range("pitch-freq", 0.0, 0.01, 1e-8)
+    with pytest.raises(ValueError, match="holds 240000000001 candidates"):
+        grid_from_range("pitch-freq", -12.0, 12.0, 1e-10)
+
+
+def test_grid_from_range_allows_the_largest_grid():
+    grid = grid_from_range("pitch-freq", 0.0, 9.999, 0.001)
+    assert len(grid) == MAX_GRID_CANDIDATES == 10_000
+    assert grid[-1] == DisguiseSpec("pitch-freq", 9.999)
 
 
 def test_restoration_grid_must_hold_a_no_op(pair):
@@ -136,7 +150,7 @@ def test_f0_ratio_snaps_to_the_nearest_grid_value(monkeypatch, grid, ratio,
 def test_identity_restoration_reproduces_features(pair):
     y = pair[1]
     feats = restore_with(y, 0.0, "pitch-freq")
-    assert np.array_equal(feats.data, mfcc(y).data)
+    assert np.array_equal(feats, mfcc(y))
 
 
 def test_restore_with_pitch_time_matches_pitch_freq(pair):
@@ -145,7 +159,7 @@ def test_restore_with_pitch_time_matches_pitch_freq(pair):
     y = disguise(pair[1], DisguiseSpec("pitch-time", 5.0))
     a = restore_with(y, 5.0, "pitch-time")
     b = restore_with(y, 5.0, "pitch-freq")
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
 
 
 def test_restoring_with_truth_beats_identity(pair):
@@ -170,8 +184,9 @@ def test_restore_with_audio_output(pair):
     spec = DisguiseSpec("pitch-freq", 3.0)
     y = disguise(pair[1], spec)
     feats = restore_with(y, 3.0, "pitch-freq")
-    audio = istft(apply_spectral_warp(stft(y), spec, "inverse"))
-    assert feats.n_frames >= 3
+    audio = istft(apply_spectral_warp(stft(y), spec, "inverse"),
+                  y.sample_rate)
+    assert feats.shape[0] >= 3
     assert np.all(np.isfinite(audio.samples))
     assert audio.sample_rate == y.sample_rate
 
@@ -193,7 +208,7 @@ def _whole_spectrogram_features(y: AudioBuffer, alpha: float,
     warp_family = (DisguiseFamily.PITCH_FREQ
                    if family is DisguiseFamily.PITCH_TIME else family)
     spec = DisguiseSpec(warp_family, alpha)
-    mags = stft(y).magnitudes
+    mags = np.abs(stft(y))
     if not spec.is_identity:
         n_bins = mags.shape[1]
         src = build_warp(spec)(np.linspace(0.0, np.pi, n_bins))
@@ -219,7 +234,7 @@ def test_candidate_features_equal_the_whole_spectrogram_warp(pair, family):
         ctx = _RestorationContext(buf)
         for alpha in (lo, ident, interior, hi):
             assert np.array_equal(
-                ctx.features(alpha, family).data,
+                ctx.features(alpha, family),
                 _whole_spectrogram_features(buf, alpha, family))
 
 

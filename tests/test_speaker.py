@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import speechy, white_noise
-from voxrestore import (AudioBuffer, Embedding, FeatureMatrix, distance,
-                        embed, load_external_embeddings, mel_filterbank, mfcc,
+from voxrestore import (AudioBuffer, Embedding, distance, embed,
+                        load_external_embeddings, mel_filterbank, mfcc,
                         write_embeddings)
 from voxrestore.speaker import (EMBED_DIM, FEATURE_DIM,
                                 features_from_magnitudes)
@@ -19,8 +19,8 @@ SR = 16000
 
 def test_mfcc_shape():
     feats = mfcc(speechy())
-    assert feats.data.shape[1] == FEATURE_DIM == 72
-    assert feats.n_frames >= 3
+    assert feats.shape[1] == FEATURE_DIM == 72
+    assert feats.shape[0] >= 3
 
 
 def test_mfcc_rejects_silence():
@@ -31,7 +31,7 @@ def test_mfcc_rejects_silence():
 def test_mfcc_gain_change_shifts_only_the_first_cepstrum():
     x = speechy()
     quiet = AudioBuffer(x.samples * 0.5, SR)
-    d = mfcc(x).data - mfcc(quiet).data
+    d = mfcc(x) - mfcc(quiet)
     # a pure gain scales every mel energy equally, so the log moves by a
     # constant that only the zeroth cosine basis picks up
     assert np.abs(d[:, 0] - d[0, 0]).max() <= 1e-9
@@ -39,13 +39,13 @@ def test_mfcc_gain_change_shifts_only_the_first_cepstrum():
     assert np.abs(d[:, 1:]).max() <= 1e-6
 
 
-def test_feature_matrix_validation():
-    with pytest.raises(ValueError):
-        FeatureMatrix(np.ones((5, 10)))
-    with pytest.raises(ValueError):
-        FeatureMatrix(np.ones((0, FEATURE_DIM)))
-    with pytest.raises(ValueError):
-        FeatureMatrix(np.full((2, FEATURE_DIM), np.nan))
+def test_embed_validation():
+    for shape in ((5, 10), (FEATURE_DIM,), (0, FEATURE_DIM),
+                  (2, FEATURE_DIM, 1)):
+        with pytest.raises(ValueError, match=r"must be \(frames >= 1, 72\)"):
+            embed(np.ones(shape))
+    with pytest.raises(ValueError, match="non-finite"):
+        embed(np.full((2, FEATURE_DIM), np.nan))
 
 
 def test_mel_filterbank_geometry():
@@ -70,8 +70,7 @@ def test_features_do_not_depend_on_memory_layout(n):
 
 
 def test_embed_of_constant_features_has_zero_std_half():
-    feats = FeatureMatrix(np.ones((10, FEATURE_DIM)))
-    e = embed(feats)
+    e = embed(np.ones((10, FEATURE_DIM)))
     assert e.dim == EMBED_DIM == 144
     assert np.all(e.vector[FEATURE_DIM:] == 0.0)
     assert np.all(e.vector[:FEATURE_DIM] == 1.0)
@@ -81,16 +80,16 @@ def test_embed_is_frame_order_free():
     rng = np.random.default_rng(0)
     data = rng.standard_normal((20, FEATURE_DIM))
     shuffled = data[rng.permutation(20)]
-    a = embed(FeatureMatrix(data))
-    b = embed(FeatureMatrix(shuffled))
+    a = embed(data)
+    b = embed(shuffled)
     assert np.allclose(a.vector, b.vector, rtol=0, atol=1e-12)
 
 
 def test_embed_ignores_exact_duplication():
     rng = np.random.default_rng(1)
     data = rng.standard_normal((15, FEATURE_DIM))
-    a = embed(FeatureMatrix(data))
-    b = embed(FeatureMatrix(np.vstack([data, data])))
+    a = embed(data)
+    b = embed(np.vstack([data, data]))
     assert np.allclose(a.vector, b.vector, rtol=0, atol=1e-12)
 
 
