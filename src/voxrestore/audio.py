@@ -32,10 +32,6 @@ class AudioBuffer:
         self.samples = a
         self.sample_rate = int(self.sample_rate)
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
     def __len__(self) -> int:
         return self.samples.size
 

@@ -230,13 +230,16 @@ def cmd_eval(args) -> int:
     dump = args.dump_embeddings
     out_json = os.fspath(args.out)
     stem, _ = os.path.splitext(out_json)
-    reports = [os.path.realpath(p) for p in [out_json, stem + ".csv"] + [
-        _per_alpha_path(stem, r) for r in restorations]]
-    if reports[0] == reports[1]:
-        raise ValueError(f"--out {out_json} is also the CSV summary's path")
-    if dump and os.path.realpath(dump) in reports:
-        raise ValueError(f"--dump-embeddings {dump} is also a report's path")
-    for path in [out_json, stem + ".csv"] + ([dump] if dump else []):
+    # every output, checked before any audio is read; a method named
+    # twice is left for run_matrix to reject
+    outputs = [out_json, stem + ".csv"] + [
+        _per_alpha_path(stem, r) for r in dict.fromkeys(restorations)]
+    seen = set()
+    for path in outputs + ([dump] if dump else []):
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"output path {path} is given to two outputs")
+        seen.add(real)
         if os.path.isdir(path):
             raise ValueError(f"output path {path} is a directory")
         parent = os.path.dirname(os.path.abspath(path))

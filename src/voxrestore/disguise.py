@@ -148,46 +148,32 @@ class WarpFunction:
 def _warp_values(family: DisguiseFamily, param: float,
                  omega: np.ndarray) -> np.ndarray:
     u = omega / np.pi
-    if family is DisguiseFamily.PITCH_FREQ:
-        # linear scaling; deliberately not clipped at pi so that the
-        # map stays strictly monotone and exactly invertible
+    if family in SEMITONE_FAMILIES:
+        # linear scaling, which is also what resampling the waveform
+        # does to its spectrum; deliberately not clipped at pi so that
+        # the map stays strictly monotone and exactly invertible
         return semitone_to_scale(param) * omega
     if family is DisguiseFamily.VTLN_BILINEAR:
         z = np.exp(1j * omega)
         out = np.angle((z - param) / (1.0 - param * z))
-        out[0], out[-1] = 0.0, np.pi
-        return out
-    if family is DisguiseFamily.VTLN_QUADRATIC:
+    elif family is DisguiseFamily.VTLN_QUADRATIC:
         out = omega + param * (u - u * u)
-        out[0], out[-1] = 0.0, np.pi
-        return out
-    if family is DisguiseFamily.VTLN_POWER:
+    elif family is DisguiseFamily.VTLN_POWER:
         out = np.pi * u ** (1.0 + param)
-        out[0], out[-1] = 0.0, np.pi
-        return out
-    if family is DisguiseFamily.VTLN_PIECEWISE:
+    else:   # vtln-piecewise
         lam = param
         omega0 = 7.0 * np.pi / 8.0 if lam <= 1.0 else 7.0 * np.pi / (8.0 * lam)
         upper = lam * omega0 + (np.pi - lam * omega0) / (np.pi - omega0) \
             * (omega - omega0)
         out = np.where(omega <= omega0, lam * omega, upper)
-        out[0], out[-1] = 0.0, np.pi
-        return out
-    raise ValueError(f"family {family.value} has no spectral warp")
+    out[0], out[-1] = 0.0, np.pi
+    return out
 
 
 def build_warp(spec: DisguiseSpec) -> WarpFunction:
-    """Tabulate the frequency map of a spectral disguise family on
-    WARP_KNOTS evenly spaced knots.
-
-    The time-domain pitch family is rejected here; its spectral effect
-    is the same linear map as the frequency-domain one, so callers
-    needing a warp for it should build one for that family instead.
-    """
-    if spec.family is DisguiseFamily.PITCH_TIME:
-        raise ValueError(
-            "pitch-time operates on the waveform; build a pitch-freq warp "
-            "for its spectral equivalent")
+    """Tabulate the frequency map of a disguise family on WARP_KNOTS
+    evenly spaced knots. Pitch-time gets pitch-freq's linear map: its
+    resampling scales the spectrum the same way."""
     knots = np.linspace(0.0, np.pi, WARP_KNOTS)
     if spec.is_identity:
         return WarpFunction(knots, knots.copy())
@@ -202,16 +188,14 @@ def warp_indices(spec: DisguiseSpec, n_bins: int, direction: str):
     weight 1 (the last one as bin `lo + 1`).
 
     "forward" reads output bin w from warp^-1(w) and "inverse" from
-    warp(w), both clipped to [0, pi]. Pitch-time has the same spectral
-    map as pitch-freq. Each (spec, n_bins, direction) is built once.
+    warp(w), both clipped to [0, pi]. Each (spec, n_bins, direction) is
+    built once.
     """
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be forward or inverse, got {direction!r}")
     if spec.is_identity:
         coord = np.arange(n_bins, dtype=np.float64)
     else:
-        if spec.family is DisguiseFamily.PITCH_TIME:
-            spec = DisguiseSpec(DisguiseFamily.PITCH_FREQ, spec.param)
         warp = build_warp(spec)
         omega = np.linspace(0.0, np.pi, n_bins)
         src = warp.inverse(omega) if direction == "forward" else warp(omega)

@@ -21,28 +21,23 @@ class UnvoicedUtteranceError(ValueError):
 
 @dataclass
 class F0Track:
-    """Per-frame pitch estimates with a voicing mask.
-
-    f0_hz is 0 on unvoiced frames and inside [F0_MIN, F0_MAX] on voiced
-    ones; both arrays share one entry per analysis frame.
-    """
+    """Per-frame pitch estimates, one per analysis frame: f0_hz is 0 on
+    unvoiced frames and inside [F0_MIN, F0_MAX] on voiced ones."""
 
     f0_hz: np.ndarray
-    voiced: np.ndarray
 
     def __post_init__(self):
         f0 = np.asarray(self.f0_hz, dtype=np.float64)
-        v = np.asarray(self.voiced, dtype=bool)
-        if f0.shape != v.shape or f0.ndim != 1:
-            raise ValueError("f0_hz and voiced must be equal-length 1-D arrays")
-        if np.any(f0[~v] != 0.0):
-            raise ValueError("unvoiced frames must carry f0 = 0")
-        if v.any():
-            voiced_f0 = f0[v]
-            if np.any(voiced_f0 < F0_MIN) or np.any(voiced_f0 > F0_MAX):
-                raise ValueError("voiced f0 outside the tracking band")
+        if f0.ndim != 1:
+            raise ValueError("f0_hz must be a 1-D array")
+        if not np.all((f0 == 0.0) | ((f0 >= F0_MIN) & (f0 <= F0_MAX))):
+            raise ValueError(f"f0 must be 0 (unvoiced) or within "
+                             f"[{F0_MIN}, {F0_MAX}] Hz")
         self.f0_hz = f0
-        self.voiced = v
+
+    @property
+    def voiced(self) -> np.ndarray:
+        return self.f0_hz > 0.0
 
     @property
     def n_frames(self) -> int:
@@ -71,16 +66,15 @@ def _levinson(r: np.ndarray) -> np.ndarray:
 
 def _track_frames(frames: np.ndarray, floor: float, sr: int, min_lag: int,
                   max_lag: int):
-    """F0 and voicing of each row of `frames`; a row whose power after
-    DC removal is at most `floor` is unvoiced (see `estimate_f0`)."""
+    """F0 of each row of `frames`, 0 where unvoiced; a row whose power
+    after DC removal is at most `floor` is unvoiced (see `estimate_f0`)."""
     n_frames, win = frames.shape
     f0 = np.zeros(n_frames)
-    voiced = np.zeros(n_frames, dtype=bool)
     x = frames - frames.mean(axis=1, keepdims=True)
     power = np.mean(x * x, axis=1)
     rows = np.flatnonzero(power > floor)
     if rows.size == 0:
-        return f0, voiced
+        return f0
     x, power = x[rows], power[rows]
 
     # whiten with an autocorrelation-method LPC inverse filter; the
@@ -151,8 +145,7 @@ def _track_frames(frames: np.ndarray, floor: float, sr: int, min_lag: int,
     hz = sr * os / (first + 1 + j + shifts[np.arange(rows.size), j])
     ok = (best >= VOICING_THRESHOLD) & (hz >= F0_MIN) & (hz <= F0_MAX)
     f0[rows[ok]] = hz[ok]
-    voiced[rows[ok]] = True
-    return f0, voiced
+    return f0
 
 
 def estimate_f0(buf: AudioBuffer) -> F0Track:
@@ -182,18 +175,17 @@ def estimate_f0(buf: AudioBuffer) -> F0Track:
     peak, exponent = np.frexp(np.max(np.abs(buf.samples)))
     frames = _frame_signal(np.ldexp(buf.samples, -exponent), win, hop)
     floor = 1e-18 * peak ** 2
-    tracks = [_track_frames(frames[i:i + _BLOCK_FRAMES], floor, sr, min_lag,
-                            max_lag)
-              for i in range(0, frames.shape[0], _BLOCK_FRAMES)]
-    return F0Track(np.concatenate([f for f, _ in tracks]),
-                   np.concatenate([v for _, v in tracks]))
+    return F0Track(np.concatenate([
+        _track_frames(frames[i:i + _BLOCK_FRAMES], floor, sr, min_lag, max_lag)
+        for i in range(0, frames.shape[0], _BLOCK_FRAMES)]))
 
 
 def mean_f0(track: F0Track) -> float:
     """Average F0 over voiced frames only."""
-    if not track.voiced.any():
+    voiced_hz = track.f0_hz[track.voiced]
+    if voiced_hz.size == 0:
         raise UnvoicedUtteranceError("unvoiced utterance: no voiced frames")
-    return float(track.f0_hz[track.voiced].mean())
+    return float(voiced_hz.mean())
 
 
 def f0_ratio_alpha(f0_source: float, f0_disguised: float) -> float:

@@ -132,7 +132,6 @@ def estimate_f0(buf: AudioBuffer) -> F0Track:
             f"at {sr} Hz")
     frames = _frame_signal(buf.samples, win, hop)
     f0 = np.zeros(frames.shape[0])
-    voiced = np.zeros(frames.shape[0], dtype=bool)
     for i, frame in enumerate(frames):
         frame = frame - frame.mean()
         power = np.mean(frame * frame)
@@ -168,5 +167,4 @@ def estimate_f0(buf: AudioBuffer) -> F0Track:
         hz = sr * os / (peak_idx[j] + shifts[j])
         if F0_MIN <= hz <= F0_MAX:
             f0[i] = hz
-            voiced[i] = True
-    return F0Track(f0, voiced)
+    return F0Track(f0)

@@ -768,6 +768,24 @@ def test_eval_rejects_a_directory_as_an_output_before_any_work(
     assert list(tmp_path.iterdir()) == [tmp_path / directory]
 
 
+def test_eval_rejects_a_directory_at_a_per_alpha_path_before_any_work(
+        trial_dir, tmp_path, capsys, monkeypatch):
+    from voxrestore import cli
+    loaded = []
+    monkeypatch.setattr(cli, "load_wav",
+                        lambda path: loaded.append(path) or load_wav(path))
+    directory = tmp_path / "r_per_alpha_pitch-freq.csv"
+    directory.mkdir()
+    rc, _, stderr = run_cli(capsys, "eval", "--trials",
+                            os.path.join(trial_dir, "trials.txt"),
+                            "--out", str(tmp_path / "r.json"),
+                            "--restore", "pitch-freq")
+    assert rc == 1
+    assert stderr == f"error: output path {directory} is a directory\n"
+    assert loaded == []
+    assert list(tmp_path.iterdir()) == [directory]
+
+
 @pytest.mark.parametrize("flag", ["--out", "--dump-embeddings"])
 def test_eval_rejects_a_missing_output_directory_before_any_work(
         trial_dir, tmp_path, capsys, monkeypatch, flag):

@@ -10,8 +10,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# demos/03 takes most of a minute; its gen_trials/run_matrix calls are
-# covered by tests/test_evaluate.py
+# demos/03 takes about 12 s on 2 cores; its gen_trials/run_matrix calls
+# are covered by tests/test_evaluate.py
 DEMOS = ["01_disguise_tour.py", "02_blind_estimation.py"]
 
 

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from voxrestore import (AudioBuffer, DisguiseFamily,
                         mean_f0, parse_family, scale_to_semitone,
                         semitone_to_scale, stft)
 from voxrestore.audio import HOP_MS, WINDOW_MS, frame_geometry
-from voxrestore.disguise import PARAM_RANGES, WarpFunction, warp_bins
+from voxrestore.disguise import (PARAM_RANGES, WarpFunction, warp_bins,
+                                 warp_indices)
 
 SR = 16000
 PI = np.pi
@@ -193,9 +195,17 @@ def test_warp_function_validation():
         WarpFunction(good, good[::-1].copy())         # decreasing values
 
 
-def test_build_warp_rejects_pitch_time_and_tiny_tables():
-    with pytest.raises(ValueError):
-        build_warp(DisguiseSpec("pitch-time", 3.0))
+def test_pitch_time_warp_table_equals_pitch_freqs():
+    # resampling scales the spectrum as pitch-freq does, so both
+    # families read one map in each direction
+    for alpha, direction in itertools.product([-12.0, -3.5, 0.0, 5.0, 12.0],
+                                              ("forward", "inverse")):
+        time_lo, time_frac = warp_indices(
+            DisguiseSpec("pitch-time", alpha), 257, direction)
+        freq_lo, freq_frac = warp_indices(
+            DisguiseSpec("pitch-freq", alpha), 257, direction)
+        assert np.array_equal(time_lo, freq_lo)
+        assert np.array_equal(time_frac, freq_frac)
 
 
 # ---------------------------------------------------------------------------

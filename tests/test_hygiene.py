@@ -67,7 +67,7 @@ UNREAD_EXPORTS = {
 # parameters kept unread on purpose: (module, function, parameter) -> reason
 UNREAD_PARAMETERS = {
     ("evaluate.py", "run_matrix", "jobs"):
-        "a no-op the benchmark still passes as jobs=1; ROADMAP item 9 "
+        "a no-op the benchmark still passes as jobs=1; ROADMAP item 13 "
         "makes it real or deletes it",
 }
 
@@ -91,7 +91,7 @@ def _unread_parameters(tree: ast.Module) -> list:
 
 # ceilings on the package's size; raising either needs a reason in
 # CHANGES.md
-MAX_SOURCE_LINES = 2063
+MAX_SOURCE_LINES = 2038
 MAX_SETTINGS = 14
 
 

@@ -14,18 +14,15 @@ SR = 16000
 
 
 def test_f0_track_invariants():
-    F0Track(np.array([200.0, 0.0]), np.array([True, False]))
-    with pytest.raises(ValueError):
-        # voiced frame with no frequency
-        F0Track(np.array([0.0, 0.0]), np.array([True, False]))
-    with pytest.raises(ValueError):
-        # unvoiced frame carrying a frequency
-        F0Track(np.array([0.0, 150.0]), np.array([False, False]))
+    track = F0Track(np.array([200.0, 0.0]))
+    assert track.voiced.tolist() == [True, False]
     with pytest.raises(ValueError):
         # voiced value outside the search band
-        F0Track(np.array([700.0]), np.array([True]))
+        F0Track(np.array([700.0]))
     with pytest.raises(ValueError):
-        F0Track(np.array([200.0, 200.0]), np.array([True]))
+        F0Track(np.array([-150.0]))
+    with pytest.raises(ValueError):
+        F0Track(np.array([[200.0, 200.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -89,16 +86,14 @@ def test_a_constant_offset_is_not_voiced():
 
 
 def test_mean_f0_averages_voiced_frames_only():
-    track = F0Track(np.array([200.0, 200.0, 200.0]),
-                    np.array([True, True, True]))
+    track = F0Track(np.array([200.0, 200.0, 200.0]))
     assert mean_f0(track) == 200.0
-    track = F0Track(np.array([100.0, 0.0, 300.0]),
-                    np.array([True, False, True]))
+    track = F0Track(np.array([100.0, 0.0, 300.0]))
     assert mean_f0(track) == 200.0
 
 
 def test_mean_f0_requires_voiced_frames():
-    track = F0Track(np.zeros(3), np.zeros(3, dtype=bool))
+    track = F0Track(np.zeros(3))
     with pytest.raises(UnvoicedUtteranceError, match="unvoiced utterance"):
         mean_f0(track)
 

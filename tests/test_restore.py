@@ -257,9 +257,9 @@ def test_inverse_warp_is_built_once_per_family_and_alpha(pair, monkeypatch):
     # others
     assert built == [(s.family, s.param) for s in grid if not s.is_identity]
     assert warp_indices.cache_info().misses == len(grid)
-    # pitch-time shares pitch-freq's map but keeps its own entry
+    # pitch-time keeps its own entry; build_warp gives it pitch-freq's map
     _RestorationContext(pair[0]).features(3.0, DisguiseFamily.PITCH_TIME)
-    assert built[-1] == (DisguiseFamily.PITCH_FREQ, 3.0)
+    assert built[-1] == (DisguiseFamily.PITCH_TIME, 3.0)
 
 
 def test_cached_tables_are_read_only():
