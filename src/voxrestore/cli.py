@@ -15,11 +15,12 @@ import time
 from typing import Dict, Optional, Tuple
 
 from .audio import istft, load_wav, save_wav, stft
-from .disguise import DisguiseSpec, apply_spectral_warp, disguise, warp_indices
+from .disguise import DisguiseSpec, apply_spectral_warp, disguise
 from .evaluate import (Corpus, CorpusConfig, Trial, gen_trials, run_matrix,
                        synth_corpus)
 from .restore import default_grid, grid_from_range, restore_pair
-from .speaker import Embedding, load_external_embeddings, write_embeddings
+from .speaker import (Embedding, load_external_embeddings, warped_filterbank,
+                      write_embeddings)
 
 log = logging.getLogger("voxrestore")
 
@@ -289,10 +290,10 @@ def cmd_eval(args) -> int:
         write_embeddings(dump,
                          {token: report.embeddings[token] for token in tokens})
 
-    maps = warp_indices.cache_info()
+    banks = warped_filterbank.cache_info()
     log.info("evaluated %d trials x %d restorations in %.2fs; %d embeddings,"
-             " %d warp maps (%d reused)", report.n_trials, len(report.rows),
-             elapsed, len(report.embeddings), maps.misses, maps.hits)
+             " %d filterbanks (%d reused)", report.n_trials, len(report.rows),
+             elapsed, len(report.embeddings), banks.misses, banks.hits)
     _emit(payload)
     for row in report.rows:
         print(f"{row.restoration}: EER {row.eer.eer_percent:.2f}% "

@@ -119,6 +119,9 @@ class DisguiseSpec:
         return cls(parse_family(head.strip()), param)
 
 
+NO_OP = DisguiseSpec(DisguiseFamily.PITCH_FREQ, 0.0)   # no restoration
+
+
 class WarpFunction:
     """A monotone frequency map stored as a dense piecewise-linear table.
 

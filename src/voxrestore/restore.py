@@ -7,12 +7,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .audio import AudioBuffer
-from .disguise import (SEMITONE_FAMILIES, DisguiseFamily, DisguiseSpec,
-                       IDENTITY_PARAMS, parse_family, warp_bins)
+from .disguise import (NO_OP, SEMITONE_FAMILIES, DisguiseFamily,
+                       DisguiseSpec, IDENTITY_PARAMS, parse_family)
 from .pitch import (UnvoicedUtteranceError, estimate_f0, f0_ratio_alpha,
                     mean_f0)
-from .speaker import (Embedding, active_magnitudes, distance, embed,
-                      features_from_magnitudes)
+from .speaker import (Embedding, active_magnitudes, candidate_features,
+                      distance, pool)
 
 _GRID_DEFS = {
     DisguiseFamily.PITCH_FREQ: (-11.0, 11.0, 1.0),
@@ -24,6 +24,7 @@ _GRID_DEFS = {
 }
 # over 300 times the largest default grid (31 values), yet quick to build
 MAX_GRID_CANDIDATES = 10_000
+_BLOCK_CANDIDATES = 16   # candidates featurized together; bounds memory
 
 
 def grid_from_range(family, lo: float, hi: float,
@@ -84,32 +85,33 @@ def _candidate_token(utt: str, spec: DisguiseSpec) -> str:
 
 
 class _RestorationContext:
-    """VAD-active STFT magnitudes and geometry of one utterance,
-    computed once and shared by all its candidates."""
+    """VAD-active STFT power of one utterance, computed once and shared
+    by all its candidates."""
 
     def __init__(self, disguised: AudioBuffer):
         self.sample_rate = disguised.sample_rate
-        self.active = active_magnitudes(disguised)
+        self.power = np.square(active_magnitudes(disguised))
 
     def features(self, alpha: float, family: DisguiseFamily) -> np.ndarray:
-        mags = warp_bins(self.active, DisguiseSpec(family, alpha), "inverse")
-        return features_from_magnitudes(mags, self.sample_rate)
+        return candidate_features(self.power, self.sample_rate,
+                                  (DisguiseSpec(family, alpha),))[0]
+
+    def embeddings(self, specs) -> List[Embedding]:
+        """`embed` of each candidate's features, bit for bit, computed
+        _BLOCK_CANDIDATES candidates at a time."""
+        return [Embedding(v) for i in range(0, len(specs), _BLOCK_CANDIDATES)
+                for v in pool(candidate_features(
+                    self.power, self.sample_rate,
+                    specs[i:i + _BLOCK_CANDIDATES]))]
 
 
 def restore_with(disguised: AudioBuffer, alpha: float,
                  family) -> np.ndarray:
-    """Undo a disguise of known family and parameter in the spectral
-    domain and return features of the restored utterance.
-
-    The disguise's own frequency map is applied in the inverse
-    direction to the STFT of the disguised audio; features come
-    straight from the warped magnitudes, so alpha equal to the no-op
-    parameter reproduces `mfcc(disguised)` exactly.
-    """
+    """Features of the disguised utterance restored by a disguise of
+    known family and parameter: the inverse of its frequency map, on the
+    STFT power, is folded into the mel filterbank (see
+    `speaker.warped_filterbank`). A no-op gives `mfcc(disguised)`."""
     return _RestorationContext(disguised).features(alpha, family)
-
-
-NO_OP = DisguiseSpec(DisguiseFamily.PITCH_FREQ, 0.0)   # no restoration
 
 
 def embedding_table(utterances, external: Optional[Dict[str, Embedding]]
@@ -121,10 +123,10 @@ def embedding_table(utterances, external: Optional[Dict[str, Embedding]]
     keyed by `_candidate_token`, so every family's no-op asks for the
     plain row `utt_id`. Given an `external` table, each token is looked
     up there (a missing one is a KeyError) and audio may be None.
-    Otherwise each utterance is analyzed once and each distinct token
-    is derived from that analysis once, by the first candidate that
-    asks for it. Raises ValueError when the audio mixes sample rates or
-    an utterance cannot be analyzed (naming the utterance).
+    Otherwise each utterance is analyzed once, and its distinct tokens
+    are computed together from that analysis, each equal bit for bit to
+    its `restore_with` embedding. Raises ValueError when the audio
+    mixes sample rates or an utterance cannot be analyzed (naming it).
     """
     utterances = list(utterances)
     rates = sorted({buf.sample_rate for _, buf, _ in utterances
@@ -147,9 +149,8 @@ def embedding_table(utterances, external: Optional[Dict[str, Embedding]]
         if buf is None:
             raise KeyError(f"no audio for utterance {utt!r}")
         try:
-            ctx = _RestorationContext(buf)
-            table.update((tok, embed(ctx.features(spec.param, spec.family)))
-                         for tok, spec in wanted.items())
+            table.update(zip(wanted, _RestorationContext(buf).embeddings(
+                list(wanted.values()))))
         except ValueError as exc:
             raise ValueError(f"{utt}: {exc}") from None
     return table

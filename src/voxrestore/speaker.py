@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
-from scipy.fft import dct
 
 from .audio import AudioBuffer, stft, vad
+from .disguise import NO_OP, DisguiseSpec, warp_bins
 
 N_MELS = 26
 N_CEPSTRA = 24
@@ -39,10 +39,9 @@ class Embedding:
         return self.vector.size
 
 
-@functools.lru_cache(maxsize=None)
 def mel_filterbank(sample_rate: int, fft_size: int) -> np.ndarray:
     """Triangular filters spaced uniformly on the mel scale from 0 Hz
-    to Nyquist, returned as (N_MELS, fft_size // 2 + 1), read-only."""
+    to Nyquist, returned as (N_MELS, fft_size // 2 + 1)."""
     def to_mel(hz):
         return 2595.0 * np.log10(1.0 + hz / 700.0)
 
@@ -57,52 +56,63 @@ def mel_filterbank(sample_rate: int, fft_size: int) -> np.ndarray:
         rising = (bins - left) / max(center - left, 1e-12)
         falling = (right - bins) / max(right - center, 1e-12)
         fb[m] = np.clip(np.minimum(rising, falling), 0.0, None)
-    fb.flags.writeable = False
     return fb
 
 
-@functools.lru_cache(maxsize=None)
-def _preemphasis(n_bins: int, fft_size: int) -> np.ndarray:
-    """Power response of first-order pre-emphasis at each FFT bin."""
-    omega = 2.0 * np.pi * np.arange(n_bins) / fft_size
-    return 1.0 + PREEMPHASIS ** 2 - 2.0 * PREEMPHASIS * np.cos(omega)
+# the first N_CEPSTRA columns of the orthonormal DCT-II of N_MELS points
+_DCT = np.sqrt((2.0 - (np.arange(N_CEPSTRA) == 0)) / N_MELS) * np.cos(
+    np.pi / N_MELS * np.outer(np.arange(N_MELS) + 0.5, np.arange(N_CEPSTRA)))
 
 
 def _delta(c: np.ndarray, span: int = DELTA_SPAN) -> np.ndarray:
-    padded = np.concatenate([np.repeat(c[:1], span, axis=0), c,
-                             np.repeat(c[-1:], span, axis=0)], axis=0)
-    num = np.zeros_like(c)
-    for j in range(1, span + 1):
-        num += j * (padded[span + j:padded.shape[0] - span + j]
-                    - padded[span - j:c.shape[0] + span - j])
+    """Deltas along the frame axis, -2, repeating the edge frames."""
+    n = c.shape[-2]
+    padded = np.concatenate([c[..., :1, :]] * span + [c]
+                            + [c[..., -1:, :]] * span, axis=-2)
+    num = sum(j * (padded[..., span + j:n + span + j, :]
+                   - padded[..., span - j:n + span - j, :])
+              for j in range(1, span + 1))
     return num / (2.0 * sum(j * j for j in range(1, span + 1)))
+
+
+@functools.lru_cache(maxsize=256)
+def warped_filterbank(spec: DisguiseSpec, n_bins: int,
+                      sample_rate: int) -> np.ndarray:
+    """Pre-emphasis and mel filterbank, (n_bins, N_MELS), read-only, for
+    power inverse-warped by `spec`: the warp is linear on power, so it
+    folds into the bank by warping the identity's rows (as
+    filterbank-warped VTLN does; Lee and Rose, 1998)."""
+    fft_size = 2 * (n_bins - 1)
+    # pre-emphasis, as the power response of a first-order difference
+    cos = np.cos(2.0 * np.pi * np.arange(n_bins) / fft_size)
+    weights = ((1.0 + PREEMPHASIS ** 2 - 2.0 * PREEMPHASIS * cos)[:, None]
+               * mel_filterbank(sample_rate, fft_size).T)
+    bank = warp_bins(np.eye(n_bins), spec, "inverse") @ weights
+    bank.flags.writeable = False
+    return bank
+
+
+def candidate_features(power: np.ndarray, sample_rate: int,
+                       specs) -> np.ndarray:
+    """(len(specs), frames, FEATURE_DIM) features of (frames, bins) STFT
+    power restored by each candidate spec: one product per candidate
+    with its `warped_filterbank`, each log floored relative to that
+    candidate's loudest filter output (so gain only shifts c0)."""
+    power = np.ascontiguousarray(power, dtype=np.float64)   # rounds alike
+    if power.ndim != 2 or power.shape[0] == 0 or power.shape[1] < 2:
+        raise ValueError("need a (frames, bins) spectral array, bins >= 2")
+    mel = power @ np.stack([warped_filterbank(spec, power.shape[1],
+                                              sample_rate) for spec in specs])
+    floor = np.maximum(mel.max(axis=(1, 2)) * 1e-12, 1e-300)
+    ceps = np.log(np.maximum(mel, floor[:, None, None])) @ _DCT
+    d1 = _delta(ceps)
+    return np.concatenate([ceps, d1, _delta(d1)], axis=-1)
 
 
 def features_from_magnitudes(magnitudes: np.ndarray,
                              sample_rate: int) -> np.ndarray:
-    """Cepstral features straight from STFT magnitude frames; frames of
-    n bins come from an FFT of 2 * (n - 1) points.
-
-    Pre-emphasis is a per-bin power weighting (the squared magnitude
-    response of the usual first-order difference), so features computed
-    from warped magnitudes and from re-analyzed audio share one code
-    path. The log floor is relative to the loudest filter output,
-    keeping a pure gain change a constant shift of the first cepstrum.
-    The input is made C-contiguous first, so that the filterbank
-    product rounds the same for any memory layout.
-    """
-    mags = np.ascontiguousarray(magnitudes, dtype=np.float64)
-    if mags.ndim != 2 or mags.shape[0] == 0 or mags.shape[1] < 2:
-        raise ValueError("need a (frames, bins) magnitude array, bins >= 2")
-    fft_size = 2 * (mags.shape[1] - 1)
-    power = (mags * mags) * _preemphasis(mags.shape[1], fft_size)
-    mel = power @ mel_filterbank(sample_rate, fft_size).T
-    floor = max(float(mel.max()) * 1e-12, 1e-300)
-    logmel = np.log(np.maximum(mel, floor))
-    ceps = dct(logmel, type=2, norm="ortho", axis=1)[:, :N_CEPSTRA]
-    d1 = _delta(ceps)
-    d2 = _delta(d1)
-    return np.concatenate([ceps, d1, d2], axis=1)
+    """`candidate_features` of the no-op on these magnitudes' power."""
+    return candidate_features(np.square(magnitudes), sample_rate, (NO_OP,))[0]
 
 
 def active_magnitudes(buf: AudioBuffer) -> np.ndarray:
@@ -119,9 +129,14 @@ def active_magnitudes(buf: AudioBuffer) -> np.ndarray:
 
 
 def mfcc(buf: AudioBuffer) -> np.ndarray:
-    """Voice-activity-gated (frames, FEATURE_DIM) cepstral features for
-    one utterance (see `active_magnitudes`)."""
+    """Voice-activity-gated features of one utterance: the no-op candidate."""
     return features_from_magnitudes(active_magnitudes(buf), buf.sample_rate)
+
+
+def pool(features: np.ndarray) -> np.ndarray:
+    """Per-feature mean and std over the frame axis, -2, concatenated."""
+    return np.concatenate([features.mean(axis=-2), features.std(axis=-2)],
+                          axis=-1)
 
 
 def embed(features: np.ndarray) -> Embedding:
@@ -130,8 +145,7 @@ def embed(features: np.ndarray) -> Embedding:
     if features.shape[1:] != (FEATURE_DIM,) or len(features) == 0:
         raise ValueError(f"features must be (frames >= 1, {FEATURE_DIM}), "
                          f"got {features.shape}")
-    return Embedding(np.concatenate([features.mean(axis=0),
-                                     features.std(axis=0)]))
+    return Embedding(pool(features))
 
 
 def distance(a: Embedding, b: Embedding) -> float:

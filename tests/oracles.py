@@ -2,20 +2,27 @@
 
 `resample` is the direct Kaiser-windowed sinc resampler, which evaluates
 the kernel for every tap of every output sample; `estimate_f0` is the
-frame-by-frame F0 tracker. Both are the library's earlier bodies, kept
-verbatim with their helpers (the unchanged framing helper is imported),
-so the table-driven resampler and the frame-batched tracker can be
+frame-by-frame F0 tracker; `RestorationContext.features` is the
+candidate path that warped each candidate's STFT magnitudes before the
+mel filterbank. All are the library's earlier bodies, kept verbatim
+with their helpers (the unchanged framing, warping, gating and
+filterbank helpers are imported), so the table-driven resampler, the
+frame-batched tracker and the power-domain warped filterbank can be
 checked against them.
 """
 
 import numpy as np
+from scipy.fft import dct
 from scipy.linalg import solve_toeplitz
 from scipy.signal import lfilter
 
-from voxrestore import AudioBuffer
+from voxrestore import AudioBuffer, DisguiseFamily, DisguiseSpec
 from voxrestore.audio import HOP_MS, _frame_signal
+from voxrestore.disguise import warp_bins
 from voxrestore.pitch import (F0_MAX, F0_MIN, LPC_ORDER, PEAK_KEEP,
                               PITCH_WINDOW_MS, VOICING_THRESHOLD, F0Track)
+from voxrestore.speaker import (DELTA_SPAN, N_CEPSTRA, PREEMPHASIS,
+                                active_magnitudes, mel_filterbank)
 
 
 def resample(buf: AudioBuffer, ratio: float) -> AudioBuffer:
@@ -168,3 +175,59 @@ def estimate_f0(buf: AudioBuffer) -> F0Track:
         if F0_MIN <= hz <= F0_MAX:
             f0[i] = hz
     return F0Track(f0)
+
+
+def _preemphasis(n_bins: int, fft_size: int) -> np.ndarray:
+    """Power response of first-order pre-emphasis at each FFT bin."""
+    omega = 2.0 * np.pi * np.arange(n_bins) / fft_size
+    return 1.0 + PREEMPHASIS ** 2 - 2.0 * PREEMPHASIS * np.cos(omega)
+
+
+def _delta(c: np.ndarray, span: int = DELTA_SPAN) -> np.ndarray:
+    padded = np.concatenate([np.repeat(c[:1], span, axis=0), c,
+                             np.repeat(c[-1:], span, axis=0)], axis=0)
+    num = np.zeros_like(c)
+    for j in range(1, span + 1):
+        num += j * (padded[span + j:padded.shape[0] - span + j]
+                    - padded[span - j:c.shape[0] + span - j])
+    return num / (2.0 * sum(j * j for j in range(1, span + 1)))
+
+
+def features_from_magnitudes(magnitudes: np.ndarray,
+                             sample_rate: int) -> np.ndarray:
+    """Cepstral features straight from STFT magnitude frames; frames of
+    n bins come from an FFT of 2 * (n - 1) points.
+
+    Pre-emphasis is a per-bin power weighting (the squared magnitude
+    response of the usual first-order difference), so features computed
+    from warped magnitudes and from re-analyzed audio share one code
+    path. The log floor is relative to the loudest filter output,
+    keeping a pure gain change a constant shift of the first cepstrum.
+    The input is made C-contiguous first, so that the filterbank
+    product rounds the same for any memory layout.
+    """
+    mags = np.ascontiguousarray(magnitudes, dtype=np.float64)
+    if mags.ndim != 2 or mags.shape[0] == 0 or mags.shape[1] < 2:
+        raise ValueError("need a (frames, bins) magnitude array, bins >= 2")
+    fft_size = 2 * (mags.shape[1] - 1)
+    power = (mags * mags) * _preemphasis(mags.shape[1], fft_size)
+    mel = power @ mel_filterbank(sample_rate, fft_size).T
+    floor = max(float(mel.max()) * 1e-12, 1e-300)
+    logmel = np.log(np.maximum(mel, floor))
+    ceps = dct(logmel, type=2, norm="ortho", axis=1)[:, :N_CEPSTRA]
+    d1 = _delta(ceps)
+    d2 = _delta(d1)
+    return np.concatenate([ceps, d1, d2], axis=1)
+
+
+class RestorationContext:
+    """VAD-active STFT magnitudes and geometry of one utterance,
+    computed once and shared by all its candidates."""
+
+    def __init__(self, disguised: AudioBuffer):
+        self.sample_rate = disguised.sample_rate
+        self.active = active_magnitudes(disguised)
+
+    def features(self, alpha: float, family: DisguiseFamily) -> np.ndarray:
+        mags = warp_bins(self.active, DisguiseSpec(family, alpha), "inverse")
+        return features_from_magnitudes(mags, self.sample_rate)

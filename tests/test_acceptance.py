@@ -2,20 +2,24 @@
 test per numbered guarantee so `pytest -v` prints one verdict line for
 each. The heavy shared artifacts (the default toy corpus, a 200-trial
 parameter-recovery run and two 400-trial evaluation matrices) are built
-once per module and reused."""
+once per module and reused; the last test checks the restoration of
+both matrices against the magnitude-warp oracle in `oracles.py`."""
 
 import time
 
 import numpy as np
 import pytest
 
+import oracles
 from voxrestore import (AudioBuffer, DisguiseFamily, DisguiseSpec,
                         alpha_bias, build_warp, compute_eer, default_grid,
-                        disguise, estimate_f0, f0_ratio_alpha, gen_trials,
-                        mean_f0, resample, restore_pair, run_matrix,
-                        scale_to_semitone, semitone_to_scale, synth_corpus)
+                        disguise, embed, estimate_f0, f0_ratio_alpha,
+                        gen_trials, mean_f0, resample, restore_pair,
+                        run_matrix, scale_to_semitone, semitone_to_scale,
+                        synth_corpus)
 from voxrestore.cli import main as cli_main
 from voxrestore.disguise import VTLN_FAMILIES
+from voxrestore.restore import _candidate_token, _search
 
 SR = 16000
 
@@ -47,21 +51,34 @@ def recovery_run(corpus):
     return pairs, time.perf_counter() - t0
 
 
-@pytest.fixture(scope="module")
-def pitch_matrix(corpus):
-    trials, extra = gen_trials(corpus, 400, policy="pitch-time", seed=1)
+def _trials(corpus, policy: str, seed: int):
+    trials, extra = gen_trials(corpus, 400, policy=policy, seed=seed)
     audio = dict(corpus.utterances)
     audio.update(extra)
+    return trials, audio
+
+
+@pytest.fixture(scope="module")
+def pitch_trials(corpus):
+    return _trials(corpus, "pitch-time", 1)
+
+
+@pytest.fixture(scope="module")
+def vtln_trials(corpus):
+    return _trials(corpus, "vtln-all", 5)
+
+
+@pytest.fixture(scope="module")
+def pitch_matrix(pitch_trials):
+    trials, audio = pitch_trials
     return run_matrix(audio, trials,
                       ["none", "pitch-freq", "vtln-power", "f0ratio"],
                       jobs=4)
 
 
 @pytest.fixture(scope="module")
-def vtln_matrix(corpus):
-    trials, extra = gen_trials(corpus, 400, policy="vtln-all", seed=5)
-    audio = dict(corpus.utterances)
-    audio.update(extra)
+def vtln_matrix(vtln_trials):
+    trials, audio = vtln_trials
     return run_matrix(audio, trials, ["vtln-power", "pitch-freq"], jobs=4)
 
 
@@ -231,3 +248,35 @@ def test_clean_corpus_baseline_eer(corpus):
     eer = report.rows[0].eer.eer_percent
     print(f"clean-trial baseline EER {eer:.2f}%")
     assert eer <= 5.0
+
+
+@pytest.mark.parametrize("trial_set, family", [
+    ("pitch", "pitch-freq"), ("vtln", "vtln-power")])
+def test_restoration_agrees_with_the_magnitude_warp_oracle(request,
+                                                           trial_set,
+                                                           family):
+    # the warp folded into the filterbank acts on power where the oracle
+    # warps magnitudes, so candidates move a little; plain rows differ
+    # only by rounding
+    trials, audio = request.getfixturevalue(f"{trial_set}_trials")
+    table = request.getfixturevalue(f"{trial_set}_matrix").embeddings
+    grid = default_grid(family)
+    oracle = {}
+    for t in trials:
+        if t.enroll_id not in oracle:
+            oracle[t.enroll_id] = embed(oracles.RestorationContext(
+                audio[t.enroll_id]).features(0.0, DisguiseFamily.PITCH_FREQ))
+            np.testing.assert_allclose(table[t.enroll_id].vector,
+                                       oracle[t.enroll_id].vector,
+                                       rtol=1e-9, atol=0.0)
+        if t.test_id not in oracle:
+            ctx = oracles.RestorationContext(audio[t.test_id])
+            oracle.update((_candidate_token(t.test_id, spec),
+                           embed(ctx.features(spec.param, spec.family)))
+                          for spec in grid)
+    same = [_search(table[t.enroll_id], table, t.test_id, grid)[0][0]
+            == _search(oracle[t.enroll_id], oracle, t.test_id, grid)[0][0]
+            for t in trials]
+    print(f"{family} on {trial_set} trials: alpha_hat equal to the "
+          f"oracle's on {sum(same)} of {len(same)}")
+    assert sum(same) >= 0.9 * len(same)

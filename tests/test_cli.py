@@ -576,24 +576,23 @@ def test_eval_external_no_op_candidates_read_the_plain_rows(
 
 
 def _count_analyses(monkeypatch) -> dict:
-    """Count restoration contexts built and feature computations,
+    """Count restoration contexts built and candidate features computed,
     wherever the CLI reaches them."""
     from voxrestore import restore, speaker
     counts = {"features": 0, "context": 0}
-    features = speaker.features_from_magnitudes
+    features = speaker.candidate_features
     init = restore._RestorationContext.__init__
 
-    def counted_features(*args):
-        counts["features"] += 1
-        return features(*args)
+    def counted_features(power, sample_rate, specs):
+        counts["features"] += len(specs)
+        return features(power, sample_rate, specs)
 
     def counted_init(self, disguised):
         counts["context"] += 1
         init(self, disguised)
 
     for module in (restore, speaker):
-        monkeypatch.setattr(module, "features_from_magnitudes",
-                            counted_features)
+        monkeypatch.setattr(module, "candidate_features", counted_features)
     monkeypatch.setattr(restore._RestorationContext, "__init__", counted_init)
     return counts
 
@@ -854,13 +853,13 @@ def test_eval_rejects_external_dump_before_any_work(trial_dir, tmp_path,
 
 def test_eval_logs_embeddings_and_warp_maps(trial_dir, tmp_path, capsys,
                                             caplog):
-    from voxrestore.disguise import warp_indices
+    from voxrestore.speaker import warped_filterbank
     trials = os.path.join(trial_dir, "trials.txt")
     enrolls, tests = set(), set()
     for line in open(trials, encoding="utf-8"):
         enrolls.add(line.split()[1])
         tests.add(line.split()[2])
-    warp_indices.cache_clear()
+    warped_filterbank.cache_clear()
     caplog.set_level(logging.INFO, logger="voxrestore")
     rc, stdout, _ = run_cli(capsys, "eval", "--trials", trials, "--out",
                             str(tmp_path / "a.json"), "--restore",
@@ -868,12 +867,12 @@ def test_eval_logs_embeddings_and_warp_maps(trial_dir, tmp_path, capsys,
     assert rc == 0
     n_grid = 21     # the default vtln-power grid
     # every utterance has a plain row; it is the grid's no-op candidate,
-    # computed first by the pitch-freq:0 inversion
+    # computed first by the pitch-freq:0 filterbank
     assert (f"; {len(enrolls) + n_grid * len(tests)} embeddings, "
-            f"{n_grid} warp maps "
+            f"{n_grid} filterbanks "
             f"({n_grid * (len(tests) - 1) + len(enrolls)} reused)"
             in caplog.text)
-    assert "warp maps" not in stdout
+    assert "filterbanks" not in stdout
 
 
 # ---------------------------------------------------------------------------

@@ -159,8 +159,6 @@ def test_pitch_warp_is_linear_and_unpinned():
 
 def test_identity_warp_is_exact():
     for family in DisguiseFamily:
-        if family is DisguiseFamily.PITCH_TIME:
-            continue
         w = build_warp(DisguiseSpec(family, IDENTITY_PARAMS[family]))
         assert np.array_equal(w.knots, w.values)
 
@@ -169,8 +167,6 @@ def test_identity_warp_is_exact():
 @given(data=st.data())
 def test_warp_inverse_composition(data):
     family = data.draw(st.sampled_from(list(DisguiseFamily)))
-    if family is DisguiseFamily.PITCH_TIME:
-        family = DisguiseFamily.PITCH_FREQ
     lo, hi = PARAM_RANGES[family]
     param = data.draw(st.floats(min_value=lo, max_value=hi,
                                 allow_nan=False))

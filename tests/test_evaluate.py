@@ -384,14 +384,14 @@ def test_matrix_computes_each_candidate_once(corpus_small, monkeypatch):
     tests = {t.test_id for t in trials}
     assert len(tests) < len(trials)          # test utterances repeat
     calls = []
-    features = _RestorationContext.features
+    embeddings = _RestorationContext.embeddings
 
-    def counted(self, alpha, family):
-        utterance = hashlib.sha256(self.active.tobytes()).hexdigest()
-        calls.append((utterance, family, alpha))
-        return features(self, alpha, family)
+    def counted(self, specs):
+        utterance = hashlib.sha256(self.power.tobytes()).hexdigest()
+        calls.extend((utterance, spec.family, spec.param) for spec in specs)
+        return embeddings(self, specs)
 
-    monkeypatch.setattr(_RestorationContext, "features", counted)
+    monkeypatch.setattr(_RestorationContext, "embeddings", counted)
     run_matrix(corpus_small.utterances, trials, ["pitch-freq", "f0ratio"])
     # f0ratio picks pitch-freq grid values, so the grid covers its
     # candidates, and an utterance both enrolled and tested shares the

@@ -91,7 +91,7 @@ def _unread_parameters(tree: ast.Module) -> list:
 
 # ceilings on the package's size; raising either needs a reason in
 # CHANGES.md
-MAX_SOURCE_LINES = 2038
+MAX_SOURCE_LINES = 2057
 MAX_SETTINGS = 14
 
 

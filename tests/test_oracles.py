@@ -1,5 +1,6 @@
-"""The table-driven resampler and the frame-batched F0 tracker against
-their direct forms in `oracles.py`."""
+"""The table-driven resampler, the frame-batched F0 tracker and the
+power-domain candidate features against their direct forms in
+`oracles.py`."""
 
 import importlib
 import warnings
@@ -9,8 +10,9 @@ import pytest
 
 import oracles
 from helpers import SR, speechy, tone, white_noise
-from voxrestore import (AudioBuffer, DisguiseSpec, default_grid, disguise,
-                        estimate_f0, resample, semitone_to_scale)
+from voxrestore import (AudioBuffer, DisguiseFamily, DisguiseSpec,
+                        default_grid, disguise, embed, estimate_f0, mfcc,
+                        resample, restore_with, semitone_to_scale)
 
 audio = importlib.import_module("voxrestore.audio")
 
@@ -124,3 +126,36 @@ def test_tracker_raises_no_numerical_warnings(corpus_small):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         estimate_f0(tone(200.0, amp=1e-12))
+
+
+# ---------------------------------------------------------------------------
+# candidate features
+
+
+def test_plain_rows_match_the_magnitude_warp_oracle(corpus_small):
+    # the no-op bank is the filterbank itself, so only rounding differs
+    bufs = list(corpus_small.utterances.values()) + [
+        disguise(_first_utterance(corpus_small), DisguiseSpec(family, param))
+        for family, param in (("pitch-time", 4.0), ("vtln-bilinear", -0.2))
+    ] + [speechy(1.0, sr=8000)]
+    for buf in bufs:
+        want = oracles.RestorationContext(buf).features(
+            0.0, DisguiseFamily.PITCH_FREQ)
+        np.testing.assert_allclose(embed(mfcc(buf)).vector,
+                                   embed(want).vector, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("family", list(DisguiseFamily))
+def test_candidates_stay_near_the_magnitude_warp_oracle(corpus_small,
+                                                        family):
+    # warping power rather than magnitude moves a candidate's embedding,
+    # but by under half the distance between two neighbouring candidates
+    buf = _first_utterance(corpus_small)
+    ctx = oracles.RestorationContext(buf)
+    grid = default_grid(family)
+    for spec in (grid[0], grid[len(grid) // 3], grid[-1]):
+        got = embed(restore_with(buf, spec.param, family)).vector
+        want = embed(ctx.features(spec.param, family)).vector
+        step = embed(ctx.features(grid[1].param, family)).vector - embed(
+            ctx.features(grid[0].param, family)).vector
+        assert np.linalg.norm(got - want) < 0.5 * np.linalg.norm(step)

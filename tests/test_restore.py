@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from voxrestore import (IDENTITY_PARAMS, AudioBuffer,
                         UnvoicedUtteranceError,
                         apply_spectral_warp, build_warp,
                         default_grid, disguise, distance, embed,
-                        istft, mel_filterbank, mfcc,
+                        istft, mfcc,
                         resample, restore_pair, restore_with,
                         semitone_to_scale, stft, vad)
 from voxrestore.disguise import warp_indices
@@ -17,7 +18,7 @@ from voxrestore.restore import (MAX_GRID_CANDIDATES, NO_OP,
                                 _RestorationContext, _candidate_token,
                                 embedding_table, grid_from_range,
                                 parse_restoration)
-from voxrestore.speaker import features_from_magnitudes
+from voxrestore.speaker import candidate_features, warped_filterbank
 
 
 @pytest.fixture(scope="module")
@@ -202,21 +203,20 @@ def test_restore_with_rejects_out_of_range(pair):
 
 def _whole_spectrogram_features(y: AudioBuffer, alpha: float,
                                 family: DisguiseFamily) -> np.ndarray:
-    """The candidate path the inverse-warp cache replaced, with its
-    index math written out: warp every frame of the full spectrogram,
-    then keep the VAD-active frames."""
-    warp_family = (DisguiseFamily.PITCH_FREQ
-                   if family is DisguiseFamily.PITCH_TIME else family)
-    spec = DisguiseSpec(warp_family, alpha)
-    mags = np.abs(stft(y))
+    """The candidate path the warped filterbank folds, with its index
+    math written out: warp the power of every frame of the full
+    spectrogram, keep the VAD-active frames, then apply the unwarped
+    bank."""
+    spec = DisguiseSpec(family, alpha)
+    power = np.abs(stft(y)) ** 2
     if not spec.is_identity:
-        n_bins = mags.shape[1]
+        n_bins = power.shape[1]
         src = build_warp(spec)(np.linspace(0.0, np.pi, n_bins))
         coord = np.clip(src / np.pi * (n_bins - 1), 0.0, n_bins - 1.0)
         lo = np.minimum(coord.astype(np.int64), n_bins - 2)
         frac = coord - lo
-        mags = mags[:, lo] * (1.0 - frac) + mags[:, lo + 1] * frac
-    return features_from_magnitudes(mags[vad(y)], y.sample_rate)
+        power = power[:, lo] * (1.0 - frac) + power[:, lo + 1] * frac
+    return candidate_features(power[vad(y)], y.sample_rate, (NO_OP,))[0]
 
 
 @pytest.mark.parametrize("family", list(DisguiseFamily))
@@ -227,15 +227,17 @@ def test_candidate_features_equal_the_whole_spectrogram_warp(pair, family):
     interior = grid[len(grid) // 4]
     assert lo < interior < ident
     y = disguise(pair[1], DisguiseSpec(family, lo + 0.7 * (hi - lo)))
-    # the half-second cut has few enough active frames that the
-    # filterbank product rounds differently for a non-contiguous input
     half = AudioBuffer(y.samples[:y.sample_rate // 2], y.sample_rate)
     for buf in (y, half):
         ctx = _RestorationContext(buf)
         for alpha in (lo, ident, interior, hi):
-            assert np.array_equal(
-                ctx.features(alpha, family),
-                _whole_spectrogram_features(buf, alpha, family))
+            want = _whole_spectrogram_features(buf, alpha, family)
+            got = ctx.features(alpha, family)
+            # the folded bank sums the same products in another order
+            np.testing.assert_allclose(got, want, rtol=0.0,
+                                       atol=1e-9 * np.abs(want).max())
+            if alpha == ident:
+                assert np.array_equal(got, want)
 
 
 def test_inverse_warp_is_built_once_per_family_and_alpha(pair, monkeypatch):
@@ -248,23 +250,29 @@ def test_inverse_warp_is_built_once_per_family_and_alpha(pair, monkeypatch):
     monkeypatch.setattr(importlib.import_module("voxrestore.disguise"),
                         "build_warp", counted_build_warp)
     warp_indices.cache_clear()
+    warped_filterbank.cache_clear()
     grid = default_grid("vtln-power")
     for utterance in pair:
         ctx = _RestorationContext(utterance)
         for spec in grid:
             ctx.features(spec.param, spec.family)
+        ctx.embeddings(grid)
     # the no-op needs no map, but its identity table is cached like the
-    # others
+    # others; each table makes one filterbank, which every later
+    # candidate of that spec reuses
     assert built == [(s.family, s.param) for s in grid if not s.is_identity]
     assert warp_indices.cache_info().misses == len(grid)
+    banks = warped_filterbank.cache_info()
+    assert (banks.misses, banks.hits) == (len(grid), 3 * len(grid))
     # pitch-time keeps its own entry; build_warp gives it pitch-freq's map
     _RestorationContext(pair[0]).features(3.0, DisguiseFamily.PITCH_TIME)
     assert built[-1] == (DisguiseFamily.PITCH_TIME, 3.0)
 
 
 def test_cached_tables_are_read_only():
+    bank = warped_filterbank(DisguiseSpec("vtln-power", 0.2), 257, 16000)
     with pytest.raises(ValueError):
-        mel_filterbank(16000, 512)[0, 0] = 1.0
+        bank[0, 0] = 1.0
     for direction in ("forward", "inverse"):
         spec = DisguiseSpec(DisguiseFamily.VTLN_POWER, 0.2)
         lo, frac = warp_indices(spec, 257, direction)
@@ -289,6 +297,50 @@ def test_out_of_range_alpha_fails_on_every_call(pair):
                          "inverse")
         with pytest.raises(ValueError, match="outside"):
             ctx.features(13.0, DisguiseFamily.PITCH_TIME)
+
+
+# ---------------------------------------------------------------------------
+# batched candidates
+
+
+@pytest.mark.parametrize("family", ["pitch-freq", "vtln-bilinear"])
+def test_table_embeddings_do_not_depend_on_their_batch(pair, family):
+    # the benchmark holds sidecar rows to embed(mfcc(x)) and the none
+    # row to plain distances, so batching candidates must not move a bit
+    y = disguise(pair[1], DisguiseSpec(family, default_grid(family)[2].param))
+    grid = (NO_OP,) + default_grid(family) + default_grid("vtln-power")
+    table = embedding_table([("x", pair[0], (NO_OP,)), ("y", y, grid)], None)
+    for utt, buf in (("x", pair[0]), ("y", y)):
+        assert np.array_equal(table[utt].vector, embed(mfcc(buf)).vector)
+    for spec in grid:
+        assert np.array_equal(
+            table[_candidate_token("y", spec)].vector,
+            embed(restore_with(y, spec.param, spec.family)).vector)
+    # in reverse every candidate sits elsewhere in its block, and the
+    # plain row comes from vtln-power's no-op
+    reordered = embedding_table([("y", y, grid[::-1])], None)
+    assert all(np.array_equal(vec.vector, table[tok].vector)
+               for tok, vec in reordered.items())
+
+
+def test_large_grid_restoration_stays_in_bounded_memory(pair):
+    # candidates are featurized _BLOCK_CANDIDATES at a time; all 2,001
+    # at once would stack 2,001 filterbanks (107 MB) before any product.
+    # The peak holds the filterbank and warp-table caches at their size
+    # bounds (14 and 4 MB) and a block's buffers.
+    grid = grid_from_range("vtln-power", -0.5, 0.5, 0.0005)
+    assert len(grid) == 2001
+    warp_indices.cache_clear()
+    warped_filterbank.cache_clear()
+    tracemalloc.start()
+    try:
+        result = restore_pair(pair[0], pair[1], "grid", grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.per_candidate) == len(grid)
+    print(f"tracemalloc peak {peak / 1e6:.1f} MB")
+    assert peak < 30e6
 
 
 # ---------------------------------------------------------------------------
