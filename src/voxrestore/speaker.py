@@ -9,7 +9,7 @@ from typing import Dict
 import numpy as np
 
 from .audio import AudioBuffer, stft, vad
-from .disguise import NO_OP, DisguiseSpec, warp_bins
+from .disguise import NO_OP, DisguiseSpec, warp_indices
 
 N_MELS = 26
 N_CEPSTRA = 24
@@ -50,13 +50,10 @@ def mel_filterbank(sample_rate: int, fft_size: int) -> np.ndarray:
 
     edges_hz = to_hz(np.linspace(0.0, to_mel(sample_rate / 2.0), N_MELS + 2))
     bins = np.arange(fft_size // 2 + 1) * sample_rate / fft_size
-    fb = np.zeros((N_MELS, bins.size))
-    for m in range(N_MELS):
-        left, center, right = edges_hz[m], edges_hz[m + 1], edges_hz[m + 2]
-        rising = (bins - left) / max(center - left, 1e-12)
-        falling = (right - bins) / max(right - center, 1e-12)
-        fb[m] = np.clip(np.minimum(rising, falling), 0.0, None)
-    return fb
+    left, center, right = (edges_hz[i:i + N_MELS, None] for i in range(3))
+    rising = (bins - left) / np.maximum(center - left, 1e-12)
+    falling = (right - bins) / np.maximum(right - center, 1e-12)
+    return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
 # the first N_CEPSTRA columns of the orthonormal DCT-II of N_MELS points
@@ -79,15 +76,18 @@ def _delta(c: np.ndarray, span: int = DELTA_SPAN) -> np.ndarray:
 def warped_filterbank(spec: DisguiseSpec, n_bins: int,
                       sample_rate: int) -> np.ndarray:
     """Pre-emphasis and mel filterbank, (n_bins, N_MELS), read-only, for
-    power inverse-warped by `spec`: the warp is linear on power, so it
-    folds into the bank by warping the identity's rows (as
-    filterbank-warped VTLN does; Lee and Rose, 1998)."""
+    power inverse-warped by `spec`: the warp reads each bin linearly
+    from two source bins (`warp_indices`), so on power it folds into the
+    bank (as filterbank-warped VTLN does; Lee and Rose, 1998)."""
     fft_size = 2 * (n_bins - 1)
     # pre-emphasis, as the power response of a first-order difference
     cos = np.cos(2.0 * np.pi * np.arange(n_bins) / fft_size)
     weights = ((1.0 + PREEMPHASIS ** 2 - 2.0 * PREEMPHASIS * cos)[:, None]
                * mel_filterbank(sample_rate, fft_size).T)
-    bank = warp_bins(np.eye(n_bins), spec, "inverse") @ weights
+    lo, frac = warp_indices(spec, n_bins, "inverse")
+    bank = np.zeros_like(weights)
+    np.add.at(bank, lo, (1.0 - frac)[:, None] * weights)
+    np.add.at(bank, lo + 1, frac[:, None] * weights)
     bank.flags.writeable = False
     return bank
 
@@ -98,7 +98,7 @@ def candidate_features(power: np.ndarray, sample_rate: int,
     power restored by each candidate spec: one product per candidate
     with its `warped_filterbank`, each log floored relative to that
     candidate's loudest filter output (so gain only shifts c0)."""
-    power = np.ascontiguousarray(power, dtype=np.float64)   # rounds alike
+    power = np.ascontiguousarray(power, dtype=np.float64)   # layout-free bits
     if power.ndim != 2 or power.shape[0] == 0 or power.shape[1] < 2:
         raise ValueError("need a (frames, bins) spectral array, bins >= 2")
     mel = power @ np.stack([warped_filterbank(spec, power.shape[1],
