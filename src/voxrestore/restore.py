@@ -97,8 +97,7 @@ class _RestorationContext:
                                   (DisguiseSpec(family, alpha),))[0]
 
     def embeddings(self, specs) -> List[Embedding]:
-        """`embed` of each candidate's features, bit for bit, computed
-        _BLOCK_CANDIDATES candidates at a time."""
+        """Embeddings of `specs`, _BLOCK_CANDIDATES candidates at a time."""
         return [Embedding(v) for i in range(0, len(specs), _BLOCK_CANDIDATES)
                 for v in pool(candidate_features(
                     self.power, self.sample_rate,
@@ -108,9 +107,8 @@ class _RestorationContext:
 def restore_with(disguised: AudioBuffer, alpha: float,
                  family) -> np.ndarray:
     """Features of the disguised utterance restored by a disguise of
-    known family and parameter: the inverse of its frequency map, on the
-    STFT power, is folded into the mel filterbank (see
-    `speaker.warped_filterbank`). A no-op gives `mfcc(disguised)`."""
+    known family and parameter, through its `speaker.warped_filterbank`;
+    a no-op gives `mfcc(disguised)`."""
     return _RestorationContext(disguised).features(alpha, family)
 
 

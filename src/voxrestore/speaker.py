@@ -39,9 +39,10 @@ class Embedding:
         return self.vector.size
 
 
+@functools.lru_cache(maxsize=None)
 def mel_filterbank(sample_rate: int, fft_size: int) -> np.ndarray:
     """Triangular filters spaced uniformly on the mel scale from 0 Hz
-    to Nyquist, returned as (N_MELS, fft_size // 2 + 1)."""
+    to Nyquist, returned as (N_MELS, fft_size // 2 + 1), read-only."""
     def to_mel(hz):
         return 2595.0 * np.log10(1.0 + hz / 700.0)
 
@@ -53,7 +54,9 @@ def mel_filterbank(sample_rate: int, fft_size: int) -> np.ndarray:
     left, center, right = (edges_hz[i:i + N_MELS, None] for i in range(3))
     rising = (bins - left) / np.maximum(center - left, 1e-12)
     falling = (right - bins) / np.maximum(right - center, 1e-12)
-    return np.clip(np.minimum(rising, falling), 0.0, None)
+    fb = np.clip(np.minimum(rising, falling), 0.0, None)
+    fb.flags.writeable = False
+    return fb
 
 
 # the first N_CEPSTRA columns of the orthonormal DCT-II of N_MELS points
@@ -75,10 +78,9 @@ def _delta(c: np.ndarray, span: int = DELTA_SPAN) -> np.ndarray:
 @functools.lru_cache(maxsize=256)
 def warped_filterbank(spec: DisguiseSpec, n_bins: int,
                       sample_rate: int) -> np.ndarray:
-    """Pre-emphasis and mel filterbank, (n_bins, N_MELS), read-only, for
-    power inverse-warped by `spec`: the warp reads each bin linearly
-    from two source bins (`warp_indices`), so on power it folds into the
-    bank (as filterbank-warped VTLN does; Lee and Rose, 1998)."""
+    """(n_bins, N_MELS) pre-emphasis and mel filterbank, read-only, for
+    power inverse-warped by `spec`: linear on power, the warp folds into
+    the bank, as in filterbank-warped VTLN (Lee and Rose, 1998)."""
     fft_size = 2 * (n_bins - 1)
     # pre-emphasis, as the power response of a first-order difference
     cos = np.cos(2.0 * np.pi * np.arange(n_bins) / fft_size)

@@ -10,7 +10,7 @@ from voxrestore import (IDENTITY_PARAMS, AudioBuffer,
                         UnvoicedUtteranceError,
                         apply_spectral_warp, build_warp,
                         default_grid, disguise, distance, embed,
-                        istft, mfcc,
+                        istft, mel_filterbank, mfcc,
                         resample, restore_pair, restore_with,
                         semitone_to_scale, stft, vad)
 from voxrestore.disguise import warp_indices
@@ -270,6 +270,8 @@ def test_inverse_warp_is_built_once_per_family_and_alpha(pair, monkeypatch):
 
 
 def test_cached_tables_are_read_only():
+    with pytest.raises(ValueError):
+        mel_filterbank(16000, 512)[0, 0] = 1.0
     bank = warped_filterbank(DisguiseSpec("vtln-power", 0.2), 257, 16000)
     with pytest.raises(ValueError):
         bank[0, 0] = 1.0
