@@ -84,6 +84,8 @@ def load_wav(path) -> AudioBuffer:
         raise ValueError(f"unsupported WAV sample format {data.dtype}")
     if x.ndim == 2:
         x = x.mean(axis=1)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"WAV file {path} contains non-finite samples")
     return AudioBuffer(x, int(sr))
 
 

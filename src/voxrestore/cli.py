@@ -25,17 +25,8 @@ from .speaker import (Embedding, load_external_embeddings, warped_filterbank,
 log = logging.getLogger("voxrestore")
 
 
-def _setup_logging(level: str) -> None:
-    numeric = getattr(logging, level.upper(), None)
-    if numeric is None:
-        raise ValueError(f"unknown log level {level!r}")
-    logging.basicConfig(level=numeric, stream=sys.stderr,
-                        format="%(levelname)s %(name)s: %(message)s")
-
-
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    print(json.dumps(payload, sort_keys=True))
 
 
 def _parse_scorer(text: str) -> Optional[Dict[str, Embedding]]:
@@ -137,9 +128,7 @@ def _load_corpus_dir(path: str):
     index_path = os.path.join(path, "corpus.tsv")
     if not os.path.isfile(index_path):
         raise FileNotFoundError(f"no corpus index at {index_path}")
-    utterances = {}
-    speaker_of = {}
-    file_of = {}
+    utterances, speaker_of, file_of = {}, {}, {}
     with open(index_path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -169,9 +158,8 @@ def cmd_trials(args) -> int:
     trials, extra = gen_trials(corpus, args.n, policy=args.disguise,
                                seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
-    disg_dir = os.path.join(args.out, "disguised")
     if extra:
-        os.makedirs(disg_dir, exist_ok=True)
+        os.makedirs(os.path.join(args.out, "disguised"), exist_ok=True)
     for test_id, buf in extra.items():
         filename = os.path.join("disguised", f"{test_id}.wav")
         save_wav(os.path.join(args.out, filename), buf)
@@ -198,7 +186,6 @@ def cmd_trials(args) -> int:
 def _read_trials(path: str):
     base = os.path.dirname(os.path.abspath(path))
     trials = []
-    tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -216,10 +203,10 @@ def _read_trials(path: str):
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             trials.append(Trial(parts[1], parts[2], parts[0] == "1", meta))
-            tokens.extend(parts[1:3])
     if not trials:
         raise ValueError(f"no trials found in {path}")
-    return trials, list(dict.fromkeys(tokens)), base
+    tokens = dict.fromkeys(u for t in trials for u in (t.enroll_id, t.test_id))
+    return trials, list(tokens), base
 
 
 def _per_alpha_path(stem: str, restoration: str) -> str:
@@ -304,10 +291,8 @@ def cmd_eval(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--log-level",
-                        default=os.environ.get("VOXRESTORE_LOG", "warning"),
-                        help="debug, info, warning or error "
-                             "(env: VOXRESTORE_LOG)")
+    common.add_argument("--log-level", type=str.lower, default="warning",
+                        choices=("debug", "info", "warning", "error"))
 
     parser = argparse.ArgumentParser(
         prog="voxrestore",
@@ -385,8 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    logging.basicConfig(level=args.log_level.upper(), stream=sys.stderr,
+                        format="%(levelname)s %(name)s: %(message)s")
     try:
-        _setup_logging(args.log_level)
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         # an OSError's args[0] is its errno; its str names the file

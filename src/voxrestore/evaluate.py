@@ -51,13 +51,23 @@ class Corpus:
         return out
 
 
-def _resonator(x: np.ndarray, freq: float, bandwidth: float,
-               sample_rate: int) -> np.ndarray:
-    from scipy.signal import lfilter
+def _resonator_poles(freq: float, bandwidth: float, sample_rate: int):
+    """The conjugate poles r*exp(+-i*theta) of a two-pole resonator."""
     freq = min(freq, 0.45 * sample_rate)   # keep poles below Nyquist
-    r = np.exp(-np.pi * bandwidth / sample_rate)
-    theta = 2.0 * np.pi * freq / sample_rate
-    return lfilter([1.0], [1.0, -2.0 * r * np.cos(theta), r * r], x)
+    p = np.exp((2j * np.pi * freq - np.pi * bandwidth) / sample_rate)
+    return [p, np.conj(p)]
+
+
+def _all_pole(x: np.ndarray, poles: Sequence[complex]) -> np.ndarray:
+    """`x` through 1 / prod(1 - p/z) as a product of spectra, zero-padded
+    until the slowest pole has decayed by 1e-17 so nothing wraps."""
+    pad = np.log(1e-17) / np.log(max(abs(p) for p in poles))
+    size = 1 << int(x.size + pad).bit_length()
+    delay = np.fft.rfft([0.0, 1.0], size)   # 1/z on the rfft bins
+    spectrum = np.fft.rfft(x, size)
+    for p in poles:
+        spectrum /= 1.0 - p * delay
+    return np.fft.irfft(spectrum, size)[:x.size]
 
 
 def _synth_utterance(rng: np.random.Generator, base_f0: float,
@@ -77,25 +87,23 @@ def _synth_utterance(rng: np.random.Generator, base_f0: float,
     phase = np.cumsum(f0_t / sample_rate)
     excitation = np.zeros(n)
     excitation[np.diff(np.floor(phase), prepend=0.0) >= 1.0] = 1.0
-    # imported here, not at the top: scipy.signal takes over a second to
-    # import and only the corpus synthesizer needs it
-    from scipy.signal import lfilter
-    x = lfilter([1.0], [1.0, -0.95], excitation)   # glottal spectral tilt
+    poles = [0.95]   # glottal spectral tilt, then the formants
     for freq, bw in zip(formants, bandwidths):
         drift = 2.0 ** rng.uniform(-0.02, 0.02)
-        x = _resonator(x, freq * drift, bw, sample_rate)
+        poles += _resonator_poles(freq * drift, bw, sample_rate)
+    x = _all_pole(excitation, poles)
     # frication fills the top octave; its center is shared across
     # speakers (warping it to match another speaker buys nothing) while
     # its bandwidth and level carry identity
     voiced_rms = np.sqrt(np.mean(x * x))
-    hiss = _resonator(rng.standard_normal(n), hiss_freq, hiss_bw, sample_rate)
+    hiss = _all_pole(rng.standard_normal(n),
+                     _resonator_poles(hiss_freq, hiss_bw, sample_rate))
     x = x + hiss * (voiced_rms * hiss_level / np.sqrt(np.mean(hiss * hiss)))
     x = x + rng.standard_normal(n) * (voiced_rms * 0.003)
-    fade = int(round(0.05 * sample_rate))
-    if 2 * fade < n:
-        ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(fade) / fade)
-        x[:fade] *= ramp
-        x[-fade:] *= ramp[::-1]
+    fade = int(round(0.05 * sample_rate))   # CorpusConfig keeps n > 2 * fade
+    ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(fade) / fade)
+    x[:fade] *= ramp
+    x[-fade:] *= ramp[::-1]
     x *= 0.3 / np.max(np.abs(x))
     return AudioBuffer(x, sample_rate)
 
@@ -103,8 +111,8 @@ def _synth_utterance(rng: np.random.Generator, base_f0: float,
 def synth_corpus(config: CorpusConfig = CorpusConfig()) -> Corpus:
     """Generate a deterministic toy corpus of vowel-like utterances.
 
-    Each speaker is a random draw of base pitch and three formant
-    resonances; each utterance re-jitters pitch and formants slightly.
+    Each speaker draws a base pitch, four formants and a hiss band;
+    each utterance re-jitters pitch and formants slightly.
     Seeding is hierarchical, so utterance (i, j) does not depend on how
     many other speakers or utterances are generated.
     """
@@ -371,8 +379,12 @@ def run_matrix(audio: Dict[str, AudioBuffer], trials: Sequence[Trial],
     trials = list(trials)
     if not trials:
         raise ValueError("no trials to evaluate")
-    if any(t.label is None for t in trials):
+    classes = {t.label for t in trials}
+    if None in classes:
         raise ValueError("every trial needs a ground-truth label")
+    if len(classes) < 2:
+        missing = "impostor (0)" if True in classes else "same-speaker (1)"
+        raise ValueError(f"no {missing} trials: the EER needs both classes")
     names = list(restorations)
     methods = [parse_restoration(name) for name in names]
     if not methods:

@@ -4,11 +4,13 @@
 the kernel for every tap of every output sample; `estimate_f0` is the
 frame-by-frame F0 tracker; `RestorationContext.features` is the
 candidate path that warped each candidate's STFT magnitudes before the
-mel filterbank. All are the library's earlier bodies, kept verbatim
-with their helpers (the unchanged framing, warping, gating and
-filterbank helpers are imported), so the table-driven resampler, the
-frame-batched tracker and the power-domain warped filterbank can be
-checked against them.
+mel filterbank; `formant_cascade` and `resonator` are the corpus
+synthesizer's `lfilter` chain. All are the library's earlier bodies,
+kept verbatim with their helpers (the unchanged framing, warping,
+gating and filterbank helpers are imported), so the table-driven
+resampler, the frame-batched tracker, the power-domain warped
+filterbank and the spectral all-pole filter can be checked against
+them.
 """
 
 import numpy as np
@@ -231,3 +233,21 @@ class RestorationContext:
     def features(self, alpha: float, family: DisguiseFamily) -> np.ndarray:
         mags = warp_bins(self.active, DisguiseSpec(family, alpha), "inverse")
         return features_from_magnitudes(mags, self.sample_rate)
+
+
+def resonator(x: np.ndarray, freq: float, bandwidth: float,
+              sample_rate: int) -> np.ndarray:
+    freq = min(freq, 0.45 * sample_rate)   # keep poles below Nyquist
+    r = np.exp(-np.pi * bandwidth / sample_rate)
+    theta = 2.0 * np.pi * freq / sample_rate
+    return lfilter([1.0], [1.0, -2.0 * r * np.cos(theta), r * r], x)
+
+
+def formant_cascade(excitation: np.ndarray, formants, bandwidths,
+                    sample_rate: int) -> np.ndarray:
+    """The voiced chain: the glottal tilt, then one resonator per
+    formant."""
+    x = lfilter([1.0], [1.0, -0.95], excitation)   # glottal spectral tilt
+    for freq, bw in zip(formants, bandwidths):
+        x = resonator(x, freq, bw, sample_rate)
+    return x

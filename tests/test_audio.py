@@ -136,6 +136,14 @@ def test_load_wav_rejects_non_wav(tmp_path):
         load_wav(path)
 
 
+def test_load_wav_names_a_file_with_non_finite_samples(tmp_path):
+    path = tmp_path / "nan.wav"
+    wavfile.write(path, SR, np.array([0.0, np.nan, 0.5], dtype=np.float32))
+    with pytest.raises(ValueError) as exc:
+        load_wav(path)
+    assert str(exc.value) == f"WAV file {path} contains non-finite samples"
+
+
 # ---------------------------------------------------------------------------
 # STFT / inverse
 

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from helpers import SR, dominant_freq, rel_rms, speechy, tone, white_noise
 from voxrestore import (IDENTITY_PARAMS, AudioBuffer, DisguiseSpec, disguise,
@@ -38,19 +39,25 @@ def voice_wav(tmp_path):
 # disguise
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal takes over a second to import; only the corpus
-    # synthesizer needs it, and it imports it when called
+def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
+    # scipy.signal takes about a second to import and the package needs
+    # none of it: neither importing the CLI nor synthesizing a corpus
+    # (whose formant filter is plain numpy) may load it
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, voxrestore.cli; "
-         "print('scipy.signal' in sys.modules)"],
+         "print('scipy.signal' in sys.modules); "
+         "voxrestore.cli.main(['corpus', '--out', sys.argv[1], "
+         "'--speakers', '2', '--utts', '2', '--duration', '0.5']); "
+         "print('scipy.signal' in sys.modules)", str(tmp_path / "c")],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0] == "False" and lines[-1] == "False"
+    assert json.loads(lines[1])["n_utterances"] == 4
 
 
 def test_disguise_identity_round_trip(tmp_path, capsys, voice_wav):
@@ -682,6 +689,30 @@ def test_eval_names_the_utterance_it_cannot_analyze(tmp_path, capsys,
     assert rc == 1 and f"error: {kind}.wav: {reason}" in stderr
 
 
+def test_eval_rejects_trials_of_one_class(tmp_path, capsys, voice_wav):
+    trials = tmp_path / "trials.txt"
+    trials.write_text("1 voice.wav voice.wav\n1 voice.wav voice.wav\n",
+                      encoding="utf-8")
+    rc, stdout, stderr = run_cli(capsys, "eval", "--trials", str(trials),
+                                 "--out", str(tmp_path / "r.json"))
+    assert rc == 1 and stdout == ""
+    assert ("error: no impostor (0) trials: the EER needs both classes"
+            in stderr)
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_estimate_names_a_wav_with_non_finite_samples(tmp_path, capsys,
+                                                      voice_wav):
+    bad = tmp_path / "nan.wav"
+    samples = speechy(1.0).samples.astype(np.float32)
+    samples[100] = np.nan
+    wavfile.write(bad, SR, samples)
+    rc, _, stderr = run_cli(capsys, "estimate", "--enroll", voice_wav,
+                            "--test", str(bad))
+    assert rc == 1
+    assert f"error: WAV file {bad} contains non-finite samples" in stderr
+
+
 def test_eval_rejects_bad_trial_lines(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("2 a b\n", encoding="utf-8")
@@ -880,19 +911,15 @@ def test_eval_logs_embeddings_and_warp_maps(trial_dir, tmp_path, capsys,
 
 
 def test_log_level_flag_validation(tmp_path, capsys):
-    rc, _, stderr = run_cli(capsys, "corpus", "--out", str(tmp_path / "c"),
-                            "--log-level", "chatty")
-    assert rc == 1 and "unknown log level" in stderr
-
-
-def test_log_level_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("VOXRESTORE_LOG", "chatty")
-    rc, _, stderr = run_cli(capsys, "corpus", "--out", str(tmp_path / "c"),
-                            "--speakers", "2", "--utts", "2",
-                            "--duration", "1.0")
-    assert rc == 1 and "unknown log level" in stderr
-    monkeypatch.setenv("VOXRESTORE_LOG", "info")
+    # argparse rejects a bad level with the usage status, as it does a
+    # bad --method, before the command runs
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "--out", str(tmp_path / "c"),
+              "--log-level", "chatty"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'chatty'" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
     rc, _, _ = run_cli(capsys, "corpus", "--out", str(tmp_path / "c"),
                        "--speakers", "2", "--utts", "2",
-                       "--duration", "1.0")
+                       "--duration", "1.0", "--log-level", "INFO")
     assert rc == 0

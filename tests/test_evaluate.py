@@ -440,6 +440,23 @@ def test_matrix_rejects_a_repeated_method_before_scoring(
                    ["f0ratio", "none", "f0ratio"])
 
 
+@pytest.mark.parametrize("label, missing", [(True, "impostor (0)"),
+                                            (False, "same-speaker (1)")])
+def test_matrix_rejects_trials_of_one_class_before_scoring(
+        corpus_small, monkeypatch, label, missing):
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("trials were scored")
+
+    monkeypatch.setattr(importlib.import_module("voxrestore.evaluate"),
+                        "search_pairs", no_scoring)
+    trials = [Trial("spk00_u00", "spk00_u01", label),
+              Trial("spk01_u00", "spk00_u01", label)]
+    with pytest.raises(ValueError) as exc:
+        run_matrix(corpus_small.utterances, trials, ["none"])
+    assert str(exc.value) == (f"no {missing} trials: the EER needs both "
+                              f"classes")
+
+
 def test_matrix_validation(corpus_small, plain_trials):
     audio = corpus_small.utterances
     with pytest.raises(ValueError, match="no trials"):

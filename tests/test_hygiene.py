@@ -1,8 +1,8 @@
 """Hygiene of the package sources, checked with `ast` since no linter
 is a dependency: no module imports a name it never uses, every name in
 an `__all__` resolves, every exported name has a reader outside its
-module, every function reads all its parameters, and the package stays
-within its size ceilings."""
+module, every function reads all its parameters, only `audio.py`
+imports scipy, and the package stays within its size ceilings."""
 
 import ast
 import dataclasses
@@ -39,6 +39,17 @@ def _unused_imports(tree: ast.Module) -> list:
     used.update(_exported(tree))     # a re-export is a use
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used)
+
+
+def _imported_packages(tree: ast.Module) -> set:
+    """Top-level packages of the absolute imports, at any depth."""
+    packages = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            packages.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            packages.add(node.module.split(".")[0])
+    return packages
 
 
 def _names_read(tree: ast.Module) -> set:
@@ -157,6 +168,15 @@ def test_every_export_is_read_outside_its_module():
     assert unread == set(UNREAD_EXPORTS)
 
 
+def test_only_audio_imports_scipy():
+    # scipy serves WAV I/O and nothing else; every other module runs on
+    # numpy and the standard library
+    importers = [path.name for path in MODULES
+                 if "scipy" in _imported_packages(
+                     ast.parse(path.read_text(encoding="utf-8")))]
+    assert importers == ["audio.py"]
+
+
 def test_size_stays_under_its_ceilings():
     lines = sum(len(path.read_text(encoding="utf-8").splitlines())
                 for path in MODULES)
@@ -178,3 +198,6 @@ def test_checks_catch_leftovers():
                      "class E:\n    pass\n")
     assert _defined(tree) == {"X", "f", "E"}
     assert _names_read(tree) == {"a", "b", "c", "d"}
+    tree = ast.parse("import os.path\nfrom scipy.io import wavfile\n"
+                     "from . import audio\ndef f():\n    import json\n")
+    assert _imported_packages(tree) == {"os", "scipy", "json"}

@@ -1,6 +1,6 @@
-"""The table-driven resampler, the frame-batched F0 tracker and the
-power-domain candidate features against their direct forms in
-`oracles.py`."""
+"""The table-driven resampler, the frame-batched F0 tracker, the
+power-domain candidate features and the corpus synthesizer's all-pole
+filter against their direct forms in `oracles.py`."""
 
 import importlib
 import warnings
@@ -15,6 +15,7 @@ from voxrestore import (AudioBuffer, DisguiseFamily, DisguiseSpec,
                         resample, restore_with, semitone_to_scale)
 
 audio = importlib.import_module("voxrestore.audio")
+evaluate = importlib.import_module("voxrestore.evaluate")
 
 PITCH_TIME_RATIOS = [semitone_to_scale(spec.param)
                      for spec in default_grid("pitch-time")]
@@ -159,3 +160,58 @@ def test_candidates_stay_near_the_magnitude_warp_oracle(corpus_small,
         step = embed(ctx.features(grid[1].param, family)).vector - embed(
             ctx.features(grid[0].param, family)).vector
         assert np.linalg.norm(got - want) < 0.5 * np.linalg.norm(step)
+
+
+# ---------------------------------------------------------------------------
+# corpus synthesizer filter
+
+# the ranges `synth_corpus` draws from, per formant and for the hiss band
+FORMANT_HZ = [(300.0, 900.0), (1100.0, 2300.0), (2500.0, 3400.0),
+              (3600.0, 4400.0)]
+FORMANT_BW_HZ = [(60.0, 120.0), (80.0, 160.0), (100.0, 200.0),
+                 (150.0, 250.0)]
+HISS_HZ, HISS_BW_HZ = (5100.0, 5300.0), (400.0, 1000.0)
+DRIFT = 2.0 ** 0.02
+
+
+def _assert_within_peak(got: np.ndarray, want: np.ndarray):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("sample_rate", [8000, 16000, 22050, 44100, 48000])
+def test_all_pole_filter_matches_the_lfilter_cascade(sample_rate):
+    rng = np.random.default_rng(sample_rate)
+    # random draws, then the slowest poles (narrowest bands at the
+    # lowest drift) and the highest ones (widest bands at the highest
+    # drift, clipped to 0.45 of the rate at 8 kHz), each at both ends of
+    # the 0.5-2 s length range
+    draws = [(rng.uniform(0.5, 2.0),
+              [rng.uniform(lo, hi) * DRIFT ** rng.uniform(-1.0, 1.0)
+               for lo, hi in FORMANT_HZ],
+              [rng.uniform(lo, hi) for lo, hi in FORMANT_BW_HZ],
+              rng.uniform(*HISS_HZ), rng.uniform(*HISS_BW_HZ))
+             for _ in range(6)]
+    for duration in (0.5, 2.0):
+        draws.append((duration, [lo / DRIFT for lo, _ in FORMANT_HZ],
+                      [lo for lo, _ in FORMANT_BW_HZ], HISS_HZ[0],
+                      HISS_BW_HZ[0]))
+        draws.append((duration, [hi * DRIFT for _, hi in FORMANT_HZ],
+                      [hi for _, hi in FORMANT_BW_HZ], HISS_HZ[1],
+                      HISS_BW_HZ[1]))
+    for duration, formants, bandwidths, hiss_freq, hiss_bw in draws:
+        n = int(round(duration * sample_rate))
+        excitation = np.zeros(n)   # a 90-250 Hz pulse train
+        excitation[::int(sample_rate / rng.uniform(90.0, 250.0))] = 1.0
+        poles = [0.95]
+        for freq, bw in zip(formants, bandwidths):
+            poles += evaluate._resonator_poles(freq, bw, sample_rate)
+        _assert_within_peak(
+            evaluate._all_pole(excitation, poles),
+            oracles.formant_cascade(excitation, formants, bandwidths,
+                                    sample_rate))
+        noise = rng.standard_normal(n)
+        _assert_within_peak(
+            evaluate._all_pole(noise, evaluate._resonator_poles(
+                hiss_freq, hiss_bw, sample_rate)),
+            oracles.resonator(noise, hiss_freq, hiss_bw, sample_rate))
