@@ -9,7 +9,6 @@ original.
 """
 
 import numpy as np
-from scipy.signal import lfilter
 
 from voxrestore import (DisguiseSpec, disguise, distance, embed,
                         estimate_f0, mean_f0, mfcc, restore_with,
@@ -29,10 +28,18 @@ def vowel(f0=140.0, seconds=1.5):
         x += np.sin(2 * np.pi * k * f0 * t) / k
         k += 1
     for freq, bw in ((650.0, 90.0), (1900.0, 140.0)):
-        r = np.exp(-np.pi * bw / SR)
-        th = 2 * np.pi * freq / SR
-        x = lfilter([1.0], [1.0, -2 * r * np.cos(th), r * r], x)
+        x = resonate(x, freq, bw)
     return AudioBuffer(0.3 * x / np.max(np.abs(x)), SR)
+
+
+def resonate(x, freq, bw):
+    # two-pole resonator y[n] = x[n] + a1 * y[n-1] - a2 * y[n-2]
+    r = np.exp(-np.pi * bw / SR)
+    a1, a2 = 2 * r * np.cos(2 * np.pi * freq / SR), r * r
+    y = [0.0, 0.0]
+    for v in x.tolist():
+        y.append(v + a1 * y[-1] - a2 * y[-2])
+    return np.array(y[2:])
 
 
 def spectral_peak(buf, lo=1500.0):

@@ -2,10 +2,10 @@
 
 import functools
 import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
 
 
 @dataclass
@@ -57,40 +57,74 @@ def frame_geometry(sample_rate: int, window_ms: float, hop_ms: float):
     return win, hop, nfft, hann
 
 
+# RIFF format tags, and the fixed tail of an extensible sub-format GUID
+_PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _riff_chunks(path) -> tuple:
+    """The first `fmt ` fields (extensible tags resolved) and `data`."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+        raise ValueError("not a RIFF/WAVE file")
+    pos, fmt = 12, None
+    while pos + 8 <= len(blob):
+        chunk, size = struct.unpack_from("<4sI", blob, pos)
+        body = blob[pos + 8:pos + 8 + size]
+        if chunk == b"fmt " and fmt is None and len(body) >= 16:
+            fmt = list(struct.unpack_from("<HHIIHH", body))
+            if fmt[0] == _EXTENSIBLE and body[28:40] == _GUID_TAIL:
+                fmt[0] = struct.unpack_from("<I", body, 24)[0]
+        elif chunk == b"data":
+            if fmt is None:
+                raise ValueError("data chunk comes before a fmt chunk")
+            if len(body) < size:
+                raise ValueError(f"data chunk has {len(body)} of {size} bytes")
+            return fmt, body
+        pos += 8 + size + size % 2     # chunks are padded to even sizes
+    raise ValueError("no data chunk")
+
+
 def load_wav(path) -> AudioBuffer:
     """Read a WAV file as a mono float64 AudioBuffer.
 
-    Integer PCM is scaled by the type's full-scale positive range
-    (e.g. int16 by 32768); float data is taken as-is. Multi-channel
-    input is averaged down to mono after scaling.
+    Integer PCM in 1- to 4-byte containers (8-bit unsigned) is scaled
+    by its full-scale positive range (e.g. int16 by 32768); IEEE float
+    at 32 or 64 bits is taken as-is; extensible headers are resolved.
+    Multi-channel input is averaged down to mono after scaling. Other
+    formats and malformed files raise ValueError naming the file.
     """
     try:
-        sr, data = wavfile.read(os.fspath(path))
+        (tag, channels, sr, _, align, bits), body = _riff_chunks(path)
+        width = align // channels if channels else 0
+        if not ((tag == _PCM and 1 <= width <= 4) or
+                (tag == _FLOAT and bits in (32, 64) and 8 * width == bits)):
+            raise ValueError(f"unsupported format {tag:#x} at {bits} bits")
     except FileNotFoundError:
         raise
-    except Exception as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read WAV file {path}: {exc}") from exc
-    if data.size == 0:
+    n = len(body) // (width * channels) * channels
+    if n == 0:
         raise ValueError(f"WAV file {path} contains no samples")
-    if data.dtype == np.int16:
-        x = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        x = data.astype(np.float64) / 2147483648.0
-    elif data.dtype == np.uint8:
-        x = (data.astype(np.float64) - 128.0) / 128.0
-    elif data.dtype in (np.float32, np.float64):
-        x = data.astype(np.float64)
-    else:
-        raise ValueError(f"unsupported WAV sample format {data.dtype}")
-    if x.ndim == 2:
-        x = x.mean(axis=1)
+    if tag == _FLOAT:
+        x = np.frombuffer(body, f"<f{width}", n).astype(np.float64)
+    elif width == 3:   # no 3-byte integer type: left-justify into int32
+        x = np.pad(np.frombuffer(body, np.uint8, 3 * n).reshape(n, 3),
+                   ((0, 0), (1, 0))).view("<i4")[:, 0] / 2147483648.0
+    else:              # 8-bit PCM is unsigned, centred on 128
+        ints = np.frombuffer(body, {1: "u1", 2: "<i2", 4: "<i4"}[width], n)
+        x = (ints - 128.0 * (width == 1)) / 2.0 ** (8 * width - 1)
+    if channels > 1:
+        x = x.reshape(-1, channels).mean(axis=1)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"WAV file {path} contains non-finite samples")
     return AudioBuffer(x, int(sr))
 
 
 def save_wav(path, buf: AudioBuffer) -> None:
-    """Write an AudioBuffer to disk as a PCM16 WAV.
+    """Write an AudioBuffer to disk as a PCM16 WAV (a 44-byte header).
 
     Refuses non-finite data and missing parent directories before
     touching the filesystem, so a failed call leaves no partial file.
@@ -101,8 +135,12 @@ def save_wav(path, buf: AudioBuffer) -> None:
     if not os.path.isdir(parent):
         raise FileNotFoundError(f"directory does not exist: {parent}")
     q = np.rint(buf.samples * 32768.0)
-    data = np.clip(q, -32768, 32767).astype(np.int16)
-    wavfile.write(os.fspath(path), buf.sample_rate, data)
+    data = np.clip(q, -32768, 32767).astype("<i2").tobytes()
+    with open(path, "wb") as f:
+        f.write(struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(data),
+                            b"WAVE", b"fmt ", 16, _PCM, 1, buf.sample_rate,
+                            2 * buf.sample_rate, 2, 16, b"data", len(data)))
+        f.write(data)
 
 
 def _frame_signal(x: np.ndarray, win: int, hop: int) -> np.ndarray:
@@ -156,9 +194,10 @@ def istft(spectrum: np.ndarray, sample_rate: int) -> AudioBuffer:
 
 
 # fractional offsets tabulated per kernel; output rows x taps per block
-# (4 MB of float64 per temporary)
+# (256 kB of float64 per temporary, so the temporaries stay in cache and
+# are reused rather than freshly mapped on every block)
 _PHASES = 1024
-_BLOCK_ELEMENTS = 1 << 19
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @functools.lru_cache(maxsize=32)

@@ -60,9 +60,10 @@ def _resonator_poles(freq: float, bandwidth: float, sample_rate: int):
 
 def _all_pole(x: np.ndarray, poles: Sequence[complex]) -> np.ndarray:
     """`x` through 1 / prod(1 - p/z) as a product of spectra, zero-padded
-    until the slowest pole has decayed by 1e-17 so nothing wraps."""
-    pad = np.log(1e-17) / np.log(max(abs(p) for p in poles))
-    size = 1 << int(x.size + pad).bit_length()
+    to a 2^k or 3 * 2^(k-2) past the slowest pole's 1e-17 decay."""
+    need = x.size + np.log(1e-17) / np.log(max(abs(p) for p in poles))
+    k = int(need).bit_length()
+    size = min(s for s in (1 << k, 3 << k - 2) if s >= need)
     delay = np.fft.rfft([0.0, 1.0], size)   # 1/z on the rfft bins
     spectrum = np.fft.rfft(x, size)
     for p in poles:

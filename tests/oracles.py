@@ -5,16 +5,19 @@ the kernel for every tap of every output sample; `estimate_f0` is the
 frame-by-frame F0 tracker; `RestorationContext.features` is the
 candidate path that warped each candidate's STFT magnitudes before the
 mel filterbank; `formant_cascade` and `resonator` are the corpus
-synthesizer's `lfilter` chain. All are the library's earlier bodies,
-kept verbatim with their helpers (the unchanged framing, warping,
-gating and filterbank helpers are imported), so the table-driven
-resampler, the frame-batched tracker, the power-domain warped
-filterbank and the spectral all-pole filter can be checked against
-them.
+synthesizer's `lfilter` chain; `load_wav` reads through
+`scipy.io.wavfile`. All are the library's earlier bodies, kept verbatim
+with their helpers (the unchanged framing, warping, gating and
+filterbank helpers are imported), so the table-driven resampler, the
+frame-batched tracker, the power-domain warped filterbank, the spectral
+all-pole filter and the numpy RIFF reader can be checked against them.
 """
+
+import os
 
 import numpy as np
 from scipy.fft import dct
+from scipy.io import wavfile
 from scipy.linalg import solve_toeplitz
 from scipy.signal import lfilter
 
@@ -251,3 +254,35 @@ def formant_cascade(excitation: np.ndarray, formants, bandwidths,
     for freq, bw in zip(formants, bandwidths):
         x = resonator(x, freq, bw, sample_rate)
     return x
+
+
+def load_wav(path) -> AudioBuffer:
+    """Read a WAV file as a mono float64 AudioBuffer.
+
+    Integer PCM is scaled by the type's full-scale positive range
+    (e.g. int16 by 32768); float data is taken as-is. Multi-channel
+    input is averaged down to mono after scaling.
+    """
+    try:
+        sr, data = wavfile.read(os.fspath(path))
+    except FileNotFoundError:
+        raise
+    except Exception as exc:
+        raise ValueError(f"cannot read WAV file {path}: {exc}") from exc
+    if data.size == 0:
+        raise ValueError(f"WAV file {path} contains no samples")
+    if data.dtype == np.int16:
+        x = data.astype(np.float64) / 32768.0
+    elif data.dtype == np.int32:
+        x = data.astype(np.float64) / 2147483648.0
+    elif data.dtype == np.uint8:
+        x = (data.astype(np.float64) - 128.0) / 128.0
+    elif data.dtype in (np.float32, np.float64):
+        x = data.astype(np.float64)
+    else:
+        raise ValueError(f"unsupported WAV sample format {data.dtype}")
+    if x.ndim == 2:
+        x = x.mean(axis=1)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"WAV file {path} contains non-finite samples")
+    return AudioBuffer(x, int(sr))

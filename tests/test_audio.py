@@ -1,11 +1,15 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
+import oracles
 from helpers import dominant_freq, rel_rms, speechy, tone, white_noise
 from voxrestore import (AudioBuffer, istft, load_wav, resample, save_wav,
                         stft, vad)
+from voxrestore import audio
 from voxrestore.audio import HOP_MS, WINDOW_MS, frame_geometry
 from voxrestore.pitch import PITCH_WINDOW_MS
 
@@ -144,6 +148,178 @@ def test_load_wav_names_a_file_with_non_finite_samples(tmp_path):
     assert str(exc.value) == f"WAV file {path} contains non-finite samples"
 
 
+# the tail every standard sub-format GUID of an extensible header ends in
+GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def riff(tag, channels, bits, payload, sub_tag=None, data_first=False,
+         data_size=None):
+    """A hand-built WAV file: a `fmt ` chunk, extensible when `sub_tag`
+    is given, and `payload` as the `data` chunk, whose header claims
+    `data_size` bytes when given."""
+    align = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", tag, channels, SR, SR * align, align, bits)
+    if sub_tag is not None:
+        fmt += struct.pack("<HHII", 22, bits, 0, sub_tag) + GUID_TAIL
+    size = len(payload) if data_size is None else data_size
+    chunks = [b"fmt " + struct.pack("<I", len(fmt)) + fmt,
+              b"data" + struct.pack("<I", size) + payload]
+    if data_first:
+        chunks.reverse()
+    return wave(b"".join(chunks))
+
+
+def wave(chunks):
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+def assert_reads_as_scipy(path):
+    new, old = load_wav(path), oracles.load_wav(path)
+    assert new.sample_rate == old.sample_rate
+    assert np.array_equal(new.samples, old.samples)
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("dtype", ["uint8", "int16", "int32", "float32",
+                                   "float64"])
+def test_load_wav_reads_what_scipy_writes(tmp_path, dtype, channels):
+    rng = np.random.default_rng(channels)
+    if dtype.startswith("float"):
+        data = rng.uniform(-1.0, 1.0, (101, channels)).astype(dtype)
+    else:
+        info = np.iinfo(dtype)
+        data = rng.integers(info.min, info.max, (101, channels),
+                            endpoint=True).astype(dtype)
+    path = tmp_path / "t.wav"
+    wavfile.write(path, 22050, data[:, 0] if channels == 1 else data)
+    assert_reads_as_scipy(path)
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("extensible", [False, True])
+def test_load_wav_reads_24_bit_pcm(tmp_path, channels, extensible):
+    raw = np.random.default_rng(3).integers(0, 256, 3 * 57 * channels,
+                                            dtype=np.uint8)
+    path = tmp_path / "t.wav"
+    path.write_bytes(riff(0xFFFE if extensible else 1, channels, 24,
+                          raw.tobytes(), sub_tag=1 if extensible else None))
+    assert_reads_as_scipy(path)
+    # little-endian signed 24-bit integers over 2^23
+    b = raw.reshape(-1, 3).astype(np.int64)
+    ints = b[:, 0] | b[:, 1] << 8 | b[:, 2] << 16
+    ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints)
+    want = (ints / 2.0 ** 23).reshape(-1, channels).mean(axis=1)
+    assert np.array_equal(load_wav(path).samples, want)
+
+
+@pytest.mark.parametrize("sub_tag,bits,dtype", [
+    (1, 8, "uint8"), (1, 16, "int16"), (1, 32, "int32"),
+    (3, 32, "float32"), (3, 64, "float64")])
+def test_load_wav_resolves_extensible_headers(tmp_path, sub_tag, bits, dtype):
+    x = np.random.default_rng(bits).uniform(-1.0, 1.0, 80)
+    data = (x * 100 + (128 if dtype == "uint8" else 0)).astype(dtype)
+    path = tmp_path / "t.wav"
+    path.write_bytes(riff(0xFFFE, 2, bits, data.tobytes(), sub_tag=sub_tag))
+    assert_reads_as_scipy(path)
+    assert len(load_wav(path)) == 40
+
+
+@pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100])
+@pytest.mark.parametrize("n", [1, 777, 1600])
+def test_save_wav_writes_what_scipy_writes(tmp_path, rate, n):
+    buf = AudioBuffer(np.random.default_rng(n).uniform(-1.1, 1.1, n), rate)
+    save_wav(tmp_path / "ours.wav", buf)
+    pcm = np.clip(np.rint(buf.samples * 32768.0), -32768, 32767)
+    wavfile.write(tmp_path / "scipy.wav", rate, pcm.astype(np.int16))
+    ours = (tmp_path / "ours.wav").read_bytes()
+    assert len(ours) == 44 + 2 * n
+    assert ours == (tmp_path / "scipy.wav").read_bytes()
+
+
+def test_load_wav_skips_odd_chunks_and_reads_the_first_fmt_and_data(
+        tmp_path):
+    samples = np.array([1000, -2000, 3000], dtype="<i2")
+    pcm = riff(1, 1, 16, samples.tobytes())
+    other = riff(3, 2, 64, bytes(32))
+    odd = b"LIST" + struct.pack("<I", 3) + b"abc\0"     # padded to even
+    path = tmp_path / "t.wav"
+    path.write_bytes(wave(odd + pcm[12:]))
+    assert_reads_as_scipy(path)
+    # a second fmt chunk before the data, a second data chunk after it
+    path.write_bytes(wave(odd + pcm[12:36] + other[12:36] + pcm[36:]
+                          + other[36:]))
+    back = load_wav(path)
+    assert back.sample_rate == SR
+    assert np.array_equal(back.samples, samples / 32768.0)
+
+
+def test_load_wav_rejects_a_truncated_data_chunk(tmp_path):
+    path = tmp_path / "cut.wav"
+    save_wav(path, tone(440.0, 100 / SR))
+    whole = path.read_bytes()
+    assert len(whole) == 244
+    path.write_bytes(whole[:94])
+    with pytest.raises(ValueError) as exc:
+        load_wav(path)
+    assert str(exc.value) == (f"cannot read WAV file {path}: "
+                              "data chunk has 50 of 200 bytes")
+
+
+def test_load_wav_names_a_file_with_no_samples(tmp_path):
+    path = tmp_path / "empty.wav"
+    path.write_bytes(riff(1, 2, 16, bytes(2)))     # half of one frame
+    with pytest.raises(ValueError) as exc:
+        load_wav(path)
+    assert str(exc.value) == f"WAV file {path} contains no samples"
+
+
+def test_load_wav_rejects_data_before_fmt(tmp_path):
+    path = tmp_path / "t.wav"
+    path.write_bytes(riff(1, 1, 16, bytes(20), data_first=True))
+    with pytest.raises(ValueError, match="data chunk comes before") as exc:
+        load_wav(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("blob", [
+    b"RIFX" + bytes(40),                    # big-endian RIFF
+    b"RIFF" + bytes(4) + b"AVI " + bytes(32),
+    b"RIFF",
+    riff(1, 1, 16, bytes(20))[:36],        # fmt but no data chunk
+    wave(b"fmt " + struct.pack("<I", 14) + bytes(14)   # short fmt
+         + b"data" + struct.pack("<I", 4) + bytes(4))])
+def test_load_wav_rejects_what_is_not_a_wave_file(tmp_path, blob):
+    path = tmp_path / "t.wav"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match="cannot read WAV file") as exc:
+        load_wav(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("tag,bits,sub_tag", [
+    (2, 4, None),          # Microsoft ADPCM
+    (6, 8, None),          # A-law
+    (3, 16, None),         # 16-bit float
+    (1, 64, None),         # 64-bit integer PCM
+    (0xFFFE, 16, 2),       # extensible over ADPCM
+])
+def test_load_wav_rejects_unsupported_formats(tmp_path, tag, bits, sub_tag):
+    path = tmp_path / "t.wav"
+    path.write_bytes(riff(tag, 1, bits, bytes(64), sub_tag=sub_tag))
+    with pytest.raises(ValueError, match="unsupported format") as exc:
+        load_wav(path)
+    assert str(path) in str(exc.value)
+
+
+def test_load_wav_rejects_an_extensible_header_of_unknown_guid(tmp_path):
+    path = tmp_path / "t.wav"
+    blob = bytearray(riff(0xFFFE, 1, 16, bytes(64), sub_tag=1))
+    blob[-64 - 8 - 1] ^= 0xFF          # last byte of the GUID
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="unsupported format 0xfffe"):
+        load_wav(path)
+
+
 # ---------------------------------------------------------------------------
 # STFT / inverse
 
@@ -219,6 +395,18 @@ def test_resample_ratio_bounds():
     # the documented extremes still work
     assert len(resample(x, 0.1)) == round(len(x) / 0.1)
     assert len(resample(x, 10.0)) == round(len(x) / 10.0)
+
+
+@pytest.mark.parametrize("block", [1 << 10, 1 << 15, 1 << 19])
+def test_resample_block_size_changes_no_sample(monkeypatch, block):
+    # each output sample is computed alone, so the block size that
+    # bounds the temporaries cannot change a value
+    x = white_noise(0.5, seed=7)
+    want = {ratio: resample(x, ratio).samples
+            for ratio in (0.3, 0.8, 2.0 ** (-5 / 12), 1.26, 2.0, 3.7)}
+    monkeypatch.setattr(audio, "_BLOCK_ELEMENTS", block)
+    for ratio, samples in want.items():
+        assert np.array_equal(resample(x, ratio).samples, samples)
 
 
 # ---------------------------------------------------------------------------
