@@ -101,6 +101,8 @@ def load_wav(path) -> AudioBuffer:
         if not ((tag == _PCM and 1 <= width <= 4) or
                 (tag == _FLOAT and bits in (32, 64) and 8 * width == bits)):
             raise ValueError(f"unsupported format {tag:#x} at {bits} bits")
+        if sr == 0:
+            raise ValueError("sample rate must be positive, got 0")
     except FileNotFoundError:
         raise
     except (OSError, ValueError) as exc:
@@ -237,10 +239,12 @@ def resample(buf: AudioBuffer, ratio: float) -> AudioBuffer:
     sinc kernel with the cutoff lowered for downward shifts to prevent
     aliasing, read from a cached polyphase table (`_kernel_table`) by
     linear interpolation between its two nearest fractional offsets and
-    normalized to unit sum per output sample; the signal is zero beyond
-    its ends. Against the kernel evaluated exactly, the output moves by
-    under 1e-6 of full scale on full-band noise and by about 1e-8 on
-    voices. ratio == 1 returns the samples untouched.
+    normalized to unit sum per output sample, which by linearity is
+    (lo + (hi - lo)·w) / (S[p] + (S[p+1] - S[p])·w) for the window's dot
+    products lo, hi with rows p, p + 1 and the row sums S. The signal is
+    zero beyond its ends. Against the kernel evaluated exactly, the
+    output moves by under 1e-6 of full scale on full-band noise and by
+    about 1e-8 on voices. ratio == 1 returns the samples untouched.
     """
     if not np.isfinite(ratio) or not (0.1 <= ratio <= 10.0):
         raise ValueError(f"resampling ratio {ratio} out of supported range")
@@ -250,7 +254,7 @@ def resample(buf: AudioBuffer, ratio: float) -> AudioBuffer:
     n_out = max(1, int(round(x.size / ratio)))
     fc = min(1.0, 1.0 / ratio)          # anti-alias cutoff, Nyquist = 1
     table = _kernel_table(fc)
-    taps = table.shape[1]
+    taps, sums = table.shape[1], table.sum(axis=1)
     half = taps // 2
     # windows[b + 1] holds x[b - half + 1 .. b + half], zero off the ends
     windows = np.lib.stride_tricks.sliding_window_view(
@@ -263,10 +267,12 @@ def resample(buf: AudioBuffer, ratio: float) -> AudioBuffer:
         base = np.floor(pos).astype(np.int64)
         phase = (pos - base) * _PHASES
         row = phase.astype(np.int64)
-        w = (phase - row)[:, None]
-        h = table[row] * (1.0 - w) + table[row + 1] * w
-        h /= h.sum(axis=1, keepdims=True)
-        out[start:stop] = np.einsum("ij,ij->i", h, windows[base + 1])
+        w = phase - row
+        win = windows[base + 1]
+        lo = np.einsum("ij,ij->i", table[row], win)
+        hi = np.einsum("ij,ij->i", table[row + 1], win)
+        out[start:stop] = ((lo + (hi - lo) * w)
+                           / (sums[row] + (sums[row + 1] - sums[row]) * w))
     return AudioBuffer(out, buf.sample_rate)
 
 

@@ -97,52 +97,65 @@ def _track_frames(frames: np.ndarray, floor: float, sr: int, min_lag: int,
     residual[cancelled] = x[cancelled, LPC_ORDER:]
 
     # normalized cross-correlation on a lag grid oversampled by
-    # _LAG_OVERSAMPLE (entry m sits at lag m / _LAG_OVERSAMPLE). The
-    # correlation is band-limited, so zero padding in frequency
-    # evaluates it exactly between integer lags; without it a
-    # fundamental whose period falls between samples can lose almost
-    # 30% of its peak height against an integer-period subharmonic.
-    # Each lag is normalized by the energies of the two overlapped
-    # segments (interpolated between integer lags), which keeps peak
-    # heights near 1 regardless of amplitude.
+    # _LAG_OVERSAMPLE (entry m sits at lag m / os), the power spectrum P
+    # zero-padded to os times its length: without it a fundamental whose
+    # period falls between samples can lose almost 30% of its peak height
+    # against an integer-period subharmonic. The padding doubles the
+    # Nyquist bin, so at integer lags q this is the linear autocorrelation
+    # plus P[N/2]·(-1)^q / N. Entry os·q + p is entry q of irfft(P·t_p, N)
+    # with t_p[k] = exp(2πi·k·p / (os·N)), 2·cos(πp/os) at Nyquist; the
+    # correlation is even, so phase os - p is phase p read backwards.
+    # Each lag is normalized by the energies of the two overlapped segments
+    # (interpolated between integer lags): peak heights stay near 1.
     n = residual.shape[1]
     os = _LAG_OVERSAMPLE
     nfft = 1
     while nfft < 2 * n:
         nfft *= 2
     spec = np.fft.rfft(residual, nfft, axis=1)
-    corr = os * np.fft.irfft(spec * np.conj(spec), os * nfft,
-                             axis=1)[:, :os * max_lag + 1]
-    # segment energies at integer lags 0 .. max_lag + 1 (the last one is
-    # only read at weight 0), interpolated onto the oversampled grid
+    spec *= np.conj(spec)                              # P
+    p = np.arange(os // 2 + 1)
+    twist = np.exp(2j * np.pi * p[:, None] / os * np.fft.rfftfreq(nfft))
+    twist[:, -1] = 2.0 * np.cos(np.pi * p / os)
+    twisted, phases = np.empty_like(spec), np.empty((p.size, rows.size, nfft))
+    for i in range(p.size):
+        np.fft.irfft(np.multiply(spec, twist[i], out=twisted), nfft, axis=1,
+                     out=phases[i])
+    corr = np.empty((os, rows.size, max_lag - min_lag + 1))   # phase, row, q
+    corr[:p.size] = phases[:, :, min_lag:max_lag + 1]
+    corr[p.size:] = phases[os // 2 - 1:0:-1, :, -1 - min_lag:-2 - max_lag:-1]
+    del spec, twisted, phases         # back to the heap before normalizing
+    # segment energies at integer lags min_lag .. max_lag + 1 (the last
+    # one is only read at weight 0), interpolated onto the lag grid
     csum = np.cumsum(residual * residual, axis=1)
-    head = csum[:, n - 1 - np.arange(max_lag + 2)]   # energy of x[0 : n-k]
-    tail = csum[:, -1:] - np.concatenate(
-        (np.zeros((rows.size, 1)), csum[:, :max_lag + 1]), axis=1)
-
-    def interp(v):
-        step = np.diff(v, axis=1)[:, :, None] * (np.arange(os) / os)
-        fine = (step + v[:, :-1, None]).reshape(len(v), -1)
-        return fine[:, :os * max_lag + 1]
-
-    corr /= np.sqrt(interp(head) * interp(tail) + 1e-300)
+    lags = np.arange(min_lag, max_lag + 2)
+    head = csum[:, n - 1 - lags]                     # energy of x[0 : n-k]
+    tail = csum[:, -1:] - csum[:, lags - 1]          # energy of x[k : n]
+    rise_h, rise_t = np.diff(head, axis=1), np.diff(tail, axis=1)
+    for i in range(os):
+        corr[i] /= np.sqrt((rise_h * (i / os) + head[:, :-1])
+                           * (rise_t * (i / os) + tail[:, :-1]) + 1e-300)
+    corr = np.moveaxis(corr, 0, 2).reshape(rows.size, -1)
 
     # pick the shortest-lag peak within PEAK_KEEP of the best one
     # (favoring the fundamental over its subharmonics), each peak
     # refined by parabolic interpolation before heights are compared
-    first, last = os * min_lag, os * max_lag
-    ym = corr[:, first:last - 1]
-    y0 = corr[:, first + 1:last]
-    yp = corr[:, first + 2:last + 1]
-    peak = (y0 > ym) & (y0 >= yp)
+    last = os * (max_lag - min_lag)
+    ym, y0, yp = corr[:, :last - 1], corr[:, 1:last], corr[:, 2:last + 1]
+    peaks = np.flatnonzero((y0 > ym) & (y0 >= yp))   # in (rows, last - 1)
+    at, col = np.divmod(peaks, last - 1)
+    ym, y0, yp = corr[at, col], corr[at, col + 1], corr[at, col + 2]
     denom = ym - 2.0 * y0 + yp
     flat = np.abs(denom) < 1e-12
-    shifts = np.clip(0.5 * (ym - yp) / np.where(flat, 1.0, denom), -0.5, 0.5)
-    shifts[flat] = 0.0
-    heights = np.where(peak, y0 - 0.25 * (ym - yp) * shifts, -np.inf)
+    shift = np.clip(0.5 * (ym - yp) / np.where(flat, 1.0, denom), -0.5, 0.5)
+    shift[flat] = 0.0
+    shifts = np.zeros((rows.size, last - 1))
+    heights = np.full(shifts.shape, -np.inf)
+    shifts.ravel()[peaks] = shift
+    heights.ravel()[peaks] = y0 - 0.25 * (ym - yp) * shift
     best = heights.max(axis=1)
     j = np.argmax(heights >= PEAK_KEEP * best[:, None], axis=1)
-    hz = sr * os / (first + 1 + j + shifts[np.arange(rows.size), j])
+    hz = sr * os / (os * min_lag + 1 + j + shifts[np.arange(rows.size), j])
     ok = (best >= VOICING_THRESHOLD) & (hz >= F0_MIN) & (hz <= F0_MAX)
     f0[rows[ok]] = hz[ok]
     return f0

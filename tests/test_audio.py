@@ -265,6 +265,17 @@ def test_load_wav_rejects_a_truncated_data_chunk(tmp_path):
                               "data chunk has 50 of 200 bytes")
 
 
+def test_load_wav_names_a_file_whose_header_gives_a_rate_of_0(tmp_path):
+    path = tmp_path / "rate0.wav"
+    blob = bytearray(riff(1, 1, 16, bytes(20)))
+    blob[24:32] = bytes(8)              # sample rate and byte rate
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError) as exc:
+        load_wav(path)
+    assert str(exc.value) == (f"cannot read WAV file {path}: "
+                              "sample rate must be positive, got 0")
+
+
 def test_load_wav_names_a_file_with_no_samples(tmp_path):
     path = tmp_path / "empty.wav"
     path.write_bytes(riff(1, 2, 16, bytes(2)))     # half of one frame

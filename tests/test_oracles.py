@@ -16,6 +16,7 @@ from voxrestore import (AudioBuffer, DisguiseFamily, DisguiseSpec,
 
 audio = importlib.import_module("voxrestore.audio")
 evaluate = importlib.import_module("voxrestore.evaluate")
+pitch = importlib.import_module("voxrestore.pitch")
 
 PITCH_TIME_RATIOS = [semitone_to_scale(spec.param)
                      for spec in default_grid("pitch-time")]
@@ -55,6 +56,19 @@ def test_resample_shorter_than_kernel_matches_direct_kernel(ratio):
     want = oracles.resample(buf, ratio).samples
     assert got.size == want.size
     assert np.max(np.abs(got - want)) <= 1e-6
+
+
+@pytest.mark.parametrize("ratio", PITCH_TIME_RATIOS, ids=lambda r: f"{r:.4f}")
+def test_resample_keeps_a_constant_at_unit_gain(ratio):
+    # each output divides by the row sums of its interpolated kernel, so
+    # a constant passes unchanged wherever the kernel misses both ends
+    buf = AudioBuffer(np.full(SR // 2, 0.75), SR)
+    out = resample(buf, ratio).samples
+    half = audio._kernel_table(min(1.0, 1.0 / ratio)).shape[1] // 2
+    inner = out[int(np.ceil(half / ratio)) + 1:
+                int((buf.samples.size - half) / ratio) - 1]
+    assert inner.size > 0.5 * out.size
+    assert np.max(np.abs(inner - 0.75)) <= 1e-12
 
 
 def test_kernel_table_is_built_once_per_cutoff_and_read_only(monkeypatch):
@@ -112,6 +126,34 @@ def test_tracker_matches_oracle_on_corpus_and_disguises(corpus_small):
 ], ids=["tone", "noise", "silence", "gapped", "long", "8k", "8k-gapped"])
 def test_tracker_matches_oracle(make):
     _assert_same_track(make())
+
+
+@pytest.mark.parametrize("block", [1, 7, 128])
+@pytest.mark.parametrize("make", [
+    lambda: speechy(3.0),
+    lambda: _gapped(speechy(1.0, sr=8000)),
+], ids=["long", "8k-gapped"])
+def test_tracker_matches_oracle_at_any_block_size(monkeypatch, make, block):
+    # remainder blocks, and blocks whose rows the power floor drops
+    monkeypatch.setattr(pitch, "_BLOCK_FRAMES", block)
+    _assert_same_track(make())
+
+
+def test_tracker_takes_no_transform_longer_than_its_frame_spectrum(
+        monkeypatch):
+    # the oversampled lags come from one 2,048-point inverse transform
+    # per phase, not from one transform os times as long
+    lengths = []
+    irfft = np.fft.irfft
+
+    def spy(a, n=None, *args, **kwargs):
+        lengths.append(n)
+        return irfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", spy)
+    track = estimate_f0(speechy(1.0))
+    assert track.voiced.any()
+    assert lengths and max(lengths) == 2048
 
 
 def test_tracker_raises_no_numerical_warnings(corpus_small):
