@@ -180,14 +180,22 @@ def istft(spectrum: np.ndarray, sample_rate: int) -> AudioBuffer:
                          f"{nfft // 2 + 1}) as at {sample_rate} Hz")
     if not np.all(np.isfinite(spectrum)):
         raise ValueError("spectrum contains non-finite values")
-    frames = np.fft.irfft(spectrum, n=nfft, axis=1)[:, :win]
-    n_out = (len(frames) - 1) * hop + win
-    y = np.zeros(n_out)
-    den = np.zeros(n_out)
-    for i, frame in enumerate(frames):
-        start = i * hop
-        y[start:start + win] += frame * w
-        den[start:start + win] += w * w
+    n_frames = len(spectrum)
+    n_out = (n_frames - 1) * hop + win
+    # frame i's block b lands on output block i + b; adding each block
+    # position over all frames, last block first, sums every sample's
+    # frames in ascending order
+    blocks = -(-win // hop)
+    frames = np.zeros((n_frames, blocks * hop))
+    frames[:, :win] = np.fft.irfft(spectrum, n=nfft, axis=1)[:, :win] * w
+    weight = np.zeros(blocks * hop)
+    weight[:win] = w * w
+    y = np.zeros((n_frames + blocks - 1, hop))
+    den = np.zeros_like(y)
+    for b in reversed(range(blocks)):
+        y[b:b + n_frames] += frames[:, b * hop:(b + 1) * hop]
+        den[b:b + n_frames] += weight[b * hop:(b + 1) * hop]
+    y, den = y.ravel()[:n_out], den.ravel()[:n_out]
     # normalize only where the window sum carries real weight; at the
     # extreme edges the raw tapered sum is kept, avoiding huge gains
     good = den > 1e-3 * den.max()

@@ -18,7 +18,7 @@ from .audio import istft, load_wav, save_wav, stft
 from .disguise import DisguiseSpec, apply_spectral_warp, disguise
 from .evaluate import (Corpus, CorpusConfig, Trial, gen_trials, run_matrix,
                        synth_corpus)
-from .restore import default_grid, grid_from_range, restore_pair
+from .restore import NO_OP, default_grid, grid_from_range, restore_pair
 from .speaker import (Embedding, load_external_embeddings, warped_filterbank,
                       write_embeddings)
 
@@ -241,8 +241,9 @@ def cmd_eval(args) -> int:
     audio = {}
     for token in tokens:
         full = token if os.path.isabs(token) else os.path.join(base, token)
-        if external is not None and not os.path.isfile(full):
-            continue   # embeddings come from the table; audio optional
+        if external is not None and ("f0ratio" not in restorations
+                                     or not os.path.isfile(full)):
+            continue   # embeddings come from the table; only f0ratio reads
         audio[token] = load_wav(full)
     report = run_matrix(audio, trials, restorations, external=external)
     elapsed = time.perf_counter() - t0
@@ -275,12 +276,14 @@ def cmd_eval(args) -> int:
 
     if dump:
         write_embeddings(dump,
-                         {token: report.embeddings[token] for token in tokens})
+                         {token: report.embeddings[token].embedding(NO_OP)
+                          for token in tokens})
 
     banks = warped_filterbank.cache_info()
     log.info("evaluated %d trials x %d restorations in %.2fs; %d embeddings,"
              " %d filterbanks (%d reused)", report.n_trials, len(report.rows),
-             elapsed, len(report.embeddings), banks.misses, banks.hits)
+             elapsed, sum(len(r.matrix) for r in report.embeddings.values()),
+             banks.misses, banks.hits)
     _emit(payload)
     for row in report.rows:
         print(f"{row.restoration}: EER {row.eer.eer_percent:.2f}% "

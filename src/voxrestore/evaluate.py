@@ -10,7 +10,8 @@ import numpy as np
 from .audio import AudioBuffer
 from .disguise import (SEMITONE_FAMILIES, VTLN_FAMILIES, DisguiseFamily,
                        DisguiseSpec, disguise, parse_family)
-from .restore import default_grid, parse_restoration, search_pairs
+from .restore import (EmbeddingRows, default_grid, parse_restoration,
+                      search_pairs)
 from .speaker import Embedding
 
 log = logging.getLogger("voxrestore")
@@ -71,7 +72,7 @@ def _all_pole(x: np.ndarray, poles: Sequence[complex]) -> np.ndarray:
     return np.fft.irfft(spectrum, size)[:x.size]
 
 
-def _synth_utterance(rng: np.random.Generator, base_f0: float,
+def _synth_utterance(rng: "np.random.Generator", base_f0: float,
                      formants: Sequence[float], bandwidths: Sequence[float],
                      hiss_freq: float, hiss_bw: float, hiss_level: float,
                      sample_rate: int, duration_s: float) -> AudioBuffer:
@@ -315,13 +316,13 @@ class MatrixRow:
 @dataclass
 class MatrixReport:
     """Per-method rows of one evaluation. `embeddings` holds every
-    embedding the run scored with, keyed by sidecar token; it is not
-    part of `to_dict`."""
+    embedding the run scored with, as `restore.embedding_table` gives
+    them; it is not part of `to_dict`."""
 
     rows: List[MatrixRow]
     n_trials: int
     trial_summary: Dict[str, int]
-    embeddings: Dict[str, Embedding]
+    embeddings: Dict[str, EmbeddingRows]
     disguise_label: str = "none"
 
     def to_dict(self) -> dict:

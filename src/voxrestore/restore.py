@@ -1,6 +1,7 @@
 """Blind voice restoration: undo an unknown disguise by exhaustive
 parameter search against an enrolled speaker, or from the F0 ratio."""
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -11,8 +12,9 @@ from .disguise import (NO_OP, SEMITONE_FAMILIES, DisguiseFamily,
                        DisguiseSpec, IDENTITY_PARAMS, parse_family)
 from .pitch import (UnvoicedUtteranceError, estimate_f0, f0_ratio_alpha,
                     mean_f0)
-from .speaker import (Embedding, active_magnitudes, candidate_features,
-                      distance, pool)
+from .speaker import (EMBED_DIM, Embedding, active_magnitudes,
+                      candidate_features, cosine_distances, frames_major,
+                      pool, row_norms, workspace)
 
 _GRID_DEFS = {
     DisguiseFamily.PITCH_FREQ: (-11.0, 11.0, 1.0),
@@ -51,9 +53,12 @@ def grid_from_range(family, lo: float, hi: float,
     return tuple(DisguiseSpec(fam, float(v)) for v in vals)
 
 
+@functools.lru_cache(maxsize=None)
 def default_grid(family) -> Tuple[DisguiseSpec, ...]:
     """The stock search grid for a family (integer semitones for the
-    pitch families, fixed-step sweeps for the warp families)."""
+    pitch families, fixed-step sweeps for the warp families), built
+    once per family name or member; a grid is a tuple of frozen specs,
+    so every caller may share it."""
     fam = parse_family(family)
     return grid_from_range(fam, *_GRID_DEFS[fam])
 
@@ -93,15 +98,33 @@ class _RestorationContext:
         self.power = np.square(active_magnitudes(disguised))
 
     def features(self, alpha: float, family: DisguiseFamily) -> np.ndarray:
-        return candidate_features(self.power, self.sample_rate,
-                                  (DisguiseSpec(family, alpha),))[0]
+        return frames_major(candidate_features(
+            self.power, self.sample_rate, (DisguiseSpec(family, alpha),)))
 
-    def embeddings(self, specs) -> List[Embedding]:
-        """Embeddings of `specs`, _BLOCK_CANDIDATES candidates at a time."""
-        return [Embedding(v) for i in range(0, len(specs), _BLOCK_CANDIDATES)
-                for v in pool(candidate_features(
-                    self.power, self.sample_rate,
-                    specs[i:i + _BLOCK_CANDIDATES]))]
+    def embeddings(self, specs) -> np.ndarray:
+        """(len(specs), EMBED_DIM) embeddings of `specs`, computed
+        _BLOCK_CANDIDATES candidates at a time."""
+        out = np.empty((len(specs), EMBED_DIM))
+        work = workspace(len(self.power), min(len(specs), _BLOCK_CANDIDATES))
+        for i in range(0, len(specs), _BLOCK_CANDIDATES):
+            out[i:i + _BLOCK_CANDIDATES] = pool(candidate_features(
+                self.power, self.sample_rate, specs[i:i + _BLOCK_CANDIDATES],
+                work))
+        return out
+
+
+@dataclass(frozen=True)
+class EmbeddingRows:
+    """The embeddings of one utterance's candidates: candidate `spec`
+    inverts to row `index[spec]` of `matrix`, whose row norms are
+    `norms`; candidates with one sidecar token share a row."""
+
+    index: Dict[DisguiseSpec, int]
+    matrix: np.ndarray
+    norms: np.ndarray
+
+    def embedding(self, spec: DisguiseSpec) -> Embedding:
+        return Embedding(self.matrix[self.index[spec]])
 
 
 def restore_with(disguised: AudioBuffer, alpha: float,
@@ -113,8 +136,9 @@ def restore_with(disguised: AudioBuffer, alpha: float,
 
 
 def embedding_table(utterances, external: Optional[Dict[str, Embedding]]
-                    ) -> Dict[str, Embedding]:
-    """Every embedding a restoration needs, keyed by sidecar token.
+                    ) -> Dict[str, EmbeddingRows]:
+    """Every embedding a restoration needs, as one `EmbeddingRows` per
+    utterance id.
 
     `utterances` holds (utt_id, audio, candidates) entries; each
     `DisguiseSpec` candidate asks for the embedding of its inversion,
@@ -132,36 +156,47 @@ def embedding_table(utterances, external: Optional[Dict[str, Embedding]]
     if len(rates) > 1:
         raise ValueError("audio mixes sample rates: "
                          + " and ".join(f"{r} Hz" for r in rates))
-    table: Dict[str, Embedding] = {}
+    table: Dict[str, EmbeddingRows] = {}
     for utt, buf, candidates in utterances:
-        wanted: Dict[str, DisguiseSpec] = {}
-        for spec in candidates:
-            wanted.setdefault(_candidate_token(utt, spec), spec)
+        wanted: Dict[str, tuple] = {}       # token -> (row, first spec)
+        index = {spec: wanted.setdefault(_candidate_token(utt, spec),
+                                         (len(wanted), spec))[0]
+                 for spec in candidates}
+        if not wanted:
+            continue
         if external is not None:
             for tok in wanted:
                 if tok not in external:
                     raise KeyError(f"utterance {tok!r} missing from external "
                                    f"embedding table")
-                table[tok] = external[tok]
-            continue
-        if buf is None:
+            matrix = np.array([external[tok].vector for tok in wanted])
+        elif buf is None:
             raise KeyError(f"no audio for utterance {utt!r}")
-        try:
-            table.update(zip(wanted, _RestorationContext(buf).embeddings(
-                list(wanted.values()))))
-        except ValueError as exc:
-            raise ValueError(f"{utt}: {exc}") from None
+        else:
+            try:
+                matrix = _RestorationContext(buf).embeddings(
+                    [spec for _, spec in wanted.values()])
+                if not np.all(np.isfinite(matrix)):
+                    raise ValueError("embedding vector contains non-finite "
+                                     "values")
+            except ValueError as exc:
+                raise ValueError(f"{utt}: {exc}") from None
+        table[utt] = EmbeddingRows(index, matrix, row_norms(matrix))
     return table
 
 
-def _search(reference: Embedding, table: Dict[str, Embedding],
-            test_id: str, candidates):
-    """Argmin of the distance from `reference` over the embeddings of
-    `test_id`'s `candidates`; ties prefer the candidate nearest its
-    family's no-op parameter, then the smaller parameter. Returns the
-    best (spec, distance) and every one scored."""
-    scored = [(s, distance(reference, table[_candidate_token(test_id, s)]))
-              for s in candidates]
+def _search(table: Dict[str, EmbeddingRows], enroll_id: str, test_id: str,
+            candidates):
+    """Argmin of the `cosine_distances` from the plain row of `enroll_id`
+    to the embeddings of `test_id`'s `candidates`; ties prefer the
+    candidate nearest its family's no-op parameter, then the smaller
+    parameter. Returns the best (spec, distance) and every one scored."""
+    ref, test = table[enroll_id], table[test_id]
+    i = ref.index[NO_OP]
+    rows = np.array([test.index[s] for s in candidates])
+    scored = list(zip(candidates, cosine_distances(
+        test.matrix[rows], test.norms[rows], ref.matrix[i],
+        ref.norms[i]).tolist()))
     best = min(scored, key=lambda c: (
         c[1], abs(c[0].param - IDENTITY_PARAMS[c[0].family]), c[0].param))
     return best, scored
@@ -227,7 +262,7 @@ def search_pairs(audio: Dict[str, Optional[AudioBuffer]], pairs, methods,
             need.update(dict.fromkeys(per_pair[i]))
     table = embedding_table(
         ((u, audio.get(u), cands) for u, cands in needs.items()), external)
-    results = [[_search(table[e], table, t, cands)
+    results = [[_search(table, e, t, cands)
                 for (e, t), cands in zip(pairs, per_pair)]
                for per_pair in plan]
     return table, results, sum(unvoiced) if reads_f0 else None

@@ -4,7 +4,7 @@ scoring, and sidecar files for embeddings computed elsewhere."""
 import functools
 import os
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -64,57 +64,94 @@ _DCT = np.sqrt((2.0 - (np.arange(N_CEPSTRA) == 0)) / N_MELS) * np.cos(
     np.pi / N_MELS * np.outer(np.arange(N_MELS) + 0.5, np.arange(N_CEPSTRA)))
 
 
-def _delta(c: np.ndarray, span: int = DELTA_SPAN) -> np.ndarray:
-    """Deltas along the frame axis, -2, repeating the edge frames."""
-    n = c.shape[-2]
-    padded = np.concatenate([c[..., :1, :]] * span + [c]
-                            + [c[..., -1:, :]] * span, axis=-2)
-    num = sum(j * (padded[..., span + j:n + span + j, :]
-                   - padded[..., span - j:n + span - j, :])
-              for j in range(1, span + 1))
-    return num / (2.0 * sum(j * j for j in range(1, span + 1)))
-
-
 @functools.lru_cache(maxsize=256)
 def warped_filterbank(spec: DisguiseSpec, n_bins: int,
                       sample_rate: int) -> np.ndarray:
-    """(n_bins, N_MELS) pre-emphasis and mel filterbank, read-only, for
+    """(N_MELS, n_bins) pre-emphasis and mel filterbank, read-only, for
     power inverse-warped by `spec`: linear on power, the warp folds into
     the bank, as in filterbank-warped VTLN (Lee and Rose, 1998)."""
     fft_size = 2 * (n_bins - 1)
     # pre-emphasis, as the power response of a first-order difference
     cos = np.cos(2.0 * np.pi * np.arange(n_bins) / fft_size)
-    weights = ((1.0 + PREEMPHASIS ** 2 - 2.0 * PREEMPHASIS * cos)[:, None]
-               * mel_filterbank(sample_rate, fft_size).T)
+    weights = ((1.0 + PREEMPHASIS ** 2 - 2.0 * PREEMPHASIS * cos)
+               * mel_filterbank(sample_rate, fft_size))
     lo, frac = warp_indices(spec, n_bins, "inverse")
     bank = np.zeros_like(weights)
-    np.add.at(bank, lo, (1.0 - frac)[:, None] * weights)
-    np.add.at(bank, lo + 1, frac[:, None] * weights)
+    np.add.at(bank, (slice(None), lo), (1.0 - frac) * weights)
+    np.add.at(bank, (slice(None), lo + 1), frac * weights)
     bank.flags.writeable = False
     return bank
 
 
-def candidate_features(power: np.ndarray, sample_rate: int,
-                       specs) -> np.ndarray:
-    """(len(specs), frames, FEATURE_DIM) features of (frames, bins) STFT
-    power restored by each candidate spec: one product per candidate
-    with its `warped_filterbank`, each log floored relative to that
-    candidate's loudest filter output (so gain only shifts c0)."""
-    power = np.ascontiguousarray(power, dtype=np.float64)   # layout-free bits
+def workspace(frames: int, candidates: int) -> np.ndarray:
+    """A buffer `candidate_features` can fill for up to `candidates`
+    candidates of `frames` frames, and fill again for the next ones."""
+    return np.empty((4, frames + 2 * DELTA_SPAN, candidates, N_CEPSTRA))
+
+
+def candidate_features(power: np.ndarray, sample_rate: int, specs,
+                       work: Optional[np.ndarray] = None) -> np.ndarray:
+    """(3, frames, len(specs), N_CEPSTRA) statics, deltas and
+    delta-deltas of (frames, bins) STFT power restored by each candidate
+    spec, in `work` (a new `workspace` if None). Each candidate takes
+    its own products, of one shape in any batch, so its bits do not
+    depend on the batch: with its `warped_filterbank`, then, after a log
+    floored at its own loudest filter output (so gain only shifts c0),
+    with the DCT. Deltas regress over DELTA_SPAN frames each side,
+    repeating the edges (Furui, 1986), on all candidates at once."""
+    power = np.asarray(power, dtype=np.float64)
     if power.ndim != 2 or power.shape[0] == 0 or power.shape[1] < 2:
         raise ValueError("need a (frames, bins) spectral array, bins >= 2")
-    mel = power @ np.stack([warped_filterbank(spec, power.shape[1],
-                                              sample_rate) for spec in specs])
-    floor = np.maximum(mel.max(axis=(1, 2)) * 1e-12, 1e-300)
-    ceps = np.log(np.maximum(mel, floor[:, None, None])) @ _DCT
-    d1 = _delta(ceps)
-    return np.concatenate([ceps, d1, _delta(d1)], axis=-1)
+    n, bins = power.shape
+    power_t = np.ascontiguousarray(power.T)   # layout-free bits
+    span = DELTA_SPAN
+    if work is None:
+        work = workspace(n, len(specs))
+    # frames span .. n + span - 1 of each section hold the features, the
+    # rest repeat its edge frames; section 3 is scratch
+    work = work[:, :n + 2 * span, :len(specs)]
+    mel = np.empty((N_MELS, n))
+    for c, spec in enumerate(specs):
+        np.matmul(warped_filterbank(spec, bins, sample_rate), power_t, out=mel)
+        np.maximum(mel, max(float(mel.max()) * 1e-12, 1e-300), out=mel)
+        np.matmul(np.log(mel, out=mel).T, _DCT,
+                  out=work[0, span:n + span, c])
+    for i in (1, 2):
+        src, out, tmp = work[i - 1], work[i, span:n + span], work[3, :n]
+        src[:span], src[n + span:] = src[span], src[n + span - 1]
+        np.subtract(src[span + 1:n + span + 1], src[span - 1:n + span - 1],
+                    out=out)
+        for j in range(2, span + 1):
+            np.subtract(src[span + j:n + span + j],
+                        src[span - j:n + span - j], out=tmp)
+            out += np.multiply(tmp, j, out=tmp)
+        out /= 2.0 * sum(j * j for j in range(1, span + 1))
+    return work[:3, span:n + span]
+
+
+def pool(features: np.ndarray) -> np.ndarray:
+    """(k, EMBED_DIM) per-feature means and stds over the frame axis,
+    concatenated, of k candidates' (3, frames, k, N_CEPSTRA) features,
+    which it overwrites."""
+    n, k = features.shape[1:3]
+    mean = np.add.reduce(features, axis=1) / n
+    dev = np.subtract(features, mean[:, None], out=features)
+    std = np.sqrt(np.add.reduce(np.square(dev, out=dev), axis=1) / n)
+    return np.concatenate([mean, std]).transpose(1, 0, 2).reshape(
+        k, EMBED_DIM)
+
+
+def frames_major(features: np.ndarray) -> np.ndarray:
+    """The one candidate of `candidate_features` as a (frames,
+    FEATURE_DIM) array: statics, then deltas, then delta-deltas."""
+    return features[:, :, 0].transpose(1, 0, 2).reshape(-1, FEATURE_DIM)
 
 
 def features_from_magnitudes(magnitudes: np.ndarray,
                              sample_rate: int) -> np.ndarray:
     """`candidate_features` of the no-op on these magnitudes' power."""
-    return candidate_features(np.square(magnitudes), sample_rate, (NO_OP,))[0]
+    return frames_major(candidate_features(np.square(magnitudes),
+                                           sample_rate, (NO_OP,)))
 
 
 def active_magnitudes(buf: AudioBuffer) -> np.ndarray:
@@ -135,31 +172,41 @@ def mfcc(buf: AudioBuffer) -> np.ndarray:
     return features_from_magnitudes(active_magnitudes(buf), buf.sample_rate)
 
 
-def pool(features: np.ndarray) -> np.ndarray:
-    """Per-feature mean and std over the frame axis, -2, concatenated."""
-    return np.concatenate([features.mean(axis=-2), features.std(axis=-2)],
-                          axis=-1)
-
-
 def embed(features: np.ndarray) -> Embedding:
     """Mean and standard deviation of each column of a (frames,
-    FEATURE_DIM) feature array, concatenated."""
+    FEATURE_DIM) feature array, concatenated, pooled as the embedding
+    table pools `candidate_features`."""
     if features.shape[1:] != (FEATURE_DIM,) or len(features) == 0:
         raise ValueError(f"features must be (frames >= 1, {FEATURE_DIM}), "
                          f"got {features.shape}")
-    return Embedding(pool(features))
+    rows = np.asarray(features, dtype=np.float64).reshape(
+        len(features), 3, N_CEPSTRA).transpose(1, 0, 2).copy()
+    return Embedding(pool(rows[:, :, None])[0])
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array."""
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+
+def cosine_distances(rows: np.ndarray, norms: np.ndarray, ref: np.ndarray,
+                     ref_norm: float) -> np.ndarray:
+    """1 - cos(row, ref), in [0, 2], for each row of `rows` with its norm
+    in `norms`: one matrix-vector product with the same arithmetic for
+    every row, so equal rows score equal, in any batch."""
+    norms = norms * ref_norm
+    if not norms.all():
+        raise ValueError("cannot score a zero-norm embedding")
+    return 1.0 - np.clip(np.einsum("ij,j->i", rows, ref) / norms, -1.0, 1.0)
 
 
 def distance(a: Embedding, b: Embedding) -> float:
     """Cosine distance, 1 - cos(a, b), in [0, 2]. Lower is more similar."""
     if a.dim != b.dim:
         raise ValueError(f"embedding dims differ: {a.dim} vs {b.dim}")
-    na = np.linalg.norm(a.vector)
-    nb = np.linalg.norm(b.vector)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cannot score a zero-norm embedding")
-    cos = float(np.dot(a.vector, b.vector) / (na * nb))
-    return 1.0 - max(-1.0, min(1.0, cos))
+    rows = b.vector[None]
+    return float(cosine_distances(rows, row_norms(rows), a.vector,
+                                  row_norms(a.vector[None])[0])[0])
 
 
 def load_external_embeddings(path) -> Dict[str, Embedding]:

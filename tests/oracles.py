@@ -4,12 +4,18 @@
 the kernel for every tap of every output sample; `estimate_f0` is the
 frame-by-frame F0 tracker; `RestorationContext.features` is the
 candidate path that warped each candidate's STFT magnitudes before the
-mel filterbank; `formant_cascade` and `resonator` are the corpus
+mel filterbank; `candidate_features`, `pool` and `distance` are the
+power-domain candidate path that stacked the filterbanks of a block of
+candidates into one product, took deltas along its middle axis and
+scored one pair of embeddings at a time; `istft` overlap-adds one frame
+at a time; `formant_cascade` and `resonator` are the corpus
 synthesizer's `lfilter` chain; `load_wav` reads through
 `scipy.io.wavfile`. All are the library's earlier bodies, kept verbatim
 with their helpers (the unchanged framing, warping, gating and
-filterbank helpers are imported), so the table-driven resampler, the
-frame-batched tracker, the power-domain warped filterbank, the spectral
+filterbank helpers are imported; `_delta` is the later, batched form of
+the same arithmetic), so the table-driven resampler, the frame-batched
+tracker, the power-domain warped filterbank, the candidate kernel and
+its matrix-vector scoring, the block-wise overlap-add, the spectral
 all-pole filter and the numpy RIFF reader can be checked against them.
 """
 
@@ -22,12 +28,13 @@ from scipy.linalg import solve_toeplitz
 from scipy.signal import lfilter
 
 from voxrestore import AudioBuffer, DisguiseFamily, DisguiseSpec
-from voxrestore.audio import HOP_MS, _frame_signal
+from voxrestore.audio import HOP_MS, WINDOW_MS, _frame_signal, frame_geometry
 from voxrestore.disguise import warp_bins
 from voxrestore.pitch import (F0_MAX, F0_MIN, LPC_ORDER, PEAK_KEEP,
                               PITCH_WINDOW_MS, VOICING_THRESHOLD, F0Track)
-from voxrestore.speaker import (DELTA_SPAN, N_CEPSTRA, PREEMPHASIS,
-                                active_magnitudes, mel_filterbank)
+from voxrestore.speaker import (_DCT, DELTA_SPAN, N_CEPSTRA, PREEMPHASIS,
+                                Embedding, active_magnitudes, mel_filterbank,
+                                warped_filterbank)
 
 
 def resample(buf: AudioBuffer, ratio: float) -> AudioBuffer:
@@ -189,12 +196,13 @@ def _preemphasis(n_bins: int, fft_size: int) -> np.ndarray:
 
 
 def _delta(c: np.ndarray, span: int = DELTA_SPAN) -> np.ndarray:
-    padded = np.concatenate([np.repeat(c[:1], span, axis=0), c,
-                             np.repeat(c[-1:], span, axis=0)], axis=0)
-    num = np.zeros_like(c)
-    for j in range(1, span + 1):
-        num += j * (padded[span + j:padded.shape[0] - span + j]
-                    - padded[span - j:c.shape[0] + span - j])
+    """Deltas along the frame axis, -2, repeating the edge frames."""
+    n = c.shape[-2]
+    padded = np.concatenate([c[..., :1, :]] * span + [c]
+                            + [c[..., -1:, :]] * span, axis=-2)
+    num = sum(j * (padded[..., span + j:n + span + j, :]
+                   - padded[..., span - j:n + span - j, :])
+              for j in range(1, span + 1))
     return num / (2.0 * sum(j * j for j in range(1, span + 1)))
 
 
@@ -223,6 +231,60 @@ def features_from_magnitudes(magnitudes: np.ndarray,
     d1 = _delta(ceps)
     d2 = _delta(d1)
     return np.concatenate([ceps, d1, d2], axis=1)
+
+
+def candidate_features(power: np.ndarray, sample_rate: int,
+                       specs) -> np.ndarray:
+    """(len(specs), frames, FEATURE_DIM) features of (frames, bins) STFT
+    power restored by each candidate spec: one product per candidate
+    with its `warped_filterbank`, each log floored relative to that
+    candidate's loudest filter output (so gain only shifts c0)."""
+    power = np.ascontiguousarray(power, dtype=np.float64)   # layout-free bits
+    if power.ndim != 2 or power.shape[0] == 0 or power.shape[1] < 2:
+        raise ValueError("need a (frames, bins) spectral array, bins >= 2")
+    mel = power @ np.stack([warped_filterbank(spec, power.shape[1],
+                                              sample_rate).T for spec in specs])
+    floor = np.maximum(mel.max(axis=(1, 2)) * 1e-12, 1e-300)
+    ceps = np.log(np.maximum(mel, floor[:, None, None])) @ _DCT
+    d1 = _delta(ceps)
+    return np.concatenate([ceps, d1, _delta(d1)], axis=-1)
+
+
+def pool(features: np.ndarray) -> np.ndarray:
+    """Per-feature mean and std over the frame axis, -2, concatenated."""
+    return np.concatenate([features.mean(axis=-2), features.std(axis=-2)],
+                          axis=-1)
+
+
+def distance(a: Embedding, b: Embedding) -> float:
+    """Cosine distance, 1 - cos(a, b), in [0, 2]. Lower is more similar."""
+    if a.dim != b.dim:
+        raise ValueError(f"embedding dims differ: {a.dim} vs {b.dim}")
+    na = np.linalg.norm(a.vector)
+    nb = np.linalg.norm(b.vector)
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("cannot score a zero-norm embedding")
+    cos = float(np.dot(a.vector, b.vector) / (na * nb))
+    return 1.0 - max(-1.0, min(1.0, cos))
+
+
+def istft(spectrum: np.ndarray, sample_rate: int) -> AudioBuffer:
+    """Weighted overlap-add inverse of `stft` at `sample_rate`, one
+    frame at a time."""
+    win, hop, nfft, w = frame_geometry(sample_rate, WINDOW_MS, HOP_MS)
+    frames = np.fft.irfft(spectrum, n=nfft, axis=1)[:, :win]
+    n_out = (len(frames) - 1) * hop + win
+    y = np.zeros(n_out)
+    den = np.zeros(n_out)
+    for i, frame in enumerate(frames):
+        start = i * hop
+        y[start:start + win] += frame * w
+        den[start:start + win] += w * w
+    # normalize only where the window sum carries real weight; at the
+    # extreme edges the raw tapered sum is kept, avoiding huge gains
+    good = den > 1e-3 * den.max()
+    y[good] /= den[good]
+    return AudioBuffer(y, sample_rate)
 
 
 class RestorationContext:

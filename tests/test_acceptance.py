@@ -11,15 +11,17 @@ import numpy as np
 import pytest
 
 import oracles
-from voxrestore import (AudioBuffer, DisguiseFamily, DisguiseSpec,
-                        alpha_bias, build_warp, compute_eer, default_grid,
-                        disguise, embed, estimate_f0, f0_ratio_alpha,
-                        gen_trials, mean_f0, resample, restore_pair,
-                        run_matrix, scale_to_semitone, semitone_to_scale,
-                        synth_corpus)
+from voxrestore import (IDENTITY_PARAMS, AudioBuffer, DisguiseFamily,
+                        DisguiseSpec, Embedding, alpha_bias, build_warp,
+                        compute_eer, default_grid, disguise, embed,
+                        estimate_f0, f0_ratio_alpha, gen_trials, mean_f0,
+                        resample, restore_pair, run_matrix,
+                        scale_to_semitone, semitone_to_scale, synth_corpus)
 from voxrestore.cli import main as cli_main
 from voxrestore.disguise import VTLN_FAMILIES
-from voxrestore.restore import _candidate_token, _search
+from voxrestore.restore import (NO_OP, _candidate_token, _search,
+                                embedding_table)
+from voxrestore.speaker import active_magnitudes
 
 SR = 16000
 
@@ -250,6 +252,36 @@ def test_clean_corpus_baseline_eer(corpus):
     assert eer <= 5.0
 
 
+@pytest.mark.parametrize("trial_set", ["pitch", "vtln"])
+def test_alpha_hat_equals_the_stacked_product_oracle(request, trial_set):
+    # the candidate kernel and the one-product search pick what the
+    # stacked product, `_delta`, `pool` and pairwise `distance` picked
+    trials, audio = request.getfixturevalue(f"{trial_set}_trials")
+    table = request.getfixturevalue(f"{trial_set}_matrix").embeddings
+    for family in ("pitch-freq", "vtln-power"):
+        grid = default_grid(family)
+        oracle = {}
+        for utt in dict.fromkeys(u for t in trials
+                                 for u in (t.enroll_id, t.test_id)):
+            power = np.square(active_magnitudes(audio[utt]))
+            rows = oracles.pool(oracles.candidate_features(
+                power, SR, (NO_OP,) + grid))
+            oracle[utt] = dict(zip((NO_OP,) + grid, map(Embedding, rows)))
+        for t in trials:
+            scored = [(s, oracles.distance(oracle[t.enroll_id][NO_OP],
+                                           oracle[t.test_id][s]))
+                      for s in grid]
+            want = min(scored, key=lambda c: (
+                c[1], abs(c[0].param - IDENTITY_PARAMS[c[0].family]),
+                c[0].param))
+            (got, _), got_scored = _search(table, t.enroll_id, t.test_id,
+                                           grid)
+            assert got == want[0]
+            got_d = np.array([d for _, d in got_scored])
+            want_d = np.array([d for _, d in scored])
+            assert np.max(np.abs(got_d - want_d)) <= 1e-12 * np.max(want_d)
+
+
 @pytest.mark.parametrize("trial_set, family", [
     ("pitch", "pitch-freq"), ("vtln", "vtln-power")])
 def test_restoration_agrees_with_the_magnitude_warp_oracle(request,
@@ -266,16 +298,19 @@ def test_restoration_agrees_with_the_magnitude_warp_oracle(request,
         if t.enroll_id not in oracle:
             oracle[t.enroll_id] = embed(oracles.RestorationContext(
                 audio[t.enroll_id]).features(0.0, DisguiseFamily.PITCH_FREQ))
-            np.testing.assert_allclose(table[t.enroll_id].vector,
-                                       oracle[t.enroll_id].vector,
-                                       rtol=1e-9, atol=0.0)
+            np.testing.assert_allclose(
+                table[t.enroll_id].embedding(NO_OP).vector,
+                oracle[t.enroll_id].vector, rtol=1e-9, atol=0.0)
         if t.test_id not in oracle:
             ctx = oracles.RestorationContext(audio[t.test_id])
             oracle.update((_candidate_token(t.test_id, spec),
                            embed(ctx.features(spec.param, spec.family)))
                           for spec in grid)
-    same = [_search(table[t.enroll_id], table, t.test_id, grid)[0][0]
-            == _search(oracle[t.enroll_id], oracle, t.test_id, grid)[0][0]
+    oracle = embedding_table(
+        [(t.enroll_id, None, (NO_OP,)) for t in trials]
+        + [(t.test_id, None, grid) for t in trials], oracle)
+    same = [_search(table, t.enroll_id, t.test_id, grid)[0][0]
+            == _search(oracle, t.enroll_id, t.test_id, grid)[0][0]
             for t in trials]
     print(f"{family} on {trial_set} trials: alpha_hat equal to the "
           f"oracle's on {sum(same)} of {len(same)}")

@@ -75,6 +75,31 @@ scipy_loaded()
     assert json.loads(lines[1])["n_utterances"] == 4
 
 
+def test_cli_leaves_numpy_random_unloaded(trial_dir, tmp_path):
+    # eval never draws, and loading numpy.random costs a process about
+    # 6 MB and 35 ms; importing the package must not load it either
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    script = """
+import sys
+import voxrestore, voxrestore.cli as cli
+print("numpy.random" in sys.modules)
+assert cli.main(["eval", "--trials", sys.argv[1], "--out", sys.argv[2],
+                 "--restore", "none", "--restore", "pitch-freq",
+                 "--restore", "f0ratio"]) == 0
+print("numpy.random" in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, os.path.join(trial_dir, "trials.txt"),
+         str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert [lines[0], lines[-1]] == ["False", "False"]
+
+
 def test_disguise_identity_round_trip(tmp_path, capsys, voice_wav):
     out = str(tmp_path / "same.wav")
     rc, stdout, _ = run_cli(capsys, "disguise", "--in", voice_wav,
@@ -597,6 +622,32 @@ def test_eval_external_no_op_candidates_read_the_plain_rows(
         assert (builtin / name).read_bytes() == (external / name).read_bytes()
 
 
+def test_eval_external_reads_audio_only_for_the_f0_ratio(trial_dir, tmp_path,
+                                                        capsys):
+    # with a table of embeddings only the F0 ratio reads samples, so a
+    # corrupt WAV stops an f0ratio eval, naming it, and nothing else
+    sidecar = str(tmp_path / "emb.txt")
+    assert run_cli(capsys, "eval", "--trials",
+                   os.path.join(trial_dir, "trials.txt"), "--out",
+                   str(tmp_path / "builtin.json"), "--dump-embeddings",
+                   sidecar)[0] == 0
+    copy = tmp_path / "trials"
+    shutil.copytree(trial_dir, copy)
+    trials = str(copy / "trials.txt")
+    bad = copy / open(trials, encoding="utf-8").readline().split()[2]
+    bad.write_bytes(b"RIFF....WAVEjunk")
+    assert run_cli(capsys, "eval", "--trials", trials, "--out",
+                   str(tmp_path / "external.json"), "--scorer",
+                   f"external:{sidecar}")[0] == 0
+    assert ((tmp_path / "external.json").read_bytes()
+            == (tmp_path / "builtin.json").read_bytes())
+    rc, _, stderr = run_cli(capsys, "eval", "--trials", trials, "--out",
+                            str(tmp_path / "f0.json"), "--restore",
+                            "f0ratio", "--scorer", f"external:{sidecar}")
+    assert rc == 1
+    assert stderr.startswith("error: ") and str(bad) in stderr
+
+
 def _count_analyses(monkeypatch) -> dict:
     """Count restoration contexts built and candidate features computed,
     wherever the CLI reaches them."""
@@ -605,9 +656,9 @@ def _count_analyses(monkeypatch) -> dict:
     features = speaker.candidate_features
     init = restore._RestorationContext.__init__
 
-    def counted_features(power, sample_rate, specs):
+    def counted_features(power, sample_rate, specs, work=None):
         counts["features"] += len(specs)
-        return features(power, sample_rate, specs)
+        return features(power, sample_rate, specs, work)
 
     def counted_init(self, disguised):
         counts["context"] += 1

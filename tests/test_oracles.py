@@ -1,6 +1,7 @@
 """The table-driven resampler, the frame-batched F0 tracker, the
-power-domain candidate features and the corpus synthesizer's all-pole
-filter against their direct forms in `oracles.py`."""
+power-domain candidate features, the candidate kernel and its scoring,
+the block-wise overlap-add and the corpus synthesizer's all-pole filter
+against their direct forms in `oracles.py`."""
 
 import importlib
 import warnings
@@ -17,6 +18,8 @@ from voxrestore import (AudioBuffer, DisguiseFamily, DisguiseSpec,
 audio = importlib.import_module("voxrestore.audio")
 evaluate = importlib.import_module("voxrestore.evaluate")
 pitch = importlib.import_module("voxrestore.pitch")
+restore = importlib.import_module("voxrestore.restore")
+speaker = importlib.import_module("voxrestore.speaker")
 
 PITCH_TIME_RATIOS = [semitone_to_scale(spec.param)
                      for spec in default_grid("pitch-time")]
@@ -202,6 +205,71 @@ def test_candidates_stay_near_the_magnitude_warp_oracle(corpus_small,
         step = embed(ctx.features(grid[1].param, family)).vector - embed(
             ctx.features(grid[0].param, family)).vector
         assert np.linalg.norm(got - want) < 0.5 * np.linalg.norm(step)
+
+
+# ---------------------------------------------------------------------------
+# candidate kernel and scoring
+
+
+def test_candidate_kernel_matches_the_stacked_product_oracle(corpus_small):
+    # per-candidate products, deltas along the leading frame axis and
+    # pooling in place against one stacked product, `_delta` and `pool`
+    buf = _first_utterance(corpus_small)
+    specs = ((restore.NO_OP,) + default_grid("pitch-freq")
+             + default_grid("vtln-bilinear"))
+    for x in (buf, disguise(buf, DisguiseSpec("vtln-power", 0.3)),
+              speechy(1.0, sr=8000)):
+        power = np.square(speaker.active_magnitudes(x))
+        want = oracles.candidate_features(power, x.sample_rate, specs)
+        got = speaker.candidate_features(power, x.sample_rate, specs)
+        assert np.max(np.abs(got.transpose(2, 1, 0, 3).reshape(want.shape)
+                             - want)) <= 1e-12 * np.max(np.abs(want))
+        want = oracles.pool(want)
+        got = speaker.pool(got)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_search_distances_match_the_dot_product_oracle(corpus_small):
+    ids = sorted(corpus_small.utterances)[:6]
+    grid = default_grid("vtln-power")
+    table = restore.embedding_table(
+        [(u, corpus_small.utterances[u], (restore.NO_OP,) + grid)
+         for u in ids], None)
+    for e in ids:
+        ref = table[e].embedding(restore.NO_OP)
+        for t in ids:
+            _, scored = restore._search(table, e, t, grid)
+            got = np.array([d for _, d in scored])
+            want = np.array([oracles.distance(ref, table[t].embedding(s))
+                             for s in grid])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+            # the public distance is the search's, bit for bit
+            assert got.tolist() == [
+                speaker.distance(ref, table[t].embedding(s)) for s in grid]
+
+
+# ---------------------------------------------------------------------------
+# overlap-add
+
+
+@pytest.mark.parametrize("sample_rate", [8000, 16000, 22050])
+def test_istft_matches_the_frame_loop(sample_rate, monkeypatch):
+    # at the stock hop a sample sums at most two frames, which add the
+    # same in either order; a 7 ms hop makes it sum up to four
+    rng = np.random.default_rng(sample_rate)
+    for hop_ms in (audio.HOP_MS, 7.0):
+        for module in (audio, oracles):
+            monkeypatch.setattr(module, "HOP_MS", hop_ms)
+        win, hop, _, _ = audio.frame_geometry(sample_rate, audio.WINDOW_MS,
+                                              hop_ms)
+        assert win % hop      # a frame's last hop-sized block is partial
+        for n in (win, win + hop // 2, 5 * hop + 7, sample_rate + 3):
+            spectrum = audio.stft(AudioBuffer(rng.standard_normal(n),
+                                              sample_rate))
+            assert np.array_equal(
+                audio.istft(spectrum, sample_rate).samples,
+                oracles.istft(spectrum, sample_rate).samples)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from voxrestore.restore import (MAX_GRID_CANDIDATES, NO_OP,
                                 _RestorationContext, _candidate_token,
                                 embedding_table, grid_from_range,
                                 parse_restoration)
-from voxrestore.speaker import candidate_features, warped_filterbank
+from voxrestore.speaker import (candidate_features, frames_major,
+                                warped_filterbank)
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +217,8 @@ def _whole_spectrogram_features(y: AudioBuffer, alpha: float,
         lo = np.minimum(coord.astype(np.int64), n_bins - 2)
         frac = coord - lo
         power = power[:, lo] * (1.0 - frac) + power[:, lo + 1] * frac
-    return candidate_features(power[vad(y)], y.sample_rate, (NO_OP,))[0]
+    return frames_major(
+        candidate_features(power[vad(y)], y.sample_rate, (NO_OP,)))
 
 
 @pytest.mark.parametrize("family", list(DisguiseFamily))
@@ -306,29 +308,37 @@ def test_out_of_range_alpha_fails_on_every_call(pair):
 
 
 @pytest.mark.parametrize("family", ["pitch-freq", "vtln-bilinear"])
-def test_table_embeddings_do_not_depend_on_their_batch(pair, family):
+def test_table_embeddings_do_not_depend_on_their_batch(pair, family,
+                                                      monkeypatch):
     # the benchmark holds sidecar rows to embed(mfcc(x)) and the none
     # row to plain distances, so batching candidates must not move a bit
+    restore = importlib.import_module("voxrestore.restore")
     y = disguise(pair[1], DisguiseSpec(family, default_grid(family)[2].param))
     grid = (NO_OP,) + default_grid(family) + default_grid("vtln-power")
-    table = embedding_table([("x", pair[0], (NO_OP,)), ("y", y, grid)], None)
-    for utt, buf in (("x", pair[0]), ("y", y)):
-        assert np.array_equal(table[utt].vector, embed(mfcc(buf)).vector)
-    for spec in grid:
-        assert np.array_equal(
-            table[_candidate_token("y", spec)].vector,
-            embed(restore_with(y, spec.param, spec.family)).vector)
-    # in reverse every candidate sits elsewhere in its block, and the
-    # plain row comes from vtln-power's no-op
-    reordered = embedding_table([("y", y, grid[::-1])], None)
-    assert all(np.array_equal(vec.vector, table[tok].vector)
-               for tok, vec in reordered.items())
+    assert len(grid) > restore._BLOCK_CANDIDATES
+    x_row = embed(mfcc(pair[0])).vector
+    want = {spec: embed(restore_with(y, spec.param, spec.family)).vector
+            for spec in grid}
+    assert np.array_equal(want[NO_OP], embed(mfcc(y)).vector)
+    for block in (1, 7, restore._BLOCK_CANDIDATES,
+                  restore._BLOCK_CANDIDATES + 3):
+        monkeypatch.setattr(restore, "_BLOCK_CANDIDATES", block)
+        table = embedding_table([("x", pair[0], (NO_OP,)), ("y", y, grid)],
+                                None)
+        assert np.array_equal(table["x"].embedding(NO_OP).vector, x_row)
+        assert all(np.array_equal(table["y"].embedding(spec).vector, vec)
+                   for spec, vec in want.items())
+        # in reverse every candidate sits elsewhere in its block, and
+        # the plain row comes from vtln-power's no-op
+        reordered = embedding_table([("y", y, grid[::-1])], None)["y"]
+        assert all(np.array_equal(reordered.embedding(spec).vector, vec)
+                   for spec, vec in want.items())
 
 
 def test_large_grid_restoration_stays_in_bounded_memory(pair):
     # candidates are featurized _BLOCK_CANDIDATES at a time; all 2,001
-    # at once would stack 2,001 filterbanks (107 MB) before any product.
-    # The peak holds the filterbank and warp-table caches at their size
+    # at once would need a 108 MB workspace before any product. The
+    # peak holds the filterbank and warp-table caches at their size
     # bounds (14 and 4 MB) and a block's buffers.
     grid = grid_from_range("vtln-power", -0.5, 0.5, 0.0005)
     assert len(grid) == 2001
@@ -428,7 +438,8 @@ def test_external_scorer_agrees_with_builtin(pair):
 def test_embedding_table_reports_missing_external_token():
     table = {"u1": Embedding(np.ones(3))}
     got = embedding_table([("u1", None, [NO_OP])], external=table)
-    assert got["u1"] is table["u1"]
+    assert np.array_equal(got["u1"].embedding(NO_OP).vector, np.ones(3))
+    assert got["u1"].norms.tolist() == [np.sqrt(3.0)]
     with pytest.raises(KeyError,
                        match="'u2' missing from external embedding table"):
         embedding_table([("u2", None, [NO_OP])], external=table)
