@@ -19,7 +19,7 @@ from .disguise import DisguiseSpec, apply_spectral_warp, disguise
 from .evaluate import (Corpus, CorpusConfig, Trial, gen_trials, run_matrix,
                        synth_corpus)
 from .restore import NO_OP, default_grid, grid_from_range, restore_pair
-from .speaker import (Embedding, load_external_embeddings, warped_filterbank,
+from .speaker import (Embedding, filterbank_stack, load_external_embeddings,
                       write_embeddings)
 
 log = logging.getLogger("voxrestore")
@@ -279,11 +279,12 @@ def cmd_eval(args) -> int:
                          {token: report.embeddings[token].embedding(NO_OP)
                           for token in tokens})
 
-    banks = warped_filterbank.cache_info()
+    blocks = filterbank_stack.cache_info()
     log.info("evaluated %d trials x %d restorations in %.2fs; %d embeddings,"
-             " %d filterbanks (%d reused)", report.n_trials, len(report.rows),
-             elapsed, sum(len(r.matrix) for r in report.embeddings.values()),
-             banks.misses, banks.hits)
+             " %d filterbank blocks (%d reused)", report.n_trials,
+             len(report.rows), elapsed,
+             sum(len(r.matrix) for r in report.embeddings.values()),
+             blocks.misses, blocks.hits)
     _emit(payload)
     for row in report.rows:
         print(f"{row.restoration}: EER {row.eer.eer_percent:.2f}% "

@@ -98,13 +98,22 @@ class DisguiseSpec:
             raise ValueError(
                 f"parameter {p} outside [{lo}, {hi}] for family {fam.value}")
         object.__setattr__(self, "param", p)
+        object.__setattr__(self, "_hash", hash((fam, p)))
+        object.__setattr__(self, "_string", f"{fam.value}:{p:g}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # str hashes are salted per process: a copy recomputes its own
+        return DisguiseSpec, (self.family, self.param)
 
     @property
     def is_identity(self) -> bool:
         return self.param == IDENTITY_PARAMS[self.family]
 
     def spec_string(self) -> str:
-        return f"{self.family.value}:{self.param:g}"
+        return self._string
 
     @classmethod
     def from_string(cls, text: str) -> "DisguiseSpec":

@@ -1,6 +1,7 @@
 """Synthetic speaker corpus, trial generation, EER computation and the
 disguise x restoration evaluation matrix."""
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -59,13 +60,21 @@ def _resonator_poles(freq: float, bandwidth: float, sample_rate: int):
     return [p, np.conj(p)]
 
 
+@functools.lru_cache(maxsize=8)
+def _delay(size: int) -> np.ndarray:
+    """1/z on the bins of a `size`-point rfft, read-only."""
+    delay = np.fft.rfft([0.0, 1.0], size)
+    delay.flags.writeable = False
+    return delay
+
+
 def _all_pole(x: np.ndarray, poles: Sequence[complex]) -> np.ndarray:
     """`x` through 1 / prod(1 - p/z) as a product of spectra, zero-padded
     to a 2^k or 3 * 2^(k-2) past the slowest pole's 1e-17 decay."""
     need = x.size + np.log(1e-17) / np.log(max(abs(p) for p in poles))
     k = int(need).bit_length()
     size = min(s for s in (1 << k, 3 << k - 2) if s >= need)
-    delay = np.fft.rfft([0.0, 1.0], size)   # 1/z on the rfft bins
+    delay = _delay(size)
     spectrum = np.fft.rfft(x, size)
     for p in poles:
         spectrum /= 1.0 - p * delay

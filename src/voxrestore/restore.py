@@ -103,13 +103,17 @@ class _RestorationContext:
 
     def embeddings(self, specs) -> np.ndarray:
         """(len(specs), EMBED_DIM) embeddings of `specs`, computed
-        _BLOCK_CANDIDATES candidates at a time."""
+        _BLOCK_CANDIDATES candidates at a time in family and parameter
+        order, so that utterances with one set of candidates, in any
+        order, share the blocks of `filterbank_stack`'s cache."""
+        order = sorted(range(len(specs)), key=lambda i: (
+            specs[i].family.value, specs[i].param))
         out = np.empty((len(specs), EMBED_DIM))
         work = workspace(len(self.power), min(len(specs), _BLOCK_CANDIDATES))
         for i in range(0, len(specs), _BLOCK_CANDIDATES):
-            out[i:i + _BLOCK_CANDIDATES] = pool(candidate_features(
-                self.power, self.sample_rate, specs[i:i + _BLOCK_CANDIDATES],
-                work))
+            rows = order[i:i + _BLOCK_CANDIDATES]
+            out[rows] = pool(candidate_features(
+                self.power, self.sample_rate, [specs[j] for j in rows], work))
         return out
 
 

@@ -4,7 +4,7 @@ scoring, and sidecar files for embeddings computed elsewhere."""
 import functools
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -64,12 +64,12 @@ _DCT = np.sqrt((2.0 - (np.arange(N_CEPSTRA) == 0)) / N_MELS) * np.cos(
     np.pi / N_MELS * np.outer(np.arange(N_MELS) + 0.5, np.arange(N_CEPSTRA)))
 
 
-@functools.lru_cache(maxsize=256)
 def warped_filterbank(spec: DisguiseSpec, n_bins: int,
                       sample_rate: int) -> np.ndarray:
-    """(N_MELS, n_bins) pre-emphasis and mel filterbank, read-only, for
-    power inverse-warped by `spec`: linear on power, the warp folds into
-    the bank, as in filterbank-warped VTLN (Lee and Rose, 1998)."""
+    """(N_MELS, n_bins) pre-emphasis and mel filterbank for power
+    inverse-warped by `spec`: linear on power, the warp folds into the
+    bank, as in filterbank-warped VTLN (Lee and Rose, 1998). Uncached;
+    `filterbank_stack` caches the banks of each block of candidates."""
     fft_size = 2 * (n_bins - 1)
     # pre-emphasis, as the power response of a first-order difference
     cos = np.cos(2.0 * np.pi * np.arange(n_bins) / fft_size)
@@ -79,45 +79,63 @@ def warped_filterbank(spec: DisguiseSpec, n_bins: int,
     bank = np.zeros_like(weights)
     np.add.at(bank, (slice(None), lo), (1.0 - frac) * weights)
     np.add.at(bank, (slice(None), lo + 1), frac * weights)
-    bank.flags.writeable = False
     return bank
 
 
+# 16 blocks of restore._BLOCK_CANDIDATES: up to 256 banks, 53 kB each at
+# 16 kHz; a grid of more than 256 candidates cycles it
+@functools.lru_cache(maxsize=16)
+def filterbank_stack(specs: Tuple[DisguiseSpec, ...], n_bins: int,
+                     sample_rate: int) -> np.ndarray:
+    """(len(specs), N_MELS, n_bins) `warped_filterbank`s of a block of
+    candidates, read-only; each block is built once."""
+    stack = np.empty((len(specs), N_MELS, n_bins))
+    for bank, spec in zip(stack, specs):
+        bank[...] = warped_filterbank(spec, n_bins, sample_rate)
+    stack.flags.writeable = False
+    return stack
+
+
 def workspace(frames: int, candidates: int) -> np.ndarray:
-    """A buffer `candidate_features` can fill for up to `candidates`
-    candidates of `frames` frames, and fill again for the next ones."""
-    return np.empty((4, frames + 2 * DELTA_SPAN, candidates, N_CEPSTRA))
+    """A flat buffer `candidate_features` fills for up to `candidates`
+    candidates of up to `frames` frames, and fills again for the next."""
+    return np.empty(4 * (frames + 2 * DELTA_SPAN) * candidates * N_CEPSTRA)
 
 
 def candidate_features(power: np.ndarray, sample_rate: int, specs,
                        work: Optional[np.ndarray] = None) -> np.ndarray:
     """(3, frames, len(specs), N_CEPSTRA) statics, deltas and
     delta-deltas of (frames, bins) STFT power restored by each candidate
-    spec, in `work` (a new `workspace` if None). Each candidate takes
-    its own products, of one shape in any batch, so its bits do not
-    depend on the batch: with its `warped_filterbank`, then, after a log
-    floored at its own loudest filter output (so gain only shifts c0),
-    with the DCT. Deltas regress over DELTA_SPAN frames each side,
-    repeating the edges (Furui, 1986), on all candidates at once."""
+    spec, in `work` (a new `workspace` if None). The block takes one
+    product of its `filterbank_stack` with the transposed power, which
+    numpy runs as one product of one shape per candidate, so no
+    candidate's bits depend on its batch; then a log floored at each
+    candidate's own loudest filter output (so gain only shifts c0), and
+    the DCT. Deltas regress over DELTA_SPAN frames each side, repeating
+    the edges (Furui, 1986), on all candidates at once."""
     power = np.asarray(power, dtype=np.float64)
     if power.ndim != 2 or power.shape[0] == 0 or power.shape[1] < 2:
         raise ValueError("need a (frames, bins) spectral array, bins >= 2")
     n, bins = power.shape
+    k, span = len(specs), DELTA_SPAN
     power_t = np.ascontiguousarray(power.T)   # layout-free bits
-    span = DELTA_SPAN
     if work is None:
-        work = workspace(n, len(specs))
+        work = workspace(n, k)
     # frames span .. n + span - 1 of each section hold the features, the
-    # rest repeat its edge frames; section 3 is scratch
-    work = work[:, :n + 2 * span, :len(specs)]
-    mel = np.empty((N_MELS, n))
-    for c, spec in enumerate(specs):
-        np.matmul(warped_filterbank(spec, bins, sample_rate), power_t, out=mel)
-        np.maximum(mel, max(float(mel.max()) * 1e-12, 1e-300), out=mel)
-        np.matmul(np.log(mel, out=mel).T, _DCT,
-                  out=work[0, span:n + span, c])
+    # rest repeat its edge frames; section 3 is scratch. The mel energies
+    # fill sections 1 and on (N_MELS < 3 * N_CEPSTRA) until the DCT has
+    # read them
+    section = (n + 2 * span) * k * N_CEPSTRA
+    feats = work[:4 * section].reshape(4, n + 2 * span, k, N_CEPSTRA)
+    mel = work[section:section + k * N_MELS * n].reshape(k, N_MELS, n)
+    np.matmul(filterbank_stack(tuple(specs), bins, sample_rate), power_t,
+              out=mel)
+    floor = np.maximum(mel.max(axis=(1, 2)) * 1e-12, 1e-300)
+    np.log(np.maximum(mel, floor[:, None, None], out=mel), out=mel)
+    np.matmul(mel.transpose(0, 2, 1), _DCT,
+              out=feats[0, span:n + span].transpose(1, 0, 2))
     for i in (1, 2):
-        src, out, tmp = work[i - 1], work[i, span:n + span], work[3, :n]
+        src, out, tmp = feats[i - 1], feats[i, span:n + span], feats[3, :n]
         src[:span], src[n + span:] = src[span], src[n + span - 1]
         np.subtract(src[span + 1:n + span + 1], src[span - 1:n + span - 1],
                     out=out)
@@ -126,7 +144,7 @@ def candidate_features(power: np.ndarray, sample_rate: int, specs,
                         src[span - j:n + span - j], out=tmp)
             out += np.multiply(tmp, j, out=tmp)
         out /= 2.0 * sum(j * j for j in range(1, span + 1))
-    return work[:3, span:n + span]
+    return feats[:3, span:n + span]
 
 
 def pool(features: np.ndarray) -> np.ndarray:
@@ -252,5 +270,6 @@ def write_embeddings(path, table: Dict[str, Embedding]) -> None:
     reads, one line per utterance, ids sorted."""
     with open(os.fspath(path), "w", encoding="utf-8") as fh:
         for utt in sorted(table):
-            comps = " ".join(format(v, ".17g") for v in table[utt].vector)
-            fh.write(f"{utt} {comps}\n")
+            vector = table[utt].vector
+            fh.write(("%s" + " %.17g" * vector.size + "\n")
+                     % (utt, *vector.tolist()))

@@ -10,13 +10,15 @@ candidates into one product, took deltas along its middle axis and
 scored one pair of embeddings at a time; `istft` overlap-adds one frame
 at a time; `formant_cascade` and `resonator` are the corpus
 synthesizer's `lfilter` chain; `load_wav` reads through
-`scipy.io.wavfile`. All are the library's earlier bodies, kept verbatim
+`scipy.io.wavfile`; `write_embeddings` formats a sidecar one float at a
+time. All are the library's earlier bodies, kept verbatim
 with their helpers (the unchanged framing, warping, gating and
 filterbank helpers are imported; `_delta` is the later, batched form of
 the same arithmetic), so the table-driven resampler, the frame-batched
 tracker, the power-domain warped filterbank, the candidate kernel and
 its matrix-vector scoring, the block-wise overlap-add, the spectral
-all-pole filter and the numpy RIFF reader can be checked against them.
+all-pole filter, the numpy RIFF reader and the row-at-a-time sidecar
+writer can be checked against them.
 """
 
 import os
@@ -348,3 +350,12 @@ def load_wav(path) -> AudioBuffer:
     if not np.all(np.isfinite(x)):
         raise ValueError(f"WAV file {path} contains non-finite samples")
     return AudioBuffer(x, int(sr))
+
+
+def write_embeddings(path, table) -> None:
+    """Write embeddings in the sidecar format `load_external_embeddings`
+    reads, one line per utterance, ids sorted."""
+    with open(os.fspath(path), "w", encoding="utf-8") as fh:
+        for utt in sorted(table):
+            comps = " ".join(format(v, ".17g") for v in table[utt].vector)
+            fh.write(f"{utt} {comps}\n")

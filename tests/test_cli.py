@@ -950,26 +950,32 @@ def test_eval_rejects_external_dump_before_any_work(trial_dir, tmp_path,
 
 def test_eval_logs_embeddings_and_warp_maps(trial_dir, tmp_path, capsys,
                                             caplog):
-    from voxrestore.speaker import warped_filterbank
+    from voxrestore.restore import _BLOCK_CANDIDATES
+    from voxrestore.speaker import filterbank_stack
     trials = os.path.join(trial_dir, "trials.txt")
     enrolls, tests = set(), set()
     for line in open(trials, encoding="utf-8"):
         enrolls.add(line.split()[1])
         tests.add(line.split()[2])
-    warped_filterbank.cache_clear()
+    filterbank_stack.cache_clear()
     caplog.set_level(logging.INFO, logger="voxrestore")
     rc, stdout, _ = run_cli(capsys, "eval", "--trials", trials, "--out",
                             str(tmp_path / "a.json"), "--restore",
                             "vtln-power", "--log-level", "info")
     assert rc == 0
     n_grid = 21     # the default vtln-power grid
-    # every utterance has a plain row; it is the grid's no-op candidate,
-    # computed first by the pitch-freq:0 filterbank
+    # every utterance has a plain row; a test utterance's is the grid's
+    # no-op candidate, computed first in its first block by the
+    # pitch-freq:0 filterbank. The grid's blocks are built once and every
+    # later test utterance reuses them; the enrolment's one-candidate
+    # block likewise
+    n_blocks = -(-n_grid // _BLOCK_CANDIDATES)
+    assert n_blocks == 2
     assert (f"; {len(enrolls) + n_grid * len(tests)} embeddings, "
-            f"{n_grid} filterbanks "
-            f"({n_grid * (len(tests) - 1) + len(enrolls)} reused)"
+            f"{n_blocks + 1} filterbank blocks "
+            f"({n_blocks * (len(tests) - 1) + len(enrolls) - 1} reused)"
             in caplog.text)
-    assert "filterbanks" not in stdout
+    assert "filterbank" not in stdout
 
 
 # ---------------------------------------------------------------------------

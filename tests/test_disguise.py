@@ -1,5 +1,11 @@
+import copy
+import dataclasses
 import importlib
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -97,6 +103,35 @@ def test_spec_string_round_trip():
         DisguiseSpec.from_string("pitch-freq")
     with pytest.raises(ValueError):
         DisguiseSpec.from_string("pitch-freq:very")
+
+
+def test_spec_hash_survives_a_pickle_and_a_string_family():
+    spec = DisguiseSpec(DisguiseFamily.VTLN_POWER, 0.2)
+    named = DisguiseSpec("vtln-power", 0.2)
+    assert named == spec and hash(named) == hash(spec)
+    assert hash(spec) == hash((DisguiseFamily.VTLN_POWER, 0.2))
+    index = {spec: 1, DisguiseSpec("vtln-power", 0.25): 2}
+    for copied in (pickle.loads(pickle.dumps(spec)), copy.copy(spec),
+                   copy.deepcopy(spec)):
+        assert copied == spec and hash(copied) == hash(spec)
+        assert index[copied] == 1
+        assert copied.spec_string() == "vtln-power:0.2"
+    assert repr(spec) == ("DisguiseSpec(family=<DisguiseFamily.VTLN_POWER: "
+                          "'vtln-power'>, param=0.2)")
+    assert [f.name for f in dataclasses.fields(spec)] == ["family", "param"]
+    # a fresh interpreter salts string hashes anew; the unpickled spec
+    # must hash as one built there
+    code = ("import pickle, sys; from voxrestore import DisguiseSpec; "
+            "s = pickle.loads(sys.stdin.buffer.read()); "
+            "print(hash(s) == hash(DisguiseSpec('vtln-power', 0.2)))")
+    package_root = os.path.dirname(os.path.dirname(
+        importlib.import_module("voxrestore").__file__))
+    out = subprocess.run([sys.executable, "-c", code],
+                         input=pickle.dumps(spec), capture_output=True,
+                         check=True, env={**os.environ,
+                                          "PYTHONPATH": package_root,
+                                          "PYTHONHASHSEED": "random"})
+    assert out.stdout.strip() == b"True"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The table-driven resampler, the frame-batched F0 tracker, the
 power-domain candidate features, the candidate kernel and its scoring,
-the block-wise overlap-add and the corpus synthesizer's all-pole filter
-against their direct forms in `oracles.py`."""
+the block-wise overlap-add, the corpus synthesizer's all-pole filter
+and the sidecar writer against their direct forms in `oracles.py`."""
 
 import importlib
 import warnings
@@ -247,6 +247,32 @@ def test_search_distances_match_the_dot_product_oracle(corpus_small):
             # the public distance is the search's, bit for bit
             assert got.tolist() == [
                 speaker.distance(ref, table[t].embedding(s)) for s in grid]
+
+
+def test_sidecar_writer_matches_the_per_float_oracle(tmp_path):
+    # signed zero, the smallest subnormal, the largest magnitudes and
+    # values that need all 17 significant digits
+    edge = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
+            0.1 + 0.2, 1.0 / 3.0, np.nextafter(1.0, 2.0), -2.0 ** -1022]
+    rng = np.random.default_rng(7)
+    dim = speaker.EMBED_DIM
+    table = {"edge": speaker.Embedding(np.concatenate(
+                 [edge, rng.standard_normal(dim - len(edge))])),
+             "utt#vtln-power:-0.05": speaker.Embedding(
+                 rng.standard_normal(dim)
+                 * 10.0 ** rng.integers(-300, 300, dim))}
+    for i in range(20):
+        table[f"u{i:02d}"] = speaker.Embedding(rng.standard_normal(dim))
+    for writer in (speaker.write_embeddings, oracles.write_embeddings):
+        writer(tmp_path / writer.__module__, table)
+    got = (tmp_path / speaker.__name__).read_bytes()
+    assert got == (tmp_path / oracles.__name__).read_bytes()
+    assert b"-0 0 4.9406564584124654e-324" in got
+    back = speaker.load_external_embeddings(tmp_path / speaker.__name__)
+    assert all(np.array_equal(back[u].vector, e.vector)
+               and np.array_equal(np.signbit(back[u].vector),
+                                  np.signbit(e.vector))
+               for u, e in table.items())
 
 
 # ---------------------------------------------------------------------------

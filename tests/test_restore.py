@@ -18,8 +18,8 @@ from voxrestore.restore import (MAX_GRID_CANDIDATES, NO_OP,
                                 _RestorationContext, _candidate_token,
                                 embedding_table, grid_from_range,
                                 parse_restoration)
-from voxrestore.speaker import (candidate_features, frames_major,
-                                warped_filterbank)
+from voxrestore.speaker import (candidate_features, filterbank_stack,
+                                frames_major)
 
 
 @pytest.fixture(scope="module")
@@ -252,20 +252,23 @@ def test_inverse_warp_is_built_once_per_family_and_alpha(pair, monkeypatch):
     monkeypatch.setattr(importlib.import_module("voxrestore.disguise"),
                         "build_warp", counted_build_warp)
     warp_indices.cache_clear()
-    warped_filterbank.cache_clear()
+    filterbank_stack.cache_clear()
     grid = default_grid("vtln-power")
+    restore = importlib.import_module("voxrestore.restore")
+    n_blocks = -(-len(grid) // restore._BLOCK_CANDIDATES)
+    assert n_blocks == 2
     for utterance in pair:
         ctx = _RestorationContext(utterance)
-        for spec in grid:
-            ctx.features(spec.param, spec.family)
         ctx.embeddings(grid)
+        ctx.features(grid[3].param, grid[3].family)
     # the no-op needs no map, but its identity table is cached like the
-    # others; each table makes one filterbank, which every later
-    # candidate of that spec reuses
+    # others; each distinct block of candidates (here the grid's two and
+    # one alone) stacks its filterbanks once, and the next utterance
+    # reuses every stack
     assert built == [(s.family, s.param) for s in grid if not s.is_identity]
     assert warp_indices.cache_info().misses == len(grid)
-    banks = warped_filterbank.cache_info()
-    assert (banks.misses, banks.hits) == (len(grid), 3 * len(grid))
+    blocks = filterbank_stack.cache_info()
+    assert (blocks.misses, blocks.hits) == (n_blocks + 1, n_blocks + 1)
     # pitch-time keeps its own entry; build_warp gives it pitch-freq's map
     _RestorationContext(pair[0]).features(3.0, DisguiseFamily.PITCH_TIME)
     assert built[-1] == (DisguiseFamily.PITCH_TIME, 3.0)
@@ -274,9 +277,9 @@ def test_inverse_warp_is_built_once_per_family_and_alpha(pair, monkeypatch):
 def test_cached_tables_are_read_only():
     with pytest.raises(ValueError):
         mel_filterbank(16000, 512)[0, 0] = 1.0
-    bank = warped_filterbank(DisguiseSpec("vtln-power", 0.2), 257, 16000)
+    stack = filterbank_stack((DisguiseSpec("vtln-power", 0.2),), 257, 16000)
     with pytest.raises(ValueError):
-        bank[0, 0] = 1.0
+        stack[0, 0, 0] = 1.0
     for direction in ("forward", "inverse"):
         spec = DisguiseSpec(DisguiseFamily.VTLN_POWER, 0.2)
         lo, frac = warp_indices(spec, 257, direction)
@@ -320,6 +323,19 @@ def test_table_embeddings_do_not_depend_on_their_batch(pair, family,
     want = {spec: embed(restore_with(y, spec.param, spec.family)).vector
             for spec in grid}
     assert np.array_equal(want[NO_OP], embed(mfcc(y)).vector)
+    # a candidate's row is the same whether its block's filterbank stack
+    # is built or found in the cache (as it is for the same candidates
+    # in another order), and from a block built for other neighbours
+    spec = grid[5]
+    filterbank_stack.cache_clear()
+    built = embedding_table([("y", y, grid)], None)["y"]
+    misses = filterbank_stack.cache_info().misses
+    cached = embedding_table([("y", y, grid[:1] + grid[:0:-1])], None)["y"]
+    assert filterbank_stack.cache_info().misses == misses
+    moved = embedding_table([("y", y, grid[:1] + grid[2:])], None)["y"]
+    assert filterbank_stack.cache_info().misses > misses
+    assert all(np.array_equal(rows.embedding(spec).vector, want[spec])
+               for rows in (built, cached, moved))
     for block in (1, 7, restore._BLOCK_CANDIDATES,
                   restore._BLOCK_CANDIDATES + 3):
         monkeypatch.setattr(restore, "_BLOCK_CANDIDATES", block)
@@ -328,11 +344,39 @@ def test_table_embeddings_do_not_depend_on_their_batch(pair, family,
         assert np.array_equal(table["x"].embedding(NO_OP).vector, x_row)
         assert all(np.array_equal(table["y"].embedding(spec).vector, vec)
                    for spec, vec in want.items())
-        # in reverse every candidate sits elsewhere in its block, and
-        # the plain row comes from vtln-power's no-op
+        # in reverse the plain row comes from vtln-power's no-op, so the
+        # blocks hold other candidates
         reordered = embedding_table([("y", y, grid[::-1])], None)["y"]
         assert all(np.array_equal(reordered.embedding(spec).vector, vec)
                    for spec, vec in want.items())
+
+
+def test_a_block_takes_one_bank_product_and_one_log(pair, monkeypatch):
+    speaker = importlib.import_module("voxrestore.speaker")
+    restore = importlib.import_module("voxrestore.restore")
+    specs = default_grid("vtln-power")[:restore._BLOCK_CANDIDATES]
+    assert len(specs) == 16
+    power, rate = _RestorationContext(pair[0]).power, pair[0].sample_rate
+    candidate_features(power, rate, specs)   # fills the stack cache
+    calls = {"log": 0, "bank": 0}
+
+    def log(*args, **kwargs):
+        calls["log"] += 1
+        return np.log(*args, **kwargs)
+
+    def matmul(a, b, **kwargs):
+        calls["bank"] += b.shape == power.T.shape
+        return np.matmul(a, b, **kwargs)
+
+    class SpiedNumpy:
+        def __getattr__(self, name):
+            return {"log": log, "matmul": matmul}.get(name, getattr(np, name))
+
+    monkeypatch.setattr(speaker, "np", SpiedNumpy())
+    got = candidate_features(power, rate, specs)
+    monkeypatch.undo()
+    assert calls == {"log": 1, "bank": 1}
+    assert np.array_equal(got, candidate_features(power, rate, specs))
 
 
 def test_large_grid_restoration_stays_in_bounded_memory(pair):
@@ -343,7 +387,7 @@ def test_large_grid_restoration_stays_in_bounded_memory(pair):
     grid = grid_from_range("vtln-power", -0.5, 0.5, 0.0005)
     assert len(grid) == 2001
     warp_indices.cache_clear()
-    warped_filterbank.cache_clear()
+    filterbank_stack.cache_clear()
     tracemalloc.start()
     try:
         result = restore_pair(pair[0], pair[1], "grid", grid)
