@@ -9,6 +9,7 @@ from .audio import HOP_MS, AudioBuffer, _frame_signal, frame_geometry
 
 F0_MIN = 50.0
 F0_MAX = 500.0
+F0_RATE = 8000          # least rate of the decimated copy F0 is tracked on
 LPC_ORDER = 12
 VOICING_THRESHOLD = 0.3
 PEAK_KEEP = 0.85        # keep peaks within this fraction of the best one
@@ -100,23 +101,19 @@ def _track_frames(frames: np.ndarray, floor: float, sr: int, min_lag: int,
     # _LAG_OVERSAMPLE (entry m sits at lag m / os), the power spectrum P
     # zero-padded to os times its length: without it a fundamental whose
     # period falls between samples can lose almost 30% of its peak height
-    # against an integer-period subharmonic. The padding doubles the
-    # Nyquist bin, so at integer lags q this is the linear autocorrelation
-    # plus P[N/2]·(-1)^q / N. Entry os·q + p is entry q of irfft(P·t_p, N)
-    # with t_p[k] = exp(2πi·k·p / (os·N)), 2·cos(πp/os) at Nyquist; the
-    # correlation is even, so phase os - p is phase p read backwards.
+    # against an integer-period subharmonic. Entry os·q + p is entry q of
+    # irfft(P·t_p, N), t_p[k] = exp(2πi·k·p / (os·N)), whose Nyquist term
+    # is P[N/2]·cos(πp/os): phase 0 is the linear autocorrelation, and
+    # phase os - p is phase p read backwards, the correlation being even.
     # Each lag is normalized by the energies of the two overlapped segments
     # (interpolated between integer lags): peak heights stay near 1.
     n = residual.shape[1]
     os = _LAG_OVERSAMPLE
-    nfft = 1
-    while nfft < 2 * n:
-        nfft *= 2
+    nfft = 1 << (2 * n - 1).bit_length()
     spec = np.fft.rfft(residual, nfft, axis=1)
     spec *= np.conj(spec)                              # P
     p = np.arange(os // 2 + 1)
     twist = np.exp(2j * np.pi * p[:, None] / os * np.fft.rfftfreq(nfft))
-    twist[:, -1] = 2.0 * np.cos(np.pi * p / os)
     twisted, phases = np.empty_like(spec), np.empty((p.size, rows.size, nfft))
     for i in range(p.size):
         np.fft.irfft(np.multiply(spec, twist[i], out=twisted), nfft, axis=1,
@@ -173,20 +170,28 @@ def estimate_f0(buf: AudioBuffer) -> F0Track:
     most 1e-18 of the squared peak sample. The samples are first scaled
     by the power of two that brings the peak into [0.5, 1), which is
     exact, so the track is invariant to signal gain down to subnormal
-    levels. Frames are analyzed together, in blocks of _BLOCK_FRAMES.
+    levels. They are then decimated by q, the largest divisor of the
+    rate that leaves at least F0_RATE, to their spectrum up to the new
+    Nyquist (of whose bin irfft reads the real part); q = 1 leaves them
+    as they are. Frames are analyzed in blocks of _BLOCK_FRAMES.
     """
     sr = buf.sample_rate
+    q = next(d for d in range(max(sr // F0_RATE, 1), 0, -1) if sr % d == 0)
+    sr //= q
     win, hop, _, _ = frame_geometry(sr, PITCH_WINDOW_MS, HOP_MS)
     min_lag = max(2, int(np.floor(sr / F0_MAX)))
     max_lag = int(np.ceil(sr / F0_MIN))
     if win - LPC_ORDER <= max_lag + 2:
-        raise ValueError(
-            f"window of {win} samples too short to resolve {F0_MIN} Hz "
-            f"at {sr} Hz")
+        raise ValueError(f"window of {win} samples too short to resolve "
+                         f"{F0_MIN} Hz at {sr} Hz")
+    _frame_signal(buf.samples, q * win, q * hop)   # names the caller's length
     # `peak` is the scaled peak sample; it includes any DC, so the floor
     # stays above the rounding noise that removing a large DC leaves
     peak, exponent = np.frexp(np.max(np.abs(buf.samples)))
-    frames = _frame_signal(np.ldexp(buf.samples, -exponent), win, hop)
+    x, m = np.ldexp(buf.samples, -exponent), buf.samples.size // q
+    if q > 1:
+        x = np.fft.irfft(np.fft.rfft(x[:q * m])[:m // 2 + 1], m) / q
+    frames = _frame_signal(x, win, hop)
     floor = 1e-18 * peak ** 2
     return F0Track(np.concatenate([
         _track_frames(frames[i:i + _BLOCK_FRAMES], floor, sr, min_lag, max_lag)

@@ -2,29 +2,31 @@
 
 `resample` is the direct Kaiser-windowed sinc resampler, which evaluates
 the kernel for every tap of every output sample; `estimate_f0` is the
-frame-by-frame F0 tracker; `RestorationContext.features` is the
-candidate path that warped each candidate's STFT magnitudes before the
-mel filterbank; `candidate_features`, `pool` and `distance` are the
-power-domain candidate path that stacked the filterbanks of a block of
-candidates into one product, took deltas along its middle axis and
-scored one pair of embeddings at a time; `istft` overlap-adds one frame
-at a time; `formant_cascade` and `resonator` are the corpus
-synthesizer's `lfilter` chain; `load_wav` reads through
-`scipy.io.wavfile`; `write_embeddings` formats a sidecar one float at a
-time. All are the library's earlier bodies, kept verbatim
-with their helpers (the unchanged framing, warping, gating and
-filterbank helpers are imported; `_delta` is the later, batched form of
-the same arithmetic), so the table-driven resampler, the frame-batched
-tracker, the power-domain warped filterbank, the candidate kernel and
-its matrix-vector scoring, the block-wise overlap-add, the spectral
-all-pole filter, the numpy RIFF reader and the row-at-a-time sidecar
-writer can be checked against them.
+frame-by-frame F0 tracker, fed by `band_limit`, a full-rate low-pass
+read every q-th sample in place of the tracker's short inverse
+transform; `RestorationContext.features` is the candidate path that
+warped each candidate's STFT magnitudes before the mel filterbank;
+`candidate_features`, `pool` and `distance` are the power-domain
+candidate path that stacked the filterbanks of a block of candidates
+into one product, took deltas along its middle axis and scored one pair
+of embeddings at a time; `istft` overlap-adds one frame at a time;
+`formant_cascade` and `resonator` are the corpus synthesizer's `lfilter`
+chain; `load_wav` reads through `scipy.io.wavfile`; `write_embeddings`
+formats a sidecar one float at a time. All but `band_limit` are the
+library's earlier bodies, kept verbatim (save the tracker's Nyquist bin,
+now halved) with their helpers (the unchanged framing, warping, gating
+and filterbank helpers are imported; `_delta` is the later, batched form
+of the same arithmetic), so the table-driven resampler, the
+frame-batched tracker, the power-domain warped filterbank, the candidate
+kernel and its matrix-vector scoring, the block-wise overlap-add, the
+spectral all-pole filter, the numpy RIFF reader and the row-at-a-time
+sidecar writer can be checked against them.
 """
 
 import os
 
 import numpy as np
-from scipy.fft import dct
+from scipy.fft import dct, fft, ifft
 from scipy.io import wavfile
 from scipy.linalg import solve_toeplitz
 from scipy.signal import lfilter
@@ -32,7 +34,7 @@ from scipy.signal import lfilter
 from voxrestore import AudioBuffer, DisguiseFamily, DisguiseSpec
 from voxrestore.audio import HOP_MS, WINDOW_MS, _frame_signal, frame_geometry
 from voxrestore.disguise import warp_bins
-from voxrestore.pitch import (F0_MAX, F0_MIN, LPC_ORDER, PEAK_KEEP,
+from voxrestore.pitch import (F0_MAX, F0_MIN, F0_RATE, LPC_ORDER, PEAK_KEEP,
                               PITCH_WINDOW_MS, VOICING_THRESHOLD, F0Track)
 from voxrestore.speaker import (_DCT, DELTA_SPAN, N_CEPSTRA, PREEMPHASIS,
                                 Embedding, active_magnitudes, mel_filterbank,
@@ -121,6 +123,7 @@ def _nccf(x: np.ndarray, max_lag: int) -> np.ndarray:
         nfft *= 2
     spec = np.fft.rfft(x, nfft)
     power = spec * np.conj(spec)
+    power[-1] *= 0.5        # Nyquist, half at each of ±nfft/2 once padded
     raw = os * np.fft.irfft(power, os * nfft)[:os * max_lag + 1]
     csum = np.cumsum(x * x)
     total = csum[-1]
@@ -130,6 +133,23 @@ def _nccf(x: np.ndarray, max_lag: int) -> np.ndarray:
     frac = np.arange(os * max_lag + 1) / os
     norm = np.interp(frac, lags, head) * np.interp(frac, lags, tail)
     return raw / np.sqrt(norm + 1e-300)
+
+
+def band_limit(buf: AudioBuffer) -> AudioBuffer:
+    """`buf` decimated by q, the largest divisor of its rate that leaves
+    at least F0_RATE: the first q·m samples (m = len // q) through an
+    ideal circular low-pass, at full weight below the new Nyquist m / 2
+    and half weight at ±m / 2, then read every q-th sample. q = 1
+    returns `buf` itself."""
+    sr = buf.sample_rate
+    q = max(d for d in range(1, max(sr // F0_RATE, 1) + 1) if sr % d == 0)
+    if q == 1:
+        return buf
+    m = buf.samples.size // q
+    spec = fft(buf.samples[:q * m])
+    k = np.abs(np.fft.fftfreq(q * m, 1.0 / (q * m)))     # |bin index|
+    spec *= np.where(k < m / 2, 1.0, np.where(k == m / 2, 0.5, 0.0))
+    return AudioBuffer(ifft(spec).real[::q], sr // q)
 
 
 def estimate_f0(buf: AudioBuffer) -> F0Track:

@@ -7,7 +7,8 @@ If a numeric change is intended, regenerate the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and record the reason alongside the change.
+which first prints every value that moved beyond those tolerances, and
+record the reason alongside the change.
 """
 
 import json
@@ -102,6 +103,24 @@ def assert_matches(got, want, path: str, key: str = "") -> None:
             f"{path}: {got!r} != {want!r}"
 
 
+def moved_paths(got, want, path: str, key: str = "") -> list:
+    """The `assert_matches` message of every value in `want` that `got`
+    moves beyond its tolerance; a node of another shape is one value."""
+    if (isinstance(want, dict) and isinstance(got, dict)
+            and sorted(got) == sorted(want)):
+        return [m for k in want for m in moved_paths(
+            got[k], want[k], f"{path}.{k}" if path else k, k)]
+    if (isinstance(want, list) and isinstance(got, list)
+            and len(got) == len(want) and key != "per_candidate"):
+        return [m for i, (g, w) in enumerate(zip(got, want))
+                for m in moved_paths(g, w, f"{path}[{i}]", key)]
+    try:
+        assert_matches(got, want, path, key)
+    except AssertionError as err:
+        return [str(err)]
+    return []
+
+
 @pytest.fixture(scope="module")
 def reports():
     return compute_reports()
@@ -130,7 +149,24 @@ def test_comparison_catches_drift():
             assert_matches(bad, want, "bad")
 
 
+def test_diff_lists_every_moved_value():
+    want = {"rows": [{"eer": 1.0, "threshold": 0.5},
+                     {"eer": 2.0, "threshold": 0.5}],
+            "per_candidate": [[0.0, 0.5], [1.0, 0.5]], "n": 3}
+    got = {"rows": [{"eer": 1.5, "threshold": 0.5 * (1 + 1e-12)},
+                    {"eer": 2.0, "threshold": 0.6}],
+           "per_candidate": [[0.0, 0.5], [1.0, 0.4]], "n": 3}
+    assert [m.split(":")[0] for m in moved_paths(got, want, "")] == [
+        "rows[0].eer", "rows[1].threshold", "per_candidate[1]"]
+    assert moved_paths(want, want, "") == []
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(compute_reports(), indent=1,
+    new = compute_reports()
+    if GOLDEN.exists():
+        for message in moved_paths(
+                new, json.loads(GOLDEN.read_text(encoding="utf-8")), ""):
+            print(f"moved: {message}", file=sys.stderr)
+    GOLDEN.write_text(json.dumps(new, indent=1,
                                  sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -102,7 +102,7 @@ def _unread_parameters(tree: ast.Module) -> list:
 
 # ceilings on the package's size; raising either needs a reason in
 # CHANGES.md
-MAX_SOURCE_LINES = 2252
+MAX_SOURCE_LINES = 2257
 MAX_SETTINGS = 14
 
 

@@ -5,6 +5,7 @@ and the sidecar writer against their direct forms in `oracles.py`."""
 
 import importlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -104,10 +105,26 @@ def test_kernel_table_is_built_once_per_cutoff_and_read_only(monkeypatch):
 
 
 def _assert_same_track(buf: AudioBuffer):
-    got = estimate_f0(buf)
-    want = oracles.estimate_f0(buf)
+    framed, frame_signal = [], pitch._frame_signal
+
+    def spy(x, win, hop):
+        framed.append(x)
+        return frame_signal(x, win, hop)
+
+    with mock.patch.object(pitch, "_frame_signal", spy):
+        got = estimate_f0(buf)
+    low = oracles.band_limit(buf)
+    want = oracles.estimate_f0(low)
     assert np.array_equal(got.voiced, want.voiced)
     np.testing.assert_allclose(got.f0_hz, want.f0_hz, rtol=1e-9, atol=0.0)
+    # the tracker frames its unit-peak scaling of the decimated copy;
+    # at q = 1 that is the caller's samples, scaled and otherwise untouched
+    exponent = np.frexp(np.max(np.abs(buf.samples)))[1]
+    scaled = np.ldexp(low.samples, -exponent)
+    if low is buf:
+        assert np.array_equal(framed[-1], scaled)
+    else:
+        np.testing.assert_allclose(framed[-1], scaled, rtol=0.0, atol=1e-13)
 
 
 def test_tracker_matches_oracle_on_corpus_and_disguises(corpus_small):
@@ -144,8 +161,10 @@ def test_tracker_matches_oracle_at_any_block_size(monkeypatch, make, block):
 
 def test_tracker_takes_no_transform_longer_than_its_frame_spectrum(
         monkeypatch):
-    # the oversampled lags come from one 2,048-point inverse transform
-    # per phase, not from one transform os times as long
+    # at 16 kHz the frames are read from an 8 kHz copy, made by one
+    # inverse transform of the whole signal, and the oversampled lags
+    # come from one 1,024-point inverse transform per phase, not from
+    # one transform os times as long
     lengths = []
     irfft = np.fft.irfft
 
@@ -156,7 +175,8 @@ def test_tracker_takes_no_transform_longer_than_its_frame_spectrum(
     monkeypatch.setattr(np.fft, "irfft", spy)
     track = estimate_f0(speechy(1.0))
     assert track.voiced.any()
-    assert lengths and max(lengths) == 2048
+    assert [n for n in lengths if n != 1024] == [SR // 2]
+    assert lengths.count(1024) > 1
 
 
 def test_tracker_raises_no_numerical_warnings(corpus_small):
