@@ -12,9 +12,8 @@ from .disguise import (NO_OP, SEMITONE_FAMILIES, DisguiseFamily,
                        DisguiseSpec, IDENTITY_PARAMS, parse_family)
 from .pitch import (UnvoicedUtteranceError, estimate_f0, f0_ratio_alpha,
                     mean_f0)
-from .speaker import (EMBED_DIM, Embedding, active_magnitudes,
-                      candidate_features, cosine_distances, frames_major,
-                      pool, row_norms, workspace)
+from .speaker import (Embedding, active_magnitudes, candidate_embeddings,
+                      candidate_features, cosine_distances, frames_major)
 
 _GRID_DEFS = {
     DisguiseFamily.PITCH_FREQ: (-11.0, 11.0, 1.0),
@@ -26,7 +25,6 @@ _GRID_DEFS = {
 }
 # over 300 times the largest default grid (31 values), yet quick to build
 MAX_GRID_CANDIDATES = 10_000
-_BLOCK_CANDIDATES = 16   # candidates featurized together; bounds memory
 
 
 def grid_from_range(family, lo: float, hi: float,
@@ -101,31 +99,15 @@ class _RestorationContext:
         return frames_major(candidate_features(
             self.power, self.sample_rate, (DisguiseSpec(family, alpha),)))
 
-    def embeddings(self, specs) -> np.ndarray:
-        """(len(specs), EMBED_DIM) embeddings of `specs`, computed
-        _BLOCK_CANDIDATES candidates at a time in family and parameter
-        order, so that utterances with one set of candidates, in any
-        order, share the blocks of `filterbank_stack`'s cache."""
-        order = sorted(range(len(specs)), key=lambda i: (
-            specs[i].family.value, specs[i].param))
-        out = np.empty((len(specs), EMBED_DIM))
-        work = workspace(len(self.power), min(len(specs), _BLOCK_CANDIDATES))
-        for i in range(0, len(specs), _BLOCK_CANDIDATES):
-            rows = order[i:i + _BLOCK_CANDIDATES]
-            out[rows] = pool(candidate_features(
-                self.power, self.sample_rate, [specs[j] for j in rows], work))
-        return out
-
 
 @dataclass(frozen=True)
 class EmbeddingRows:
     """The embeddings of one utterance's candidates: candidate `spec`
-    inverts to row `index[spec]` of `matrix`, whose row norms are
-    `norms`; candidates with one sidecar token share a row."""
+    inverts to row `index[spec]` of `matrix`; candidates with one
+    sidecar token share a row."""
 
     index: Dict[DisguiseSpec, int]
     matrix: np.ndarray
-    norms: np.ndarray
 
     def embedding(self, spec: DisguiseSpec) -> Embedding:
         return Embedding(self.matrix[self.index[spec]])
@@ -178,14 +160,15 @@ def embedding_table(utterances, external: Optional[Dict[str, Embedding]]
             raise KeyError(f"no audio for utterance {utt!r}")
         else:
             try:
-                matrix = _RestorationContext(buf).embeddings(
+                matrix = candidate_embeddings(
+                    _RestorationContext(buf).power, buf.sample_rate,
                     [spec for _, spec in wanted.values()])
                 if not np.all(np.isfinite(matrix)):
                     raise ValueError("embedding vector contains non-finite "
                                      "values")
             except ValueError as exc:
                 raise ValueError(f"{utt}: {exc}") from None
-        table[utt] = EmbeddingRows(index, matrix, row_norms(matrix))
+        table[utt] = EmbeddingRows(index, matrix)
     return table
 
 
@@ -196,11 +179,9 @@ def _search(table: Dict[str, EmbeddingRows], enroll_id: str, test_id: str,
     candidate nearest its family's no-op parameter, then the smaller
     parameter. Returns the best (spec, distance) and every one scored."""
     ref, test = table[enroll_id], table[test_id]
-    i = ref.index[NO_OP]
-    rows = np.array([test.index[s] for s in candidates])
+    rows = test.matrix[[test.index[s] for s in candidates]]
     scored = list(zip(candidates, cosine_distances(
-        test.matrix[rows], test.norms[rows], ref.matrix[i],
-        ref.norms[i]).tolist()))
+        rows, ref.matrix[ref.index[NO_OP]]).tolist()))
     best = min(scored, key=lambda c: (
         c[1], abs(c[0].param - IDENTITY_PARAMS[c[0].family]), c[0].param))
     return best, scored

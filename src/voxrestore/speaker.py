@@ -18,6 +18,7 @@ DELTA_SPAN = 2
 FEATURE_DIM = 3 * N_CEPSTRA        # statics + deltas + delta-deltas
 EMBED_DIM = 2 * FEATURE_DIM        # mean and std pooling
 MIN_ACTIVE_FRAMES = 3
+_BLOCK_CANDIDATES = 16   # candidates featurized together; bounds memory
 
 
 @dataclass
@@ -82,7 +83,7 @@ def warped_filterbank(spec: DisguiseSpec, n_bins: int,
     return bank
 
 
-# 16 blocks of restore._BLOCK_CANDIDATES: up to 256 banks, 53 kB each at
+# 16 blocks of _BLOCK_CANDIDATES: up to 256 banks, 53 kB each at
 # 16 kHz; a grid of more than 256 candidates cycles it
 @functools.lru_cache(maxsize=16)
 def filterbank_stack(specs: Tuple[DisguiseSpec, ...], n_bins: int,
@@ -159,6 +160,19 @@ def pool(features: np.ndarray) -> np.ndarray:
         k, EMBED_DIM)
 
 
+def candidate_embeddings(power: np.ndarray, sample_rate: int,
+                         specs) -> np.ndarray:
+    """(len(specs), EMBED_DIM) pooled `candidate_features` of (frames,
+    bins) STFT power, _BLOCK_CANDIDATES candidates at a time in the
+    order given, every block in one reused `workspace`."""
+    out = np.empty((len(specs), EMBED_DIM))
+    work = workspace(len(power), min(len(specs), _BLOCK_CANDIDATES))
+    for i in range(0, len(specs), _BLOCK_CANDIDATES):
+        out[i:i + _BLOCK_CANDIDATES] = pool(candidate_features(
+            power, sample_rate, specs[i:i + _BLOCK_CANDIDATES], work))
+    return out
+
+
 def frames_major(features: np.ndarray) -> np.ndarray:
     """The one candidate of `candidate_features` as a (frames,
     FEATURE_DIM) array: statics, then deltas, then delta-deltas."""
@@ -202,17 +216,16 @@ def embed(features: np.ndarray) -> Embedding:
     return Embedding(pool(rows[:, :, None])[0])
 
 
-def row_norms(rows: np.ndarray) -> np.ndarray:
+def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a 2-D array."""
     return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
-def cosine_distances(rows: np.ndarray, norms: np.ndarray, ref: np.ndarray,
-                     ref_norm: float) -> np.ndarray:
-    """1 - cos(row, ref), in [0, 2], for each row of `rows` with its norm
-    in `norms`: one matrix-vector product with the same arithmetic for
-    every row, so equal rows score equal, in any batch."""
-    norms = norms * ref_norm
+def cosine_distances(rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """1 - cos(row, ref), in [0, 2], for each row of `rows`: norms and
+    one matrix-vector product with the same arithmetic for every row,
+    so equal rows score equal, in any batch."""
+    norms = _row_norms(rows) * _row_norms(ref[None])[0]
     if not norms.all():
         raise ValueError("cannot score a zero-norm embedding")
     return 1.0 - np.clip(np.einsum("ij,j->i", rows, ref) / norms, -1.0, 1.0)
@@ -222,9 +235,7 @@ def distance(a: Embedding, b: Embedding) -> float:
     """Cosine distance, 1 - cos(a, b), in [0, 2]. Lower is more similar."""
     if a.dim != b.dim:
         raise ValueError(f"embedding dims differ: {a.dim} vs {b.dim}")
-    rows = b.vector[None]
-    return float(cosine_distances(rows, row_norms(rows), a.vector,
-                                  row_norms(a.vector[None])[0])[0])
+    return float(cosine_distances(b.vector[None], a.vector)[0])
 
 
 def load_external_embeddings(path) -> Dict[str, Embedding]:

@@ -950,8 +950,7 @@ def test_eval_rejects_external_dump_before_any_work(trial_dir, tmp_path,
 
 def test_eval_logs_embeddings_and_warp_maps(trial_dir, tmp_path, capsys,
                                             caplog):
-    from voxrestore.restore import _BLOCK_CANDIDATES
-    from voxrestore.speaker import filterbank_stack
+    from voxrestore.speaker import _BLOCK_CANDIDATES, filterbank_stack
     trials = os.path.join(trial_dir, "trials.txt")
     enrolls, tests = set(), set()
     for line in open(trials, encoding="utf-8"):

@@ -384,14 +384,15 @@ def test_matrix_computes_each_candidate_once(corpus_small, monkeypatch):
     tests = {t.test_id for t in trials}
     assert len(tests) < len(trials)          # test utterances repeat
     calls = []
-    embeddings = _RestorationContext.embeddings
+    restore = importlib.import_module("voxrestore.restore")
+    embeddings = restore.candidate_embeddings
 
-    def counted(self, specs):
-        utterance = hashlib.sha256(self.power.tobytes()).hexdigest()
+    def counted(power, sample_rate, specs):
+        utterance = hashlib.sha256(power.tobytes()).hexdigest()
         calls.extend((utterance, spec.family, spec.param) for spec in specs)
-        return embeddings(self, specs)
+        return embeddings(power, sample_rate, specs)
 
-    monkeypatch.setattr(_RestorationContext, "embeddings", counted)
+    monkeypatch.setattr(restore, "candidate_embeddings", counted)
     run_matrix(corpus_small.utterances, trials, ["pitch-freq", "f0ratio"])
     # f0ratio picks pitch-freq grid values, so the grid covers its
     # candidates, and an utterance both enrolled and tested shares the

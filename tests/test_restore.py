@@ -18,7 +18,8 @@ from voxrestore.restore import (MAX_GRID_CANDIDATES, NO_OP,
                                 _RestorationContext, _candidate_token,
                                 embedding_table, grid_from_range,
                                 parse_restoration)
-from voxrestore.speaker import (candidate_features, filterbank_stack,
+from voxrestore.speaker import (candidate_embeddings, candidate_features,
+                                cosine_distances, filterbank_stack,
                                 frames_major)
 
 
@@ -254,12 +255,12 @@ def test_inverse_warp_is_built_once_per_family_and_alpha(pair, monkeypatch):
     warp_indices.cache_clear()
     filterbank_stack.cache_clear()
     grid = default_grid("vtln-power")
-    restore = importlib.import_module("voxrestore.restore")
-    n_blocks = -(-len(grid) // restore._BLOCK_CANDIDATES)
+    speaker = importlib.import_module("voxrestore.speaker")
+    n_blocks = -(-len(grid) // speaker._BLOCK_CANDIDATES)
     assert n_blocks == 2
     for utterance in pair:
         ctx = _RestorationContext(utterance)
-        ctx.embeddings(grid)
+        candidate_embeddings(ctx.power, ctx.sample_rate, grid)
         ctx.features(grid[3].param, grid[3].family)
     # the no-op needs no map, but its identity table is cached like the
     # others; each distinct block of candidates (here the grid's two and
@@ -315,30 +316,31 @@ def test_table_embeddings_do_not_depend_on_their_batch(pair, family,
                                                       monkeypatch):
     # the benchmark holds sidecar rows to embed(mfcc(x)) and the none
     # row to plain distances, so batching candidates must not move a bit
-    restore = importlib.import_module("voxrestore.restore")
+    speaker = importlib.import_module("voxrestore.speaker")
     y = disguise(pair[1], DisguiseSpec(family, default_grid(family)[2].param))
     grid = (NO_OP,) + default_grid(family) + default_grid("vtln-power")
-    assert len(grid) > restore._BLOCK_CANDIDATES
+    assert len(grid) > speaker._BLOCK_CANDIDATES
     x_row = embed(mfcc(pair[0])).vector
     want = {spec: embed(restore_with(y, spec.param, spec.family)).vector
             for spec in grid}
     assert np.array_equal(want[NO_OP], embed(mfcc(y)).vector)
     # a candidate's row is the same whether its block's filterbank stack
-    # is built or found in the cache (as it is for the same candidates
-    # in another order), and from a block built for other neighbours
+    # is built or found in the cache (as it is below, for the same
+    # candidates in the same blocks), and from a block built for other
+    # neighbours, in the same order or another
     spec = grid[5]
     filterbank_stack.cache_clear()
     built = embedding_table([("y", y, grid)], None)["y"]
     misses = filterbank_stack.cache_info().misses
-    cached = embedding_table([("y", y, grid[:1] + grid[:0:-1])], None)["y"]
-    assert filterbank_stack.cache_info().misses == misses
+    backwards = embedding_table([("y", y, grid[:1] + grid[:0:-1])],
+                               None)["y"]
     moved = embedding_table([("y", y, grid[:1] + grid[2:])], None)["y"]
     assert filterbank_stack.cache_info().misses > misses
     assert all(np.array_equal(rows.embedding(spec).vector, want[spec])
-               for rows in (built, cached, moved))
-    for block in (1, 7, restore._BLOCK_CANDIDATES,
-                  restore._BLOCK_CANDIDATES + 3):
-        monkeypatch.setattr(restore, "_BLOCK_CANDIDATES", block)
+               for rows in (built, backwards, moved))
+    for block in (1, 7, speaker._BLOCK_CANDIDATES,
+                  speaker._BLOCK_CANDIDATES + 3):
+        monkeypatch.setattr(speaker, "_BLOCK_CANDIDATES", block)
         table = embedding_table([("x", pair[0], (NO_OP,)), ("y", y, grid)],
                                 None)
         assert np.array_equal(table["x"].embedding(NO_OP).vector, x_row)
@@ -353,8 +355,7 @@ def test_table_embeddings_do_not_depend_on_their_batch(pair, family,
 
 def test_a_block_takes_one_bank_product_and_one_log(pair, monkeypatch):
     speaker = importlib.import_module("voxrestore.speaker")
-    restore = importlib.import_module("voxrestore.restore")
-    specs = default_grid("vtln-power")[:restore._BLOCK_CANDIDATES]
+    specs = default_grid("vtln-power")[:speaker._BLOCK_CANDIDATES]
     assert len(specs) == 16
     power, rate = _RestorationContext(pair[0]).power, pair[0].sample_rate
     candidate_features(power, rate, specs)   # fills the stack cache
@@ -483,7 +484,7 @@ def test_embedding_table_reports_missing_external_token():
     table = {"u1": Embedding(np.ones(3))}
     got = embedding_table([("u1", None, [NO_OP])], external=table)
     assert np.array_equal(got["u1"].embedding(NO_OP).vector, np.ones(3))
-    assert got["u1"].norms.tolist() == [np.sqrt(3.0)]
+    assert cosine_distances(got["u1"].matrix, np.ones(3)).tolist() == [0.0]
     with pytest.raises(KeyError,
                        match="'u2' missing from external embedding table"):
         embedding_table([("u2", None, [NO_OP])], external=table)

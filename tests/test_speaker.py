@@ -2,12 +2,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import speechy, white_noise
 from voxrestore import (AudioBuffer, Embedding, distance, embed,
                         load_external_embeddings, mel_filterbank, mfcc,
                         write_embeddings)
-from voxrestore.speaker import (EMBED_DIM, FEATURE_DIM,
+from voxrestore.speaker import (EMBED_DIM, FEATURE_DIM, cosine_distances,
                                 features_from_magnitudes)
 
 SR = 16000
@@ -108,6 +110,21 @@ def test_distance_scale_invariance_and_symmetry():
     assert distance(a, b) == pytest.approx(distance(b, a))
     scaled = Embedding(a.vector * 37.5)
     assert distance(scaled, b) == pytest.approx(distance(a, b), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+       dim=st.sampled_from([3, 17, EMBED_DIM]))
+def test_cosine_distances_of_any_rows_are_those_rows_of_the_batch(seed, n,
+                                                                   dim):
+    # a search scores only its own candidates' rows of a table, so a
+    # row's distance must not depend on which rows share its batch
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    ref = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
+    rows = rng.integers(0, n, rng.integers(1, 2 * n + 1))  # any order, repeats
+    assert np.array_equal(cosine_distances(matrix[rows], ref),
+                          cosine_distances(matrix, ref)[rows])
 
 
 def test_distance_errors():
