@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import HOP_MS, AudioBuffer, _frame_signal, frame_geometry
+from .disguise import scale_to_semitone
 
 F0_MIN = 50.0
 F0_MAX = 500.0
@@ -179,7 +180,8 @@ def estimate_f0(buf: AudioBuffer) -> F0Track:
     q = next(d for d in range(max(sr // F0_RATE, 1), 0, -1) if sr % d == 0)
     sr //= q
     win, hop, _, _ = frame_geometry(sr, PITCH_WINDOW_MS, HOP_MS)
-    min_lag = max(2, int(np.floor(sr / F0_MAX)))
+    # the lag grid starts one lag early: a peak needs a grid point below it
+    min_lag = max(2, int(np.floor(sr / F0_MAX))) - 1
     max_lag = int(np.ceil(sr / F0_MIN))
     if win - LPC_ORDER <= max_lag + 2:
         raise ValueError(f"window of {win} samples too short to resolve "
@@ -207,10 +209,10 @@ def mean_f0(track: F0Track) -> float:
 
 
 def f0_ratio_alpha(f0_source: float, f0_disguised: float) -> float:
-    """Semitone offset implied by two mean F0 values,
-    12*log2(f0_disguised / f0_source)."""
+    """Semitone offset implied by two mean F0 values: the
+    `scale_to_semitone` of f0_disguised / f0_source."""
     if not (np.isfinite(f0_source) and f0_source > 0):
         raise ValueError(f"source F0 must be positive, got {f0_source}")
     if not (np.isfinite(f0_disguised) and f0_disguised > 0):
         raise ValueError(f"disguised F0 must be positive, got {f0_disguised}")
-    return float(12.0 * np.log2(f0_disguised / f0_source))
+    return scale_to_semitone(f0_disguised / f0_source)

@@ -165,7 +165,8 @@ def estimate_f0(buf: AudioBuffer) -> F0Track:
     sr = buf.sample_rate
     win = int(round(PITCH_WINDOW_MS * sr / 1000.0))
     hop = int(round(HOP_MS * sr / 1000.0))
-    min_lag = max(2, int(np.floor(sr / F0_MAX)))
+    # a peak needs a grid point below it, so search from one lag below
+    min_lag = max(2, int(np.floor(sr / F0_MAX))) - 1
     max_lag = int(np.ceil(sr / F0_MIN))
     if win - LPC_ORDER <= max_lag + 2:
         raise ValueError(

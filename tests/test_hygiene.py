@@ -70,10 +70,7 @@ def _defined(tree: ast.Module) -> set:
 
 
 # exported names that nothing outside their module reads: name -> reason
-UNREAD_EXPORTS = {
-    "scale_to_semitone": "acceptance criterion 02 checks the semitone "
-                         "algebra in both directions",
-}
+UNREAD_EXPORTS: dict = {}
 
 # parameters kept unread on purpose: (module, function, parameter) -> reason
 UNREAD_PARAMETERS = {
@@ -102,7 +99,7 @@ def _unread_parameters(tree: ast.Module) -> list:
 
 # ceilings on the package's size; raising either needs a reason in
 # CHANGES.md
-MAX_SOURCE_LINES = 2257
+MAX_SOURCE_LINES = 2251
 MAX_SETTINGS = 14
 
 

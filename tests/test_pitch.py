@@ -38,6 +38,19 @@ def test_pure_tone_tracks_within_two_percent():
     assert np.all(np.abs(voiced_hz - 200.0) <= 0.02 * 200.0)
 
 
+@pytest.mark.parametrize("make", [tone, bl_sawtooth])
+def test_fundamentals_near_f0_max_are_read_as_they_are_or_unvoiced(make):
+    # the peak search needs a lag grid point below a peak, so the grid
+    # starts a lag below sr / F0_MAX; without it 497-500 Hz read an
+    # octave low, and so did 505-524 Hz, which lie above F0_MAX
+    for hz in (496.0, 497.0, 498.5, 500.0):
+        track = estimate_f0(make(hz))
+        assert track.voiced.all(), hz
+        assert np.all(np.abs(track.f0_hz - hz) <= 0.002 * hz), hz
+    for hz in (505.0, 515.0, 524.0):
+        assert not estimate_f0(make(hz)).voiced.any(), hz
+
+
 def test_white_noise_is_mostly_unvoiced():
     track = estimate_f0(white_noise(1.0, seed=4))
     assert (~track.voiced).mean() >= 0.9
