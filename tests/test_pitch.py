@@ -41,8 +41,8 @@ def test_pure_tone_tracks_within_two_percent():
 @pytest.mark.parametrize("make", [tone, bl_sawtooth])
 def test_fundamentals_near_f0_max_are_read_as_they_are_or_unvoiced(make):
     # the peak search needs a lag grid point below a peak, so the grid
-    # starts a lag below sr / F0_MAX; without it 497-500 Hz read an
-    # octave low, and so did 505-524 Hz, which lie above F0_MAX
+    # starts a lag below sr / F0_MAX: up to F0_MAX a fundamental reads
+    # as it is, and just above it the frame is unvoiced, not octave-low
     for hz in (496.0, 497.0, 498.5, 500.0):
         track = estimate_f0(make(hz))
         assert track.voiced.all(), hz
